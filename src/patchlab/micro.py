@@ -1,6 +1,6 @@
 """Microscale solvers: SDE time stepping and local PDE evolution.
 
-Two interchangeable micro solvers act on a local Taylor polynomial:
+Two interchangeable micro solvers evolve local Taylor polynomials:
 
 * ``evolve_poly_exact`` applies the exact constant-coefficient propagator
   ``exp(dt L)``.  On polynomials the series terminates, so this is the
@@ -8,7 +8,9 @@ Two interchangeable micro solvers act on a local Taylor polynomial:
 * ``evolve_fd_buffered`` runs an explicit finite-difference scheme on a
   buffered patch with the boundary values frozen at their initial values.
   The buffer must be wide enough that boundary contamination cannot reach
-  the tooth within the requested horizon.
+  the tooth within the requested horizon.  It takes the raw-derivative
+  coefficients of many teeth as one array and evolves all of them in one
+  stencil loop.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .core import (
     TaylorPolynomial,
     ToothConfig,
     normal_stream,
-    poly_eval,
 )
 
 __all__ = [
@@ -104,7 +105,11 @@ class MicroGrid:
 
 @dataclass(frozen=True)
 class MicroFieldState:
-    """Field samples on a uniform micro grid centered on a tooth."""
+    """Field samples on a uniform micro grid centered on a tooth.
+
+    The last axis runs along the micro grid; a 2-d ``samples`` holds one
+    tooth per row, each on the same grid about its own center.
+    """
 
     center: float
     dx: float
@@ -113,8 +118,8 @@ class MicroFieldState:
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 5:
-            raise ValueError("MicroFieldState needs a 1-d array of at least 5 samples")
+        if samples.ndim == 0 or samples.shape[-1] < 5:
+            raise ValueError("MicroFieldState needs at least 5 samples along its last axis")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "center", float(self.center))
@@ -122,8 +127,7 @@ class MicroFieldState:
         object.__setattr__(self, "time", float(self.time))
 
     def grid(self) -> np.ndarray:
-        n = self.samples.size
-        return self.center + self.dx * (np.arange(n) - (n - 1) / 2.0)
+        return self.center + _centered_offsets(self.samples.shape[-1], self.dx)
 
 
 def em_step(x, model: SdeModel, dt: float, xi):
@@ -228,40 +232,55 @@ def influence_radius(pde: PdeSpec, dt: float) -> float:
 
 
 def _stencil_rhs(u: np.ndarray, pde: PdeSpec, dx: float) -> np.ndarray:
-    """Spatial operator on the full patch; only interior entries are valid."""
+    """Spatial operator along the last axis; only interior entries are valid.
+
+    ``u`` holds one patch or a stack of patches, one per row.
+    """
     du = np.zeros_like(u)
     for order, a in pde.terms:
         if order == 1:
-            one_sided = np.zeros_like(u)
+            slope = (u[..., 1:] - u[..., :-1]) / dx
             if a > 0:
                 # information comes from the right (u_t = a u_x moves left)
-                one_sided[:-1] = (u[1:] - u[:-1]) / dx
+                du[..., :-1] += a * slope
             else:
-                one_sided[1:] = (u[1:] - u[:-1]) / dx
-            du += a * one_sided
+                du[..., 1:] += a * slope
         elif order == 2:
-            d2 = np.zeros_like(u)
-            d2[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-            du += a * d2
+            du[..., 1:-1] += a * ((u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2)
         elif order == 4:
-            d4 = np.zeros_like(u)
-            d4[2:-2] = (u[4:] - 4.0 * u[3:-1] + 6.0 * u[2:-2] - 4.0 * u[1:-3] + u[:-4]) / dx**4
-            du += a * d4
+            d4 = (
+                u[..., 4:] - 4.0 * u[..., 3:-1] + 6.0 * u[..., 2:-2] - 4.0 * u[..., 1:-3]
+                + u[..., :-4]
+            )
+            du[..., 2:-2] += a * (d4 / dx**4)
         else:  # pragma: no cover - rejected earlier by stable_dt_bound
             raise ValueError(f"no finite-difference stencil for derivative order {order}")
     return du
 
 
+def _centered_offsets(n: int, dx: float) -> np.ndarray:
+    """Positions of ``n`` micro samples relative to the tooth center."""
+    return dx * (np.arange(n) - (n - 1) / 2.0)
+
+
 def evolve_fd_buffered(
-    p: TaylorPolynomial,
+    coeffs: np.ndarray,
     pde: PdeSpec,
     dt: float,
     tooth: ToothConfig,
     grid: MicroGrid,
 ) -> MicroFieldState:
-    """Explicit finite-difference evolution of ``p`` on a buffered patch.
+    """Explicit finite-difference evolution of local polynomials on buffered patches.
 
-    The patch spans ``[center - H/2, center + H/2]``; boundary nodes are
+    ``coeffs`` holds raw-derivative coefficients about each tooth's center:
+    one row per tooth, shape ``(n_teeth, degree+1)`` as
+    ``patch.lift_coefficients`` returns them, or a single row for one tooth.
+    Every tooth is sampled on the same micro grid about its own center, so
+    all rows advance together in one stencil loop.  The samples have shape
+    ``(n_teeth, n_micro)`` (``(n_micro,)`` for a single row) and sit in
+    tooth-local coordinates, so the returned state has center 0.
+
+    Each patch spans ``[center - H/2, center + H/2]``; boundary nodes are
     held at their initial values (frozen Dirichlet).  Raises
     ``MicroStabilityError`` if ``grid.dt`` violates the explicit bound and
     ``BufferTooSmallError`` if boundary influence could reach the tooth.
@@ -283,42 +302,55 @@ def evolve_fd_buffered(
             f"need H >= {tooth.h + 2 * radius:g}"
         )
 
+    coeffs = np.asarray(coeffs, dtype=float)
     n_half = max(2, int(math.ceil(tooth.H / (2.0 * grid.dx) - 1e-12)))
-    xs = p.center + grid.dx * np.arange(-n_half, n_half + 1)
-    u = np.asarray(poly_eval(p, xs), dtype=float)
+    offsets = _centered_offsets(2 * n_half + 1, grid.dx)
+    # rows offsets^k / k!, so that coeffs @ basis evaluates every polynomial
+    basis = np.empty((coeffs.shape[-1], offsets.size))
+    basis[0] = 1.0
+    for k in range(1, coeffs.shape[-1]):
+        basis[k] = basis[k - 1] * offsets / k
+    u = coeffs @ basis
 
     if dt > 0:
         n_steps = max(1, int(math.ceil(dt / grid.dt - 1e-12)))
         step = dt / n_steps
         # widest stencil arm decides how many boundary nodes stay frozen
         frozen = 2 if pde.max_order >= 3 else 1
+        interior = np.s_[..., frozen:-frozen]
         for _ in range(n_steps):
-            du = _stencil_rhs(u, pde, grid.dx)
-            nxt = u + step * du
-            nxt[:frozen] = u[:frozen]
-            nxt[-frozen:] = u[-frozen:]
-            u = nxt
-    return MicroFieldState(center=p.center, dx=grid.dx, samples=u, time=dt)
+            u[interior] += step * _stencil_rhs(u, pde, grid.dx)[interior]
+    return MicroFieldState(center=0.0, dx=grid.dx, samples=u, time=dt)
 
 
-def tooth_average(state: MicroFieldState, h: float) -> float:
+def tooth_average(state: MicroFieldState, h: float):
     """Average of the micro field over the tooth ``[center - h/2, center + h/2]``.
 
     Trapezoidal rule on the micro samples, with linear interpolation to the
-    exact tooth endpoints.
+    exact tooth endpoints.  The rule is linear in the samples and the same
+    for every row, so it is one weight vector: a stack of teeth gives an
+    array with one average per row, a single tooth a float.
     """
     if h <= 0:
         raise ValueError("tooth width h must be positive")
-    xs = state.grid()
-    lo = state.center - h / 2.0
-    hi = state.center + h / 2.0
+    s = _centered_offsets(state.samples.shape[-1], state.dx)
+    lo, hi = -h / 2.0, h / 2.0
     eps = 1e-12 * max(h, state.dx)
-    if xs[0] > lo + eps or xs[-1] < hi - eps:
+    if s[0] > lo + eps or s[-1] < hi - eps:
+        c = state.center
         raise ToothNotCoveredError(
-            f"micro samples span [{xs[0]:g}, {xs[-1]:g}] but the tooth needs [{lo:g}, {hi:g}]"
+            f"micro samples span [{c + s[0]:g}, {c + s[-1]:g}] "
+            f"but the tooth needs [{c + lo:g}, {c + hi:g}]"
         )
-    u = state.samples
-    inside = (xs > lo) & (xs < hi)
-    nodes = np.concatenate(([lo], xs[inside], [hi]))
-    vals = np.concatenate(([np.interp(lo, xs, u)], u[inside], [np.interp(hi, xs, u)]))
-    return float(np.trapezoid(vals, nodes) / h)
+    inside = (s > lo) & (s < hi)
+    nodes = np.concatenate(([lo], s[inside], [hi]))
+
+    def interpolation_row(x: float) -> np.ndarray:
+        # linear interpolation on a uniform grid weighs each sample by a hat
+        x = min(max(x, s[0]), s[-1])
+        return np.maximum(0.0, 1.0 - np.abs(x - s) / state.dx)
+
+    node_rows = np.vstack((interpolation_row(lo), np.eye(s.size)[inside], interpolation_row(hi)))
+    weights = np.trapezoid(node_rows, nodes, axis=0) / h
+    avg = state.samples @ weights
+    return float(avg) if avg.ndim == 0 else avg

@@ -167,8 +167,11 @@ def lift(U: MacroState, j: int, scheme: LiftingScheme, h: float) -> TaylorPolyno
     return TaylorPolynomial(center=j * U.dx, coeffs=tuple(coeffs))
 
 
-def restrict(field, h: float) -> float:
-    """Tooth average of a local field (polynomial or micro samples)."""
+def restrict(field, h: float):
+    """Tooth average of a local field (polynomial or micro samples).
+
+    Micro samples holding a stack of teeth give one average per row.
+    """
     if isinstance(field, TaylorPolynomial):
         return poly_average(field, h)
     if isinstance(field, MicroFieldState):
@@ -206,18 +209,31 @@ def _restricted_means_exact(coeffs: np.ndarray, pde: PdeSpec, dt: float, h: floa
     return (coeffs @ M.T) @ w
 
 
-def _restricted_means_fd(
-    U: MacroState, scheme: LiftingScheme, pde: PdeSpec, dt: float, cfg: PatchConfig
-) -> np.ndarray:
-    out = np.empty(U.n_points)
-    for j in range(U.n_points):
-        try:
-            p = lift(U, j, scheme, cfg.tooth.h)
-            state = evolve_fd_buffered(p, pde, dt, cfg.tooth, cfg.micro)
-            out[j] = tooth_average(state, cfg.tooth.h)
-        except ValueError as err:
-            raise GapToothError(f"tooth {j}: {err}") from err
-    return out
+def _restricted_means_fd(U: MacroState, pde: PdeSpec, cfg: PatchConfig):
+    """Tooth averages at ``dt_micro`` and at ``alpha * dt_micro`` on the FD route.
+
+    One lift serves both evolutions, and each evolution advances every tooth
+    as one row of a single array.  Failures are reported for tooth 0, since
+    the micro grid and its checks are the same for every tooth, except a
+    non-finite lifted row, which names the first tooth that has one.
+    """
+    h = cfg.tooth.h
+    tooth = 0
+    try:
+        coeffs = lift_coefficients(U, cfg.lifting, h)
+        bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+        if bad.size:
+            tooth = int(bad[0])
+            raise ValueError("lifted coefficients must be finite")
+        # chord base from the sampled field at alpha*dt_micro (0 steps when
+        # alpha = 0), so the quadrature error of tooth_average cancels in the
+        # difference instead of being amplified by dt_macro/dt_micro
+        return tuple(
+            tooth_average(evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro), h)
+            for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
+        )
+    except ValueError as err:
+        raise GapToothError(f"tooth {tooth}: {err}") from err
 
 
 def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
@@ -231,11 +247,7 @@ def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
         else:
             means_alpha = None
     else:
-        means_dt = _restricted_means_fd(U, cfg.lifting, pde, cfg.dt_micro, cfg)
-        # chord base from the sampled field at alpha*dt_micro (0 steps when
-        # alpha = 0), so the quadrature error of tooth_average cancels in the
-        # difference instead of being amplified by dt_macro/dt_micro
-        means_alpha = _restricted_means_fd(U, cfg.lifting, pde, cfg.alpha * cfg.dt_micro, cfg)
+        means_dt, means_alpha = _restricted_means_fd(U, pde, cfg)
     new_values = extrapolate(
         U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha
     )

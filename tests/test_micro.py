@@ -153,7 +153,7 @@ def test_fd_rejects_unstable_micro_step():
     tooth = ToothConfig(h=0.05, H=1.0)
     p = TaylorPolynomial(0.0, (1.0, 0.0, 0.0))
     with pytest.raises(MicroStabilityError):
-        evolve_fd_buffered(p, pde, 1e-4, tooth, grid)
+        evolve_fd_buffered(p.coeffs, pde, 1e-4, tooth, grid)
 
 
 def test_fd_rejects_too_small_buffer():
@@ -162,14 +162,16 @@ def test_fd_rejects_too_small_buffer():
     tooth = ToothConfig(h=0.05, H=0.06)  # buffer 0.005 << radius 6*sqrt(dt_total)
     p = TaylorPolynomial(0.0, (1.0, 0.0, 0.0))
     with pytest.raises(BufferTooSmallError) as err:
-        evolve_fd_buffered(p, pde, 1e-3, tooth, grid)
+        evolve_fd_buffered(p.coeffs, pde, 1e-3, tooth, grid)
     assert "need H >=" in str(err.value)
 
 
 def test_fd_requires_finite_patch():
     p = TaylorPolynomial(0.0, (1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        evolve_fd_buffered(p, PdeSpec.heat(), 1e-4, ToothConfig(h=0.05), MicroGrid(0.005, 1e-6))
+        evolve_fd_buffered(
+            p.coeffs, PdeSpec.heat(), 1e-4, ToothConfig(h=0.05), MicroGrid(0.005, 1e-6)
+        )
 
 
 def test_fd_boundary_stays_frozen():
@@ -177,7 +179,7 @@ def test_fd_boundary_stays_frozen():
     grid = MicroGrid(dx=0.02, dt=1e-4)
     tooth = ToothConfig(h=0.1, H=0.8)
     p = TaylorPolynomial(0.0, (0.0, 0.0, 2.0))
-    state = evolve_fd_buffered(p, pde, 1e-3, tooth, grid)
+    state = evolve_fd_buffered(p.coeffs, pde, 1e-3, tooth, grid)
     xs = state.grid()
     assert state.samples[0] == pytest.approx(poly_eval(p, xs[0]), rel=1e-14)
     assert state.samples[-1] == pytest.approx(poly_eval(p, xs[-1]), rel=1e-14)
@@ -194,10 +196,19 @@ def test_fd_heat_matches_exact_propagator_on_quartic():
     H = h + 2.5 * influence_radius(pde, dt)
     tooth = ToothConfig(h=h, H=H)
     p = TaylorPolynomial(0.3, (0.5, -1.0, 2.0, 1.5, -3.0))
-    fd_avg = tooth_average(evolve_fd_buffered(p, pde, dt, tooth, grid), h)
+    fd_avg = tooth_average(evolve_fd_buffered(p.coeffs, pde, dt, tooth, grid), h)
     exact_avg = poly_average(evolve_poly_exact(p, pde, dt), h)
     # spatial truncation O(dx^2) plus one-step time error
     assert abs(fd_avg - exact_avg) <= 10.0 * grid.dx**2 + 10.0 * grid.dt
+
+    # a stack of teeth evolves row by row as each tooth does alone
+    q = TaylorPolynomial(0.3, (-2.0, 0.5, 6.0, -1.0, 8.0))
+    rows = np.array([p.coeffs, q.coeffs])
+    state = evolve_fd_buffered(rows, pde, dt, tooth, grid)
+    assert state.samples.shape == (2, state.grid().size)
+    row_avgs = tooth_average(state, h)
+    alone = [fd_avg, tooth_average(evolve_fd_buffered(q.coeffs, pde, dt, tooth, grid), h)]
+    np.testing.assert_allclose(row_avgs, alone, rtol=1e-13, atol=1e-13)
 
 
 def test_fd_advection_upwind_exact_on_linear():
@@ -208,7 +219,7 @@ def test_fd_advection_upwind_exact_on_linear():
     grid = MicroGrid(dx=0.01, dt=2e-4)
     tooth = ToothConfig(h=0.05, H=0.3)
     p = TaylorPolynomial(0.0, (0.7, 2.0, 0.0))
-    state = evolve_fd_buffered(p, pde, dt, tooth, grid)
+    state = evolve_fd_buffered(p.coeffs, pde, dt, tooth, grid)
     avg = tooth_average(state, 0.05)
     assert avg == pytest.approx(poly_average(evolve_poly_exact(p, pde, dt), 0.05), rel=1e-10)
 

@@ -25,10 +25,12 @@ from patchlab import (
     extrapolate,
     gap_tooth_step,
     growth_factor_probe,
+    influence_radius,
     lift,
     lift_coefficients,
     restrict,
     seeded_noise_state,
+    stable_dt_bound,
 )
 
 
@@ -196,24 +198,36 @@ def test_gap_tooth_biharmonic_d4_sees_the_operator():
     np.testing.assert_allclose(stepped.values, v - cfg.dt_macro * d4, atol=1e-12)
 
 
-def test_fd_route_agrees_with_exact_route():
+@pytest.mark.parametrize(
+    "pde, lifting, dt_ratio, alpha, micro_per_tooth",
+    [
+        pytest.param(PdeSpec.heat(1.0), CENTRAL_D2, 0.4, 0.0, 16, id="heat"),
+        # PdeSpec.advection(c) is u_t = -c u_x: forward differences when -c > 0
+        pytest.param(PdeSpec.advection(-1.0), LiftingScheme("upwind_d2", wind_sign=-1),
+                     0.5, 0.0, 16, id="advection-forward-differences"),
+        pytest.param(PdeSpec.advection(1.0), UPWIND_D2, 0.5, 0.0, 16,
+                     id="advection-backward-differences"),
+        pytest.param(PdeSpec.biharmonic(1.0), CENTRAL_D4, 0.0375, 0.0, 8, id="biharmonic-d4"),
+        pytest.param(PdeSpec.heat(1.0), CENTRAL_D2, 0.4, 0.5, 16, id="heat-alpha"),
+    ],
+)
+def test_fd_route_agrees_with_exact_route(pde, lifting, dt_ratio, alpha, micro_per_tooth):
     n = 16
     dx = 2.0 * math.pi / n
-    pde = PdeSpec.heat(1.0)
-    dt_macro = 0.4 * dx**2
+    dt_macro = dt_ratio * dx**pde.max_order
     dt_micro = 1e-3 * dt_macro
     h = 0.2 * dx
-    radius = 6.0 * math.sqrt(dt_micro)
-    micro_dx = h / 16.0
-    exact_cfg = PatchConfig(lifting=CENTRAL_D2, tooth=ToothConfig(h=h),
-                            dt_micro=dt_micro, dt_macro=dt_macro)
+    micro_dx = h / micro_per_tooth
+    exact_cfg = PatchConfig(lifting=lifting, tooth=ToothConfig(h=h),
+                            dt_micro=dt_micro, dt_macro=dt_macro, alpha=alpha)
     fd_cfg = PatchConfig(
-        lifting=CENTRAL_D2,
-        tooth=ToothConfig(h=h, H=h + 2.5 * radius),
+        lifting=lifting,
+        tooth=ToothConfig(h=h, H=h + 2.5 * influence_radius(pde, dt_micro)),
         dt_micro=dt_micro,
         dt_macro=dt_macro,
+        alpha=alpha,
         evolution="fd",
-        micro=MicroGrid(dx=micro_dx, dt=0.5 * 0.4 * micro_dx**2),
+        micro=MicroGrid(dx=micro_dx, dt=0.5 * stable_dt_bound(pde, micro_dx)),
     )
     u0 = MacroState(values=np.sin(dx * np.arange(n)), dx=dx)
     du_exact = (gap_tooth_step(u0, pde, exact_cfg).values - u0.values) / dt_macro
@@ -239,6 +253,21 @@ def test_fd_route_wraps_tooth_failures():
     with pytest.raises(GapToothError) as err:
         gap_tooth_step(u0, pde, cfg)
     assert "tooth 0" in str(err.value)
+
+    # a NaN at node 5 spoils the central lifts of teeth 4, 5 and 6
+    roomy = PatchConfig(
+        lifting=CENTRAL_D2,
+        tooth=ToothConfig(h=0.2 * dx, H=0.6 * dx),
+        dt_micro=1e-3 * dt_macro,
+        dt_macro=dt_macro,
+        evolution="fd",
+        micro=MicroGrid(dx=0.01 * dx, dt=1e-9),
+    )
+    values = u0.values.copy()
+    values[5] = np.nan
+    with pytest.raises(GapToothError) as err:
+        gap_tooth_step(MacroState(values=values, dx=dx), pde, roomy)
+    assert str(err.value).startswith("tooth 4: ")
 
 
 def test_alpha_window_matches_manual_chord():
