@@ -4,206 +4,27 @@ Coarse projective integration for stochastic systems, gap-tooth patch
 dynamics for deterministic ones, black-box detection of the spatial
 derivative order a simulator depends on, and a particle-in-random-field
 testbed whose apparent displacement exponent changes with scale.
+
+The package exports exactly the names each module lists in its ``__all__``.
 """
 
+# defined before the submodules load: runner reads it
 __version__ = "0.1.0"
 
-from .analysis import (
-    ConvergenceReport,
-    IncrementMoments,
-    StabilityReport,
-    VarianceCheck,
-    convergence_order,
-    growth_factor_probe,
-    increment_moments,
-    seeded_noise_state,
-    stationary_variance_test,
-)
-from .cli import main
-from .config import (
-    EXPERIMENTS,
-    ConfigError,
-    ExperimentConfig,
-    parse_config,
-    render_config,
-)
-from .core import (
-    MacroState,
-    PdeSpec,
-    RngStreamSpec,
-    TaylorPolynomial,
-    ToothConfig,
-    average_weights,
-    ensemble_normals,
-    generator,
-    normal_stream,
-    poly_apply_derivative,
-    poly_average,
-    poly_eval,
-)
-from .kp import (
-    DtSelfConsistencyError,
-    MsdFit,
-    RandomForceField,
-    ScaledTrajectory,
-    energy,
-    ensemble_velocities,
-    kp_integrate,
-    msd_exponent,
-    synthesize_force_field,
-)
-from .micro import (
-    BufferTooSmallError,
-    MicroFieldState,
-    MicroGrid,
-    MicroStabilityError,
-    SdeModel,
-    ToothNotCoveredError,
-    em_path,
-    em_step,
-    evolve_fd_buffered,
-    evolve_poly_exact,
-    influence_radius,
-    propagator_matrix,
-    stable_dt_bound,
-    tooth_average,
-)
-from .order_detect import (
-    BlackBoxFunction,
-    BudgetExhaustedError,
-    DependencyReport,
-    ProbeSpec,
-    coordinate_variance,
-    derivative_blackbox,
-    detect_order,
-)
-from .patch import (
-    CENTRAL_D2,
-    CENTRAL_D4,
-    UPWIND_D2,
-    GapToothError,
-    LiftingScheme,
-    PatchConfig,
-    extrapolate,
-    gap_tooth_step,
-    lift,
-    lift_coefficients,
-    restrict,
-)
-from .projective import (
-    CoarseStepConfig,
-    CoarseTrajectory,
-    CostLedger,
-    EnsembleState,
-    coarse_projective_step,
-    effective_noise_std,
-    lift_ensemble,
-    predicted_ou_tail_variance,
-    run_coarse_trajectory,
-)
-from .runner import (
-    MetricResult,
-    OverwriteError,
-    RunRecord,
-    Table,
-    render_summary,
-    run_experiment,
-    write_results,
-)
+from . import analysis, cli, config, core, kp, micro, order_detect, patch, projective, runner
+from .analysis import *
+from .cli import *
+from .config import *
+from .core import *
+from .kp import *
+from .micro import *
+from .order_detect import *
+from .patch import *
+from .projective import *
+from .runner import *
 
-__all__ = [
-    "__version__",
-    # core
-    "TaylorPolynomial",
-    "MacroState",
-    "PdeSpec",
-    "ToothConfig",
-    "RngStreamSpec",
-    "poly_eval",
-    "poly_average",
-    "poly_apply_derivative",
-    "average_weights",
-    "generator",
-    "normal_stream",
-    "ensemble_normals",
-    # micro
-    "SdeModel",
-    "MicroGrid",
-    "MicroFieldState",
-    "MicroStabilityError",
-    "BufferTooSmallError",
-    "ToothNotCoveredError",
-    "em_step",
-    "em_path",
-    "propagator_matrix",
-    "evolve_poly_exact",
-    "evolve_fd_buffered",
-    "stable_dt_bound",
-    "influence_radius",
-    "tooth_average",
-    # projective
-    "CoarseStepConfig",
-    "EnsembleState",
-    "CostLedger",
-    "CoarseTrajectory",
-    "lift_ensemble",
-    "effective_noise_std",
-    "predicted_ou_tail_variance",
-    "coarse_projective_step",
-    "run_coarse_trajectory",
-    # patch
-    "LiftingScheme",
-    "PatchConfig",
-    "GapToothError",
-    "CENTRAL_D2",
-    "UPWIND_D2",
-    "CENTRAL_D4",
-    "lift",
-    "lift_coefficients",
-    "restrict",
-    "extrapolate",
-    "gap_tooth_step",
-    # analysis
-    "StabilityReport",
-    "ConvergenceReport",
-    "IncrementMoments",
-    "VarianceCheck",
-    "seeded_noise_state",
-    "growth_factor_probe",
-    "convergence_order",
-    "increment_moments",
-    "stationary_variance_test",
-    # order detection
-    "BlackBoxFunction",
-    "ProbeSpec",
-    "DependencyReport",
-    "BudgetExhaustedError",
-    "coordinate_variance",
-    "detect_order",
-    "derivative_blackbox",
-    # kp
-    "RandomForceField",
-    "ScaledTrajectory",
-    "MsdFit",
-    "DtSelfConsistencyError",
-    "synthesize_force_field",
-    "energy",
-    "kp_integrate",
-    "ensemble_velocities",
-    "msd_exponent",
-    # config and runner
-    "ConfigError",
-    "ExperimentConfig",
-    "EXPERIMENTS",
-    "parse_config",
-    "render_config",
-    "MetricResult",
-    "Table",
-    "RunRecord",
-    "OverwriteError",
-    "run_experiment",
-    "write_results",
-    "render_summary",
-    # cli
-    "main",
+__all__ = ["__version__"] + [
+    name
+    for module in (analysis, cli, config, core, kp, micro, order_detect, patch, projective, runner)
+    for name in module.__all__
 ]

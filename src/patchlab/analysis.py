@@ -30,6 +30,9 @@ UNSTABLE_THRESHOLD = 1.0 + 1e-3
 STABLE_THRESHOLD = 1.0 - 1e-8
 ROUNDING_FLOOR = 1e-12
 _OVERFLOW_NORM = 1e100
+_DISCARD_FRACTION = 0.25  # transient share of the growth ratios
+_BURN_IN_FRACTION = 0.1  # transient share of a trajectory
+_MIN_TAIL = 1000
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,10 @@ def growth_factor_probe(
     stepper: Callable[[MacroState], MacroState],
     initial: MacroState,
     n_steps: int,
-    discard_fraction: float = 0.25,
 ) -> StabilityReport:
     """Geometric-mean per-step L2 growth of ``stepper`` from ``initial``.
 
-    The first ``discard_fraction`` of the per-step ratios is dropped as
+    The first quarter of the per-step ratios is dropped as
     transient, so the estimate reflects the dominant mode.  Overflow or a
     non-finite state terminates the probe early; the factor is then
     computed from the ratios gathered so far.
@@ -105,8 +107,6 @@ def growth_factor_probe(
     n_steps = int(n_steps)
     if n_steps < 4:
         raise ValueError("need at least 4 probe steps")
-    if not 0.0 <= discard_fraction < 1.0:
-        raise ValueError("discard_fraction must lie in [0, 1)")
     u = initial
     norm = float(np.sqrt(np.mean(u.values**2)))
     if not (math.isfinite(norm) and norm > 0):
@@ -123,7 +123,7 @@ def growth_factor_probe(
         norm = new_norm
     if not log_ratios:
         raise ValueError("stepper overflowed immediately; no growth ratios available")
-    start = int(len(log_ratios) * discard_fraction) if not terminated else 0
+    start = int(len(log_ratios) * _DISCARD_FRACTION) if not terminated else 0
     tail = log_ratios[start:] or log_ratios
     factor = math.exp(sum(tail) / len(tail))
     return StabilityReport(
@@ -209,13 +209,11 @@ def stationary_variance_test(
     values: np.ndarray,
     expected: float,
     tolerance_fraction: float,
-    burn_in_fraction: float = 0.1,
-    min_tail: int = 1000,
 ) -> VarianceCheck:
     """Compare the tail variance of a trajectory against ``expected``.
 
-    The first ``burn_in_fraction`` of the trajectory is discarded; at
-    least ``min_tail`` points must remain.  Passes when the measured
+    The first tenth of the trajectory is discarded as burn-in; at least
+    1000 points must remain.  Passes when the measured
     variance is within ``tolerance_fraction`` (relative) of ``expected``.
     """
     values = np.asarray(values, dtype=float)
@@ -223,11 +221,9 @@ def stationary_variance_test(
         raise ValueError("trajectory must be 1-d")
     if not expected > 0:
         raise ValueError("expected variance must be positive")
-    if not 0.0 <= burn_in_fraction < 1.0:
-        raise ValueError("burn_in_fraction must lie in [0, 1)")
-    tail = values[int(values.size * burn_in_fraction):]
-    if tail.size < min_tail:
-        raise ValueError(f"only {tail.size} tail points; need at least {min_tail}")
+    tail = values[int(values.size * _BURN_IN_FRACTION):]
+    if tail.size < _MIN_TAIL:
+        raise ValueError(f"only {tail.size} tail points; need at least {_MIN_TAIL}")
     measured = float(tail.var(ddof=1))
     passed = abs(measured - expected) <= tolerance_fraction * expected
     return VarianceCheck(

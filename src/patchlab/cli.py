@@ -1,20 +1,20 @@
 """``patchlab`` command line entry point.
 
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one check
-failed, 2 configuration or usage error.
+failed (a failed numerical precondition included), 2 configuration or usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .config import ConfigError, parse_config
+from .config import EXPERIMENTS, ConfigError, parse_config
 from .runner import OverwriteError, render_summary, run_experiment, write_results
 
 __all__ = ["main"]
-
-_COMMANDS = ("projective", "patch", "order-detect", "kp")
 
 
 def _seed_type(raw: str) -> int:
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "order-detect": "black-box spatial order detection",
         "kp": "particle-in-random-field displacement exponents",
     }
-    for name in _COMMANDS:
+    for name in EXPERIMENTS:
         cmd = sub.add_parser(name, help=helps[name])
         cmd.add_argument("--config", required=True, help="path to config file")
         cmd.add_argument("--seed", type=_seed_type, help="override [experiment] seed")
@@ -69,12 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.seed is not None:
-        config = type(config)(
-            experiment=config.experiment,
-            parameters=config.parameters,
-            seed=args.seed,
-            output=config.output,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     out_dir = args.out or config.output_dir()
 
     try:

@@ -29,7 +29,6 @@ __all__ = [
     "RngStreamSpec",
     "poly_eval",
     "poly_average",
-    "poly_apply_derivative",
     "average_weights",
     "generator",
     "normal_stream",
@@ -140,12 +139,6 @@ class PdeSpec:
     def max_order(self) -> int:
         return self.terms[-1][0] if self.terms else 0
 
-    def coefficient(self, order: int) -> float:
-        for r, a in self.terms:
-            if r == order:
-                return a
-        return 0.0
-
 
 @dataclass(frozen=True)
 class ToothConfig:
@@ -237,18 +230,6 @@ def poly_average(p: TaylorPolynomial, h: float) -> float:
     """Average of ``p`` over the tooth ``[center - h/2, center + h/2]``."""
     w = average_weights(p.degree, h)
     return float(w @ np.asarray(p.coeffs))
-
-
-def poly_apply_derivative(p: TaylorPolynomial, order: int) -> TaylorPolynomial:
-    """d^order p / dx^order.  A pure coefficient shift in raw-derivative form."""
-    order = int(order)
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return p
-    if order > p.degree:
-        return TaylorPolynomial(p.center, (0.0,))
-    return TaylorPolynomial(p.center, p.coeffs[order:])
 
 
 def generator(spec: RngStreamSpec) -> np.random.Generator:

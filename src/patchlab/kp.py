@@ -80,11 +80,6 @@ class RandomForceField:
         out = np.sin(phase) @ (-self.amplitudes / self.wavenumbers)
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def stiffness_bound(self) -> float:
-        """Upper bound on |dF/dx|, used for step-size sanity."""
-        return float(np.abs(self.amplitudes * self.wavenumbers).sum())
-
 
 @dataclass(frozen=True)
 class ScaledTrajectory:
@@ -216,7 +211,8 @@ def ensemble_velocities(
 
     Trajectory ``i`` draws its field phases from ``rng.at(stream_id=i)``.
     Returns ``(times, velocities)`` with velocities of shape
-    ``(n_trajectories, n_samples + 1)``.
+    ``(n_trajectories, n_samples + 1)``.  A ``DtSelfConsistencyError``
+    names the trajectory that failed the step-halving check.
     """
     n_trajectories = int(n_trajectories)
     if n_trajectories < 1:
@@ -225,10 +221,13 @@ def ensemble_velocities(
     times = None
     for i in range(n_trajectories):
         field = synthesize_force_field(n_modes, spectrum, rng.at(stream_id=i))
-        traj = kp_integrate(
-            field, delta, total_time, dt,
-            initial=initial, n_samples=n_samples, validate=validate,
-        )
+        try:
+            traj = kp_integrate(
+                field, delta, total_time, dt,
+                initial=initial, n_samples=n_samples, validate=validate,
+            )
+        except DtSelfConsistencyError as err:
+            raise DtSelfConsistencyError(f"trajectory {i}: {err}") from err
         velocities[i] = traj.velocities
         times = traj.times
     return times, velocities

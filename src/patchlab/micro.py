@@ -21,13 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    PdeSpec,
-    RngStreamSpec,
-    TaylorPolynomial,
-    ToothConfig,
-    normal_stream,
-)
+from .core import PdeSpec, TaylorPolynomial, ToothConfig
 
 __all__ = [
     "SdeModel",
@@ -37,7 +31,6 @@ __all__ = [
     "BufferTooSmallError",
     "ToothNotCoveredError",
     "em_step",
-    "em_path",
     "propagator_matrix",
     "evolve_poly_exact",
     "evolve_fd_buffered",
@@ -140,23 +133,6 @@ def em_step(x, model: SdeModel, dt: float, xi):
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     return x + dt * np.asarray(model.drift(x), dtype=float) + model.noise_amplitude * math.sqrt(dt) * xi
-
-
-def em_path(x0: float, model: SdeModel, dt: float, n_steps: int, rng: RngStreamSpec) -> np.ndarray:
-    """Single Euler-Maruyama trajectory, ``n_steps + 1`` values including ``x0``."""
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    draws = normal_stream(rng, n_steps)
-    out = np.empty(n_steps + 1)
-    out[0] = float(x0)
-    x = float(x0)
-    b = model.drift
-    amp_sqdt = model.noise_amplitude * math.sqrt(dt)
-    for i in range(n_steps):
-        x = x + dt * float(b(x)) + amp_sqdt * draws[i]
-        out[i + 1] = x
-    return out
 
 
 def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:

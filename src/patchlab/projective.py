@@ -25,10 +25,8 @@ from .micro import SdeModel, em_step
 
 __all__ = [
     "CoarseStepConfig",
-    "EnsembleState",
     "CostLedger",
     "CoarseTrajectory",
-    "lift_ensemble",
     "coarse_projective_step",
     "effective_noise_std",
     "predicted_ou_tail_variance",
@@ -87,35 +85,6 @@ class CoarseStepConfig:
 
 
 @dataclass(frozen=True)
-class EnsembleState:
-    """Ensemble of micro replicas sharing a macro state.
-
-    ``rng`` addresses the member-major noise block for the current macro
-    step: member ``j`` consumes row ``j`` of
-    ``ensemble_normals(rng, n, micro_steps)``.
-    """
-
-    members: np.ndarray
-    rng: RngStreamSpec
-    time_offset: float = 0.0
-
-    def __post_init__(self) -> None:
-        members = np.array(self.members, dtype=float)
-        if members.ndim != 1 or members.size < 1:
-            raise ValueError("members must be a 1-d array with at least one entry")
-        members.setflags(write=False)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "time_offset", float(self.time_offset))
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
-
-    def mean(self) -> float:
-        return float(self.members.mean())
-
-
-@dataclass(frozen=True)
 class CostLedger:
     """Exact work bookkeeping: what the coarse run actually paid for."""
 
@@ -145,12 +114,6 @@ class CoarseTrajectory:
         values = np.array(self.values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def lift_ensemble(x: float, cfg: CoarseStepConfig, rng: RngStreamSpec) -> EnsembleState:
-    """All-copies lifting: every member starts at the macro value ``x``."""
-    members = np.full(cfg.ensemble_size, float(x))
-    return EnsembleState(members=members, rng=rng, time_offset=0.0)
 
 
 def effective_noise_std(cfg: CoarseStepConfig, noise_amplitude: float = 1.0) -> float:

@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, render_config
 from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, average_weights
-from .kp import ensemble_velocities, msd_exponent
+from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent
 from .micro import SdeModel
 from .order_detect import (
     BlackBoxFunction,
@@ -343,11 +343,12 @@ def _run_patch(p: dict, seed: int):
 
 # -------------------------------------------------------------- order-detect
 
+# target -> (default d_max, PDE factory)
 _TARGET_PDES = {
-    "heat": ("central_d2", 2, PdeSpec.heat),
-    "advection": ("upwind_d2", 2, PdeSpec.advection),
-    "biharmonic_d4": ("central_d4", 4, PdeSpec.biharmonic),
-    "biharmonic_d2": ("central_d2", 2, PdeSpec.biharmonic),
+    "heat": (2, PdeSpec.heat),
+    "advection": (2, PdeSpec.advection),
+    "biharmonic_d4": (4, PdeSpec.biharmonic),
+    "biharmonic_d2": (2, PdeSpec.biharmonic),
 }
 
 
@@ -360,7 +361,7 @@ def _run_order_detect(p: dict, seed: int):
             evaluation_budget=budget,
         )
     else:
-        _, d_default, factory = _TARGET_PDES[p["target"]]
+        d_default, factory = _TARGET_PDES[p["target"]]
         d_max = p["d_max"] or d_default
         box = derivative_blackbox(
             factory(1.0), d_max=d_max, dt=p["dt_micro"], h=p["h"],
@@ -431,18 +432,25 @@ def _run_kp(p: dict, seed: int):
     for i, delta in enumerate(p["deltas"]):
         sample_dt = p["total_time"] / p["n_samples"]
         dt = min(p["dt_scale"] * delta * delta, sample_dt)
-        times, velocities = ensemble_velocities(
-            n_trajectories=p["n_trajectories"],
-            n_modes=p["n_modes"],
-            spectrum=p["spectrum"],
-            delta=delta,
-            total_time=p["total_time"],
-            dt=dt,
-            rng=rng.at(step_id=i),
-            initial=(p["x0"], p["v0"]),
-            n_samples=p["n_samples"],
-            validate=p["validate_dt"],
-        )
+        try:
+            times, velocities = ensemble_velocities(
+                n_trajectories=p["n_trajectories"],
+                n_modes=p["n_modes"],
+                spectrum=p["spectrum"],
+                delta=delta,
+                total_time=p["total_time"],
+                dt=dt,
+                rng=rng.at(step_id=i),
+                initial=(p["x0"], p["v0"]),
+                n_samples=p["n_samples"],
+                validate=p["validate_dt"],
+            )
+        except DtSelfConsistencyError:
+            # an unresolved step leaves no trajectory worth fitting at this delta
+            metrics.append(
+                MetricResult(f"dt_self_consistent_delta_{_slug(delta)}", False, verdict="fail")
+            )
+            continue
         fit = msd_exponent(
             times, velocities, p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"]
         )

@@ -211,6 +211,22 @@ def test_failed_check_exits_one(tmp_path):
     assert "detected_order 2 1 0 fail" in (tmp_path / "out" / "summary").read_text()
 
 
+def test_unresolved_kp_step_is_a_failed_check(tmp_path):
+    # dt = 0.05 delta^2 fails the step-halving check at delta = 0.02: that is a
+    # numerical verdict (exit 1), not a usage error, and the fit is skipped
+    text = (
+        "[experiment]\nname = kp\nseed = 9\n[parameters]\n"
+        "deltas = 0.02\ndt_scale = 0.05\nn_trajectories = 1\ncalibrate = false\n"
+    )
+    cfg = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
+    summary = (out / "summary").read_text()
+    assert "dt_self_consistent_delta_0p02 false - - fail" in summary
+    assert "gamma_delta_0p02" not in summary
+    assert not (out / "msd_0p02.csv").exists()
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     assert main(["projective", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err

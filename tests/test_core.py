@@ -13,7 +13,6 @@ from patchlab import (
     ensemble_normals,
     generator,
     normal_stream,
-    poly_apply_derivative,
     poly_average,
     poly_eval,
 )
@@ -84,26 +83,6 @@ def test_poly_average_matches_dense_quadrature():
         assert poly_average(p, h) == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
 
-def test_poly_apply_derivative_shifts_coefficients():
-    p = TaylorPolynomial(center=1.0, coeffs=(3.0, 5.0, 7.0))
-    dp = poly_apply_derivative(p, 1)
-    assert dp.coeffs == (5.0, 7.0)
-    assert dp.center == 1.0
-    assert poly_apply_derivative(p, 0) is p
-    assert poly_apply_derivative(p, 3).coeffs == (0.0,)
-    with pytest.raises(ValueError):
-        poly_apply_derivative(p, -1)
-
-
-def test_poly_apply_derivative_matches_finite_difference():
-    p = TaylorPolynomial(center=0.0, coeffs=(1.0, -2.0, 0.5, 3.0))
-    dp = poly_apply_derivative(p, 1)
-    eps = 1e-6
-    for x in (-0.5, 0.2, 1.3):
-        fd = (poly_eval(p, x + eps) - poly_eval(p, x - eps)) / (2 * eps)
-        assert poly_eval(dp, x) == pytest.approx(fd, rel=1e-8)
-
-
 def test_taylor_polynomial_validation():
     with pytest.raises(ValueError):
         TaylorPolynomial(center=0.0, coeffs=())
@@ -138,11 +117,10 @@ def test_pde_spec_factories():
     heat = PdeSpec.heat(0.7)
     assert heat.terms == ((2, 0.7),)
     adv = PdeSpec.advection(2.0)
-    assert adv.coefficient(1) == -2.0
+    assert adv.terms == ((1, -2.0),)
     bih = PdeSpec.biharmonic(0.5)
-    assert bih.coefficient(4) == -0.5
+    assert bih.terms == ((4, -0.5),)
     assert bih.max_order == 4
-    assert bih.coefficient(2) == 0.0
 
 
 def test_pde_spec_drops_zero_terms_and_sorts():

@@ -35,7 +35,6 @@ def test_force_and_potential_shapes():
     xs = np.array([0.0, 1.0])
     assert field.force(xs).shape == (2,)
     assert field.potential(0.0) == pytest.approx(-2.0 / 3.0 * math.sin(0.5))
-    assert field.stiffness_bound == pytest.approx(6.0)
 
 
 def test_potential_gradient_is_minus_force():
@@ -121,6 +120,15 @@ def test_self_consistency_check_rejects_coarse_dt():
     field = synthesize_force_field(256, spectrum=0.0, rng=RngStreamSpec(9))
     with pytest.raises(DtSelfConsistencyError):
         kp_integrate(field, 0.02, total_time=0.008, dt=2e-5, n_samples=400)
+
+
+def test_ensemble_self_consistency_error_names_trajectory():
+    # trajectory 0 draws its field from the same stream as the test above
+    with pytest.raises(DtSelfConsistencyError, match="^trajectory 0: endpoint velocity"):
+        ensemble_velocities(
+            n_trajectories=1, n_modes=256, spectrum=0.0, delta=0.02,
+            total_time=0.008, dt=2e-5, rng=RngStreamSpec(9), n_samples=400,
+        )
 
 
 def test_ensemble_velocities_uses_per_trajectory_streams():

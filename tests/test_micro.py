@@ -16,7 +16,6 @@ from patchlab import (
     TaylorPolynomial,
     ToothConfig,
     ToothNotCoveredError,
-    em_path,
     em_step,
     evolve_fd_buffered,
     evolve_poly_exact,
@@ -53,26 +52,21 @@ def test_em_step_formula():
         em_step(x, model, -0.1, xi)
 
 
-def test_em_path_matches_manual_loop():
-    model = SdeModel.ornstein_uhlenbeck(rate=1.0, noise_amplitude=1.0)
-    rng = RngStreamSpec(17, 3, 0)
-    path = em_path(2.0, model, dt=0.05, n_steps=40, rng=rng)
-    assert path.shape == (41,)
-    assert path[0] == 2.0
-    draws = normal_stream(rng, 40)
-    x = 2.0
-    for i in range(40):
-        x = x - x * 0.05 + math.sqrt(0.05) * draws[i]
-        assert path[i + 1] == pytest.approx(x, rel=1e-14)
-
-
 def test_em_path_ou_stationary_variance():
-    # EM chain x' = (1-r dt)x + sqrt(dt) xi has variance 1/(r(2 - r dt))
+    # EM chain x' = (1-r dt)x + sqrt(dt) xi has variance 1/(r(2 - r dt));
+    # 100 independent chains advance together, step i taking row i of the draws
     dt, rate = 0.05, 1.0
-    path = em_path(0.0, SdeModel.ornstein_uhlenbeck(rate), dt, 200_000, RngStreamSpec(5))
-    tail = path[20_000:]
+    n_chains, n_steps, burn_in = 100, 2200, 200
+    model = SdeModel.ornstein_uhlenbeck(rate)
+    draws = normal_stream(RngStreamSpec(5), n_chains * n_steps).reshape(n_steps, n_chains)
+    x = np.zeros(n_chains)
+    tail = []
+    for i in range(n_steps):
+        x = em_step(x, model, dt, draws[i])
+        if i >= burn_in:
+            tail.append(x)
     expected = 1.0 / (rate * (2.0 - rate * dt))
-    assert tail.var() == pytest.approx(expected, rel=0.05)
+    assert np.var(tail) == pytest.approx(expected, rel=0.05)
 
 
 # ------------------------------------------------- exact polynomial evolution

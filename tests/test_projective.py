@@ -14,7 +14,6 @@ from patchlab import (
     em_step,
     ensemble_normals,
     increment_moments,
-    lift_ensemble,
     predicted_ou_tail_variance,
     run_coarse_trajectory,
 )
@@ -36,15 +35,6 @@ def test_config_validation():
     cfg = CoarseStepConfig(ensemble_size=10, micro_steps=10, dt_micro=1e-3, dt_macro=0.1, alpha=0.5)
     assert cfg.alpha_steps == 5
     assert cfg.micro_horizon == pytest.approx(0.01)
-
-
-def test_lift_ensemble_all_copies():
-    ens = lift_ensemble(1.7, CFG, RngStreamSpec(0))
-    assert ens.size == 10
-    np.testing.assert_array_equal(ens.members, np.full(10, 1.7))
-    assert ens.mean() == pytest.approx(1.7)
-    with pytest.raises(ValueError):
-        ens.members[0] = 0.0
 
 
 def test_effective_noise_std_three_regimes():
