@@ -37,12 +37,33 @@ SELF_CONSISTENCY_TOL = 0.01
 
 
 class DtSelfConsistencyError(ValueError):
-    """Halving the step changed the endpoint velocity by more than 1%."""
+    """Halving the step changed the endpoint velocity by more than 1%.
+
+    ``trajectory`` is the lowest failing row of a stacked field (``None``
+    for a single field); ``deviation`` and ``scale`` are that row's endpoint
+    velocity change and velocity scale.
+    """
+
+    def __init__(self, trajectory: int | None, deviation: float, scale: float, dt: float):
+        prefix = "" if trajectory is None else f"trajectory {trajectory}: "
+        super().__init__(
+            f"{prefix}endpoint velocity moved by {deviation:g} (scale {scale:g}) when the "
+            f"step was halved; dt {dt:g} is not resolving the dynamics"
+        )
+        self.trajectory = trajectory
+        self.deviation = deviation
+        self.scale = scale
 
 
 @dataclass(frozen=True)
 class RandomForceField:
-    """Superposition of cosine modes ``F(x) = sum_m a_m cos(k_m x + phi_m)``."""
+    """Superposition of cosine modes ``F(x) = sum_m a_m cos(k_m x + phi_m)``.
+
+    ``phases`` is ``(n_modes,)`` for one field or ``(n_fields, n_modes)`` for
+    a stack of fields sharing amplitudes and wavenumbers.  A stack is
+    evaluated at one position per field (``x`` of shape ``(n_fields,)``), and
+    each row's value has the same bits as that row's field alone.
+    """
 
     amplitudes: np.ndarray
     wavenumbers: np.ndarray
@@ -52,8 +73,10 @@ class RandomForceField:
         a = np.array(self.amplitudes, dtype=float)
         k = np.array(self.wavenumbers, dtype=float)
         p = np.array(self.phases, dtype=float)
-        if not (a.shape == k.shape == p.shape) or a.ndim != 1:
-            raise ValueError("amplitudes, wavenumbers, phases must be equal-length 1-d arrays")
+        if a.ndim != 1 or a.shape != k.shape:
+            raise ValueError("amplitudes and wavenumbers must be equal-length 1-d arrays")
+        if p.ndim not in (1, 2) or p.shape[-1] != a.size:
+            raise ValueError("phases must be (n_modes,) or (n_fields, n_modes)")
         if np.any(k == 0):
             raise ValueError("wavenumbers must be nonzero (zero mode has no bounded potential)")
         for arr in (a, k, p):
@@ -66,18 +89,20 @@ class RandomForceField:
     def n_modes(self) -> int:
         return int(self.amplitudes.size)
 
+    # einsum reduces each row on its own; a 2-d ``@`` goes through BLAS gemv,
+    # whose rounding differs from the 1-d dot, so a row would depend on the stack
     def force(self, x):
         """F at ``x`` (scalar or array)."""
         x = np.asarray(x, dtype=float)
         phase = np.multiply.outer(x, self.wavenumbers) + self.phases
-        out = np.cos(phase) @ self.amplitudes
+        out = np.einsum("...j,j->...", np.cos(phase), self.amplitudes)
         return float(out) if out.ndim == 0 else out
 
     def potential(self, x):
         """V with ``-dV/dx = F``; the integration constant is zero."""
         x = np.asarray(x, dtype=float)
         phase = np.multiply.outer(x, self.wavenumbers) + self.phases
-        out = np.sin(phase) @ (-self.amplitudes / self.wavenumbers)
+        out = np.einsum("...j,j->...", np.sin(phase), -self.amplitudes / self.wavenumbers)
         return float(out) if out.ndim == 0 else out
 
 
@@ -133,12 +158,14 @@ def energy(field: RandomForceField, delta: float, x, v):
 
 
 def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample):
+    # one particle per field of the stack, all advanced in lockstep
     inv_d2 = 1.0 / delta**2
     inv_d = 1.0 / delta
-    xs = np.empty(n_samples + 1)
-    vs = np.empty(n_samples + 1)
-    xs[0], vs[0] = x0, v0
-    x, v = float(x0), float(v0)
+    shape = field.phases.shape[:-1]
+    xs = np.empty(shape + (n_samples + 1,))
+    vs = np.empty(shape + (n_samples + 1,))
+    x, v = np.full(shape, x0), np.full(shape, v0)
+    xs[..., 0], vs[..., 0] = x, v
     f = field.force(x) * inv_d
     for s in range(1, n_samples + 1):
         for _ in range(steps_per_sample):
@@ -146,7 +173,7 @@ def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample):
             x = x + dt * v_half * inv_d2
             f = field.force(x) * inv_d
             v = v_half + 0.5 * dt * f
-        xs[s], vs[s] = x, v
+        xs[..., s], vs[..., s] = x, v
     return xs, vs
 
 
@@ -162,10 +189,14 @@ def kp_integrate(
     """Leapfrog integration of the rescaled system, sampled uniformly.
 
     ``dt`` is a ceiling; the actual step divides the sampling interval
-    exactly.  With ``validate=True`` the run is repeated at half the step
-    and rejected (``DtSelfConsistencyError``) if the endpoint velocity
-    moves by more than 1% of the velocity scale -- the step-halving
-    self-consistency check.
+    exactly.  A stacked field runs one particle per row, all from
+    ``initial``, and gives positions and velocities of shape
+    ``(n_fields, n_samples + 1)``; each row has the same bits as a run of
+    that row's field alone.  With ``validate=True`` the run is repeated at
+    half the step and rejected (``DtSelfConsistencyError``, naming the
+    lowest failing row of a stack) if the endpoint velocity moves by more
+    than 1% of the velocity scale -- the step-halving self-consistency
+    check.
     """
     delta = float(delta)
     if not delta > 0:
@@ -184,12 +215,15 @@ def kp_integrate(
     xs, vs = _leapfrog(field, delta, x0, v0, dt_used, n_samples, steps_per_sample)
     if validate:
         _, vs_half = _leapfrog(field, delta, x0, v0, dt_used / 2.0, n_samples, 2 * steps_per_sample)
-        scale = max(abs(vs_half[-1]), float(np.sqrt(np.mean(vs_half**2))))
-        deviation = abs(vs[-1] - vs_half[-1])
-        if deviation > SELF_CONSISTENCY_TOL * scale:
+        end_half = vs_half[..., -1]
+        scale = np.maximum(np.abs(end_half), np.sqrt(np.mean(vs_half**2, axis=-1)))
+        deviation = np.abs(vs[..., -1] - end_half)
+        failing = np.flatnonzero(deviation > SELF_CONSISTENCY_TOL * scale)
+        if failing.size:
+            row = int(failing[0])
             raise DtSelfConsistencyError(
-                f"endpoint velocity moved by {deviation:g} (scale {scale:g}) when the step "
-                f"was halved; dt {dt_used:g} is not resolving the dynamics"
+                None if field.phases.ndim == 1 else row,
+                float(deviation.flat[row]), float(scale.flat[row]), dt_used,
             )
     times = np.linspace(0.0, total_time, n_samples + 1)
     return ScaledTrajectory(delta=delta, times=times, positions=xs, velocities=vs, dt_used=dt_used)
@@ -209,28 +243,29 @@ def ensemble_velocities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Velocity samples of independent runs (fresh field per trajectory).
 
-    Trajectory ``i`` draws its field phases from ``rng.at(stream_id=i)``.
-    Returns ``(times, velocities)`` with velocities of shape
+    Trajectory ``i`` draws its field phases from ``rng.at(stream_id=i)``;
+    the fields run as one stack in lockstep, so a trajectory's velocities
+    do not depend on how many others run beside it.  Returns
+    ``(times, velocities)`` with velocities of shape
     ``(n_trajectories, n_samples + 1)``.  A ``DtSelfConsistencyError``
-    names the trajectory that failed the step-halving check.
+    names the lowest trajectory that failed the step-halving check.
     """
     n_trajectories = int(n_trajectories)
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be >= 1")
-    velocities = np.empty((n_trajectories, int(n_samples) + 1))
-    times = None
-    for i in range(n_trajectories):
-        field = synthesize_force_field(n_modes, spectrum, rng.at(stream_id=i))
-        try:
-            traj = kp_integrate(
-                field, delta, total_time, dt,
-                initial=initial, n_samples=n_samples, validate=validate,
-            )
-        except DtSelfConsistencyError as err:
-            raise DtSelfConsistencyError(f"trajectory {i}: {err}") from err
-        velocities[i] = traj.velocities
-        times = traj.times
-    return times, velocities
+    fields = [
+        synthesize_force_field(n_modes, spectrum, rng.at(stream_id=i))
+        for i in range(n_trajectories)
+    ]
+    stack = RandomForceField(
+        amplitudes=fields[0].amplitudes,
+        wavenumbers=fields[0].wavenumbers,
+        phases=np.stack([field.phases for field in fields]),
+    )
+    traj = kp_integrate(
+        stack, delta, total_time, dt, initial=initial, n_samples=n_samples, validate=validate
+    )
+    return traj.times, traj.velocities
 
 
 def msd_exponent(

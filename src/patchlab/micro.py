@@ -15,6 +15,7 @@ Two interchangeable micro solvers evolve local Taylor polynomials:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -309,7 +310,8 @@ def tooth_average(state: MicroFieldState, h: float):
     """
     if h <= 0:
         raise ValueError("tooth width h must be positive")
-    s = _centered_offsets(state.samples.shape[-1], state.dx)
+    n = state.samples.shape[-1]
+    s = _centered_offsets(n, state.dx)
     lo, hi = -h / 2.0, h / 2.0
     eps = 1e-12 * max(h, state.dx)
     if s[0] > lo + eps or s[-1] < hi - eps:
@@ -318,15 +320,24 @@ def tooth_average(state: MicroFieldState, h: float):
             f"micro samples span [{c + s[0]:g}, {c + s[-1]:g}] "
             f"but the tooth needs [{c + lo:g}, {c + hi:g}]"
         )
+    avg = state.samples @ _tooth_weights(n, state.dx, float(h))
+    return float(avg) if avg.ndim == 0 else avg
+
+
+@functools.lru_cache(maxsize=64)
+def _tooth_weights(n: int, dx: float, h: float) -> np.ndarray:
+    # the weights depend only on the grid and the tooth, not on the samples
+    s = _centered_offsets(n, dx)
+    lo, hi = -h / 2.0, h / 2.0
     inside = (s > lo) & (s < hi)
     nodes = np.concatenate(([lo], s[inside], [hi]))
 
     def interpolation_row(x: float) -> np.ndarray:
         # linear interpolation on a uniform grid weighs each sample by a hat
         x = min(max(x, s[0]), s[-1])
-        return np.maximum(0.0, 1.0 - np.abs(x - s) / state.dx)
+        return np.maximum(0.0, 1.0 - np.abs(x - s) / dx)
 
-    node_rows = np.vstack((interpolation_row(lo), np.eye(s.size)[inside], interpolation_row(hi)))
+    node_rows = np.vstack((interpolation_row(lo), np.eye(n)[inside], interpolation_row(hi)))
     weights = np.trapezoid(node_rows, nodes, axis=0) / h
-    avg = state.samples @ weights
-    return float(avg) if avg.ndim == 0 else avg
+    weights.setflags(write=False)
+    return weights

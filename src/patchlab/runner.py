@@ -445,11 +445,14 @@ def _run_kp(p: dict, seed: int):
                 n_samples=p["n_samples"],
                 validate=p["validate_dt"],
             )
-        except DtSelfConsistencyError:
+        except DtSelfConsistencyError as err:
             # an unresolved step leaves no trajectory worth fitting at this delta
-            metrics.append(
-                MetricResult(f"dt_self_consistent_delta_{_slug(delta)}", False, verdict="fail")
-            )
+            slug = _slug(delta)
+            metrics += [
+                MetricResult(f"dt_self_consistent_delta_{slug}", False, verdict="fail"),
+                MetricResult(f"dt_halving_trajectory_delta_{slug}", err.trajectory),
+                MetricResult(f"dt_halving_deviation_delta_{slug}", err.deviation / err.scale),
+            ]
             continue
         fit = msd_exponent(
             times, velocities, p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"]

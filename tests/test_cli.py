@@ -1,9 +1,14 @@
 """Config parsing and the four command-line subcommands."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import patchlab
 from patchlab import ConfigError, main, parse_config, render_config
 
 MINIMAL_PROJECTIVE = """
@@ -223,8 +228,27 @@ def test_unresolved_kp_step_is_a_failed_check(tmp_path):
     assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
     summary = (out / "summary").read_text()
     assert "dt_self_consistent_delta_0p02 false - - fail" in summary
+    # the failure detail: the lowest failing trajectory and deviation / scale
+    rows = {line.split()[0]: line.split()[1:] for line in summary.splitlines()
+            if not line.startswith("#")}
+    assert rows["dt_halving_trajectory_delta_0p02"] == ["0", "-", "-", "info"]
+    value, *rest = rows["dt_halving_deviation_delta_0p02"]
+    assert float(value) == pytest.approx(0.5212, abs=1e-4)
+    assert rest == ["-", "-", "info"]
     assert "gamma_delta_0p02" not in summary
     assert not (out / "msd_0p02.csv").exists()
+
+
+def test_python_dash_m_patchlab_runs_the_cli():
+    src = str(pathlib.Path(patchlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "patchlab", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: patchlab" in done.stdout
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

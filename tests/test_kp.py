@@ -29,6 +29,77 @@ def test_force_field_validation():
         RandomForceField(amplitudes=[1.0], wavenumbers=[0.0], phases=[0.0])
 
 
+def test_force_field_stack_validation():
+    with pytest.raises(ValueError):  # last axis of the phases is not n_modes
+        RandomForceField(amplitudes=[1.0, 2.0], wavenumbers=[1.0, 2.0], phases=np.zeros((3, 4)))
+    with pytest.raises(ValueError):  # a stack of stacks
+        RandomForceField(amplitudes=[1.0, 2.0], wavenumbers=[1.0, 2.0], phases=np.zeros((2, 3, 2)))
+    stack = RandomForceField(amplitudes=[1.0, 2.0], wavenumbers=[1.0, 2.0], phases=np.zeros((3, 2)))
+    assert stack.phases.shape == (3, 2)
+
+
+def stacked(fields):
+    return RandomForceField(
+        amplitudes=fields[0].amplitudes,
+        wavenumbers=fields[0].wavenumbers,
+        phases=np.stack([field.phases for field in fields]),
+    )
+
+
+def fields_from(seed, n_fields, n_modes):
+    rng = RngStreamSpec(seed)
+    return [synthesize_force_field(n_modes, 0.0, rng.at(stream_id=i)) for i in range(n_fields)]
+
+
+@pytest.mark.parametrize("n_modes", [7, 256])
+@pytest.mark.parametrize("n_fields", [1, 3, 24])
+def test_stacked_force_and_potential_match_each_row(n_fields, n_modes):
+    fields = fields_from(21, n_fields, n_modes)
+    stack = stacked(fields)
+    x = np.linspace(-3.0, 5.0, n_fields)
+    force, potential = stack.force(x), stack.potential(x)
+    assert force.shape == potential.shape == (n_fields,)
+    for i, field in enumerate(fields):
+        assert force[i] == field.force(x[i])
+        assert potential[i] == field.potential(x[i])
+
+
+@pytest.mark.parametrize("n_modes", [7, 256])
+@pytest.mark.parametrize("n_fields", [1, 3, 24])
+def test_stacked_integration_matches_each_row_alone(n_fields, n_modes):
+    fields = fields_from(22, n_fields, n_modes)
+    run = dict(delta=0.3, total_time=0.008, dt=1e-4, initial=(0.2, 1.0), n_samples=50)
+    together = kp_integrate(stacked(fields), **run)
+    assert together.positions.shape == together.velocities.shape == (n_fields, 51)
+    for i, field in enumerate(fields):
+        alone = kp_integrate(field, **run)
+        np.testing.assert_array_equal(together.positions[i], alone.positions)
+        np.testing.assert_array_equal(together.velocities[i], alone.velocities)
+    assert together.dt_used == alone.dt_used
+    np.testing.assert_array_equal(together.times, alone.times)
+
+
+def test_stack_error_names_the_lowest_failing_row():
+    # at seed 24 row 0 passes the step-halving check (deviation/scale 0.003)
+    # and row 1 is the first to fail it (0.065)
+    fields = fields_from(24, 4, 256)
+    run = dict(delta=0.02, total_time=0.008, dt=1e-5, n_samples=400)
+    kp_integrate(fields[0], **run)
+    with pytest.raises(DtSelfConsistencyError) as alone:
+        kp_integrate(fields[1], **run)
+    assert alone.value.trajectory is None
+    assert str(alone.value).startswith("endpoint velocity moved by")
+    with pytest.raises(DtSelfConsistencyError, match="^trajectory 1: endpoint velocity") as info:
+        kp_integrate(stacked(fields), **run)
+    err = info.value
+    assert err.trajectory == 1
+    assert (err.deviation, err.scale) == (alone.value.deviation, alone.value.scale)
+    assert err.deviation / err.scale == pytest.approx(0.0645, abs=1e-4)
+    with pytest.raises(DtSelfConsistencyError, match="^trajectory 1: "):
+        ensemble_velocities(n_trajectories=4, n_modes=256, spectrum=0.0,
+                            rng=RngStreamSpec(24), **run)
+
+
 def test_force_and_potential_shapes():
     field = RandomForceField(amplitudes=[2.0], wavenumbers=[3.0], phases=[0.5])
     assert field.force(0.0) == pytest.approx(2.0 * math.cos(0.5))
