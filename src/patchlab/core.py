@@ -15,7 +15,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -253,15 +255,121 @@ def normal_stream(spec: RngStreamSpec, n: int) -> np.ndarray:
     return generator(spec).standard_normal(n)
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_KEY_BLOCK = 1024
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian 32-bit words of ``n``, one word for 0, as SeedSequence splits ints."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's ``hashmix`` step on ``uint32`` arrays, its constant advancing per call."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+@functools.lru_cache(maxsize=64)
+def _key_block(master_seed: int, stream_id: int, block: int) -> np.ndarray:
+    """Philox keys of ``generator`` for step ids ``block*1024 ... block*1024 + 1023``.
+
+    Row ``i``, read-only ``uint64``, is ``SeedSequence(master_seed,
+    spawn_key=(stream_id, block*1024 + i)).generate_state(2, uint64)``,
+    computed for the whole block in one pass over ``uint32`` arrays, which
+    wrap as the C hash does.  A block never straddles a multiple of 2**32,
+    so only the low word of ``step_id`` varies within it and every key of
+    the block hashes the same number of words.
+    """
+    first = block * _KEY_BLOCK
+    low = first & _MASK32
+
+    def const(n):
+        return [np.full(_KEY_BLOCK, w, dtype=np.uint32) for w in _words(n)]
+
+    # the seed's words zero-padded to the pool size, then the spawn key's
+    entropy = const(master_seed)
+    entropy += [np.zeros(_KEY_BLOCK, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    entropy += const(stream_id)
+    entropy.append(np.arange(low, low + _KEY_BLOCK, dtype=np.uint32))
+    if first >> 32:
+        entropy += const(first >> 32)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(2, uint64): four words, paired little-endian
+    output = _hasher(_INIT_B, _MULT_B)
+    w0, w1, w2, w3 = (output(value).astype(np.uint64) for value in pool)
+    shift = np.uint64(32)
+    keys = np.stack([w0 | w1 << shift, w2 | w3 << shift], axis=1)
+    keys.setflags(write=False)
+    return keys
+
+
+_ZEROS = (0, 0, 0, 0)
+_thread_philox = threading.local()
+
+
 def ensemble_normals(spec: RngStreamSpec, n_members: int, n_draws: int) -> np.ndarray:
     """Member-major block of standard normals for one macro step.
 
     Row ``j`` is the draw sequence of ensemble member ``j``.  The whole
     block comes from the single stream at ``spec``, laid out member-major,
     so per-member results do not depend on the order members are advanced.
+
+    The numbers are those of ``generator(spec).standard_normal((n_members,
+    n_draws))``.  The stream is opened by resetting this thread's Philox to
+    the stream's key, taken from a cached block of keys, with counter 0 and
+    an empty buffer, as a fresh ``Philox`` starts.
     """
     n_members = int(n_members)
     n_draws = int(n_draws)
     if n_members < 1 or n_draws < 0:
         raise ValueError("need n_members >= 1 and n_draws >= 0")
-    return generator(spec).standard_normal((n_members, n_draws))
+    step = spec.step_id
+    keys = _key_block(spec.master_seed, spec.stream_id, step // _KEY_BLOCK)
+    try:
+        philox, gen = _thread_philox.pair
+    except AttributeError:
+        philox = np.random.Philox(0)
+        gen = np.random.Generator(philox)
+        _thread_philox.pair = philox, gen
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": keys[step % _KEY_BLOCK].tolist()},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.standard_normal((n_members, n_draws))

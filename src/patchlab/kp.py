@@ -61,8 +61,9 @@ class RandomForceField:
 
     ``phases`` is ``(n_modes,)`` for one field or ``(n_fields, n_modes)`` for
     a stack of fields sharing amplitudes and wavenumbers.  A stack is
-    evaluated at one position per field (``x`` of shape ``(n_fields,)``), and
-    each row's value has the same bits as that row's field alone.
+    evaluated at positions whose first axis runs over the fields (``x`` of
+    shape ``(n_fields,)`` or ``(n_fields, ...)``), and each row's value has
+    the same bits as that row's field alone.
     """
 
     amplitudes: np.ndarray
@@ -89,20 +90,26 @@ class RandomForceField:
     def n_modes(self) -> int:
         return int(self.amplitudes.size)
 
+    def _phase(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        phases = self.phases
+        if phases.ndim == 2 and x.ndim > 1:
+            # row i of x is evaluated in field i of the stack
+            phases = phases.reshape((phases.shape[0],) + (1,) * (x.ndim - 1) + (self.n_modes,))
+        return np.multiply.outer(x, self.wavenumbers) + phases
+
     # einsum reduces each row on its own; a 2-d ``@`` goes through BLAS gemv,
     # whose rounding differs from the 1-d dot, so a row would depend on the stack
     def force(self, x):
         """F at ``x`` (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        phase = np.multiply.outer(x, self.wavenumbers) + self.phases
-        out = np.einsum("...j,j->...", np.cos(phase), self.amplitudes)
+        out = np.einsum("...j,j->...", np.cos(self._phase(x)), self.amplitudes)
         return float(out) if out.ndim == 0 else out
 
     def potential(self, x):
         """V with ``-dV/dx = F``; the integration constant is zero."""
-        x = np.asarray(x, dtype=float)
-        phase = np.multiply.outer(x, self.wavenumbers) + self.phases
-        out = np.einsum("...j,j->...", np.sin(phase), -self.amplitudes / self.wavenumbers)
+        out = np.einsum(
+            "...j,j->...", np.sin(self._phase(x)), -self.amplitudes / self.wavenumbers
+        )
         return float(out) if out.ndim == 0 else out
 
 

@@ -72,7 +72,7 @@ class SdeModel:
 
     @classmethod
     def pure_noise(cls, noise_amplitude: float = 1.0) -> "SdeModel":
-        return cls(drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)), noise_amplitude=noise_amplitude)
+        return cls(drift=lambda x: np.zeros(np.shape(x)), noise_amplitude=noise_amplitude)
 
     @classmethod
     def ornstein_uhlenbeck(cls, rate: float = 1.0, noise_amplitude: float = 1.0) -> "SdeModel":
@@ -133,7 +133,13 @@ def em_step(x, model: SdeModel, dt: float, xi):
         raise ValueError("dt must be >= 0")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    return x + dt * np.asarray(model.drift(x), dtype=float) + model.noise_amplitude * math.sqrt(dt) * xi
+    step = dt * np.asarray(model.drift(x), dtype=float)
+    noise = model.noise_amplitude * math.sqrt(dt) * xi
+    if isinstance(step, np.ndarray) and step.shape == x.shape == noise.shape:
+        # same operations as below, summed into the fresh ``dt*b`` array
+        np.add(x, step, out=step)
+        return np.add(step, noise, out=step)
+    return x + step + noise
 
 
 def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:

@@ -139,16 +139,22 @@ def predicted_ou_tail_variance(cfg: CoarseStepConfig, rate: float = 1.0, noise_a
 def _advance_ensemble(
     x: float, model: SdeModel, cfg: CoarseStepConfig, rng: RngStreamSpec
 ) -> tuple[float, float]:
-    """Run the lifted ensemble for micro_steps; return means at alpha_steps and at the end."""
-    draws = ensemble_normals(rng, cfg.ensemble_size, cfg.micro_steps)
-    members = np.full(cfg.ensemble_size, float(x))
+    """Run the lifted ensemble for micro_steps; return means at alpha_steps and at the end.
+
+    A mean is ``np.add.reduce(members) / n``, the bits of ``members.mean()``.
+    """
+    n = cfg.ensemble_size
+    dt = cfg.dt_micro
     i_alpha = cfg.alpha_steps
-    mean_alpha = float(x)
-    for i in range(cfg.micro_steps):
-        members = em_step(members, model, cfg.dt_micro, draws[:, i])
-        if i + 1 == i_alpha:
-            mean_alpha = float(members.mean())
-    return mean_alpha, float(members.mean())
+    draws = ensemble_normals(rng, n, cfg.micro_steps).T
+    x = float(x)
+    members = np.full(n, x)
+    mean_alpha = x
+    for i, xi in enumerate(draws, 1):
+        members = em_step(members, model, dt, xi)
+        if i == i_alpha:
+            mean_alpha = float(np.add.reduce(members) / n)
+    return mean_alpha, float(np.add.reduce(members) / n)
 
 
 def coarse_projective_step(

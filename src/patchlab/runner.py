@@ -6,6 +6,7 @@ are byte-identical across repeats (wall time is reported to stdout only).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -122,7 +123,13 @@ def render_summary(record: RunRecord) -> str:
 
 
 def write_results(record: RunRecord, out_dir: str, force: bool = False) -> list[str]:
-    """Write summary, config echo, and CSV tables; refuse to clobber."""
+    """Write summary, config echo, and CSV tables; refuse to clobber.
+
+    Each file is written under a temporary name in ``out_dir`` and moved
+    into place with ``os.replace`` once every file is written.  On any error
+    the temporary files, and the files this call already moved into place,
+    are removed, so an interrupted write leaves nothing that blocks a rerun.
+    """
     paths = {
         "summary": os.path.join(out_dir, "summary"),
         "config": os.path.join(out_dir, "config"),
@@ -136,15 +143,32 @@ def write_results(record: RunRecord, out_dir: str, force: bool = False) -> list[
                 f"refusing to overwrite {', '.join(sorted(existing))} (use --force)"
             )
     os.makedirs(out_dir, exist_ok=True)
-    with open(paths["summary"], "w") as fh:
-        fh.write(render_summary(record))
-    with open(paths["config"], "w") as fh:
-        fh.write(render_config(record.config))
-    for table in record.tables:
-        with open(paths[table.name], "w") as fh:
-            fh.write(",".join(table.columns) + "\n")
-            for row in table.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    staged: list[tuple[str, str]] = []
+    placed: list[str] = []
+
+    def open_staged(path):
+        tmp = os.path.join(out_dir, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        return open(tmp, "w")
+
+    try:
+        with open_staged(paths["summary"]) as fh:
+            fh.write(render_summary(record))
+        with open_staged(paths["config"]) as fh:
+            fh.write(render_config(record.config))
+        for table in record.tables:
+            with open_staged(paths[table.name]) as fh:
+                fh.write(",".join(table.columns) + "\n")
+                for row in table.rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in [tmp for tmp, _ in staged] + placed:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     return sorted(paths.values())
 
 

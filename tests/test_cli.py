@@ -291,6 +291,41 @@ def test_overwrite_refused_then_forced(tmp_path, capsys):
     assert main(["projective", "--config", cfg, "--out", out, "--force"]) == 0
 
 
+def _fail_on_second(real):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("injected write failure")
+        return real(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_failed_write_leaves_nothing_that_blocks_a_rerun(tmp_path, monkeypatch, stage):
+    import patchlab.runner as runner
+
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE)
+    out = tmp_path / "out"
+    with monkeypatch.context() as m:
+        if stage == "write":
+            # the second file (the config echo) fails after the summary was written
+            def broken(config):
+                raise OSError("injected write failure")
+
+            m.setattr(runner, "render_config", broken)
+        else:
+            # the second rename fails after the summary was moved into place
+            m.setattr(os, "replace", _fail_on_second(os.replace))
+        with pytest.raises(OSError, match="injected"):
+            main(["projective", "--config", cfg, "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == []
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config", "summary", "trajectory.csv"]
+
+
 def test_seed_override_lands_in_outputs(tmp_path):
     cfg = write(tmp_path, MINIMAL_PROJECTIVE)
     out = str(tmp_path / "out")

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -206,3 +209,69 @@ def test_generator_is_fresh_per_call():
     g2 = generator(spec)
     # a fresh generator starts at the beginning of the stream
     assert g2.standard_normal(3).tobytes() == generator(spec).standard_normal(3).tobytes()
+
+
+def _reference_normals(spec, n_members, n_draws):
+    return generator(spec).standard_normal((n_members, n_draws))
+
+
+def _random_triples(rnd, count):
+    seeds = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+    streams = (0, 1, 2**32 - 1, 2**32, 2**64, 2**70 + 3)
+    steps = (0, 1, 1023, 1024, 1025, 2047, 2048, 2**32 - 1, 2**32, 2**32 + 1023, 2**64 + 1024)
+    for _ in range(count):
+        seed = rnd.choice(seeds) if rnd.random() < 0.3 else rnd.randrange(2**64)
+        stream = rnd.choice(streams) if rnd.random() < 0.3 else rnd.randrange(2**rnd.choice((8, 33, 65)))
+        step = rnd.choice(steps) if rnd.random() < 0.4 else rnd.randrange(2**rnd.choice((11, 20, 40)))
+        yield RngStreamSpec(seed, stream, step)
+
+
+def test_ensemble_normals_has_the_bits_of_a_fresh_generator():
+    rnd = random.Random(20260)
+    specs = list(_random_triples(rnd, 1200))
+    assert any(s.master_seed >= 2**32 for s in specs)
+    assert any(s.stream_id >= 2**32 for s in specs)
+    assert any(s.step_id >= 2**32 for s in specs)
+    for spec in specs:
+        n, k = rnd.randint(1, 4), rnd.randint(0, 5)
+        assert ensemble_normals(spec, n, k).tobytes() == _reference_normals(spec, n, k).tobytes(), spec
+
+
+def test_ensemble_normals_at_key_block_edges_in_any_order():
+    specs = [RngStreamSpec(seed, stream, step)
+             for seed in (3, 2**40 + 7) for stream in (0, 2**33)
+             for step in (0, 1, 1022, 1023, 1024, 1025, 2047, 2048,
+                          2**32 - 1024, 2**32 - 1, 2**32, 2**32 + 1)]
+    want = {spec: _reference_normals(spec, 3, 7).tobytes() for spec in specs}
+    order = specs + specs[::-1] + random.Random(5).sample(specs, len(specs))
+    for spec in order:  # forwards, backwards and shuffled, across key blocks
+        assert ensemble_normals(spec, 3, 7).tobytes() == want[spec], spec
+    # an odd draw count leaves a half-used Philox word; the next stream starts clean
+    odd, even = RngStreamSpec(9, 0, 5), RngStreamSpec(9, 0, 6)
+    assert ensemble_normals(odd, 1, 3).tobytes() == _reference_normals(odd, 1, 3).tobytes()
+    assert ensemble_normals(even, 2, 2).tobytes() == _reference_normals(even, 2, 2).tobytes()
+
+
+def test_ensemble_normals_from_interleaved_threads():
+    specs = list(_random_triples(random.Random(77), 120))
+    want = [_reference_normals(spec, 4, 9).tobytes() for spec in specs]
+    errors = []
+
+    def draw(offset):
+        for i in range(offset, offset + 3 * len(specs)):
+            j = i % len(specs)
+            if ensemble_normals(specs[j], 4, 9).tobytes() != want[j]:
+                errors.append(specs[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(offset,)) for offset in (0, 37, 71)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []

@@ -79,6 +79,25 @@ def test_stacked_integration_matches_each_row_alone(n_fields, n_modes):
     np.testing.assert_array_equal(together.times, alone.times)
 
 
+@pytest.mark.parametrize("n_modes", [7, 256])
+@pytest.mark.parametrize("n_fields", [1, 3, 24])
+def test_stacked_energy_matches_each_row_alone(n_fields, n_modes):
+    fields = fields_from(23, n_fields, n_modes)
+    stack = stacked(fields)
+    traj = kp_integrate(stack, delta=0.3, total_time=0.008, dt=1e-4, initial=(0.2, 1.0),
+                        n_samples=50)
+    together = energy(stack, 0.3, traj.positions, traj.velocities)
+    assert together.shape == (n_fields, 51)
+    assert stack.force(traj.positions).shape == (n_fields, 51)
+    for i, field in enumerate(fields):
+        alone = energy(field, 0.3, traj.positions[i], traj.velocities[i])
+        np.testing.assert_array_equal(together[i], alone)
+        np.testing.assert_array_equal(stack.force(traj.positions)[i],
+                                      field.force(traj.positions[i]))
+    # a stack still evaluates every field at one shared position
+    np.testing.assert_array_equal(stack.force(0.4), [f.force(0.4) for f in fields])
+
+
 def test_stack_error_names_the_lowest_failing_row():
     # at seed 24 row 0 passes the step-halving check (deviation/scale 0.003)
     # and row 1 is the first to fail it (0.065)

@@ -52,6 +52,44 @@ def test_em_step_formula():
         em_step(x, model, -0.1, xi)
 
 
+def _em_reference(x, model, dt, xi):
+    x = np.asarray(x, dtype=float)
+    drift = np.asarray(model.drift(x), dtype=float)
+    return x + dt * drift + model.noise_amplitude * math.sqrt(dt) * np.asarray(xi, dtype=float)
+
+
+_EM_CASES = {
+    "0-d x": (np.float64(0.37), SdeModel.ornstein_uhlenbeck(1.3, 0.7), 0.01, np.float64(-1.1)),
+    "float x": (0.37, SdeModel.ornstein_uhlenbeck(1.3, 0.7), 0.01, -1.1),
+    "0-d x, array xi": (0.37, SdeModel.pure_noise(0.7), 0.01, np.linspace(-2.0, 2.0, 7)),
+    "broadcast xi": (np.linspace(-1.0, 3.0, 6), SdeModel.ornstein_uhlenbeck(0.9), 0.003, 0.25),
+    "broadcast rows": (np.linspace(-1.0, 3.0, 6).reshape(3, 2), SdeModel.ornstein_uhlenbeck(),
+                       0.003, np.array([0.4, -1.7])),
+    "integer x": (np.arange(-3, 4), SdeModel.ornstein_uhlenbeck(0.5, 2.0), 0.02,
+                  np.linspace(-1.0, 1.0, 7)),
+    "drift returns its argument": (np.linspace(-1.0, 1.0, 5), SdeModel(drift=lambda x: x),
+                                   0.1, np.linspace(0.3, -0.9, 5)),
+    "constant drift": (np.linspace(-1.0, 1.0, 5), SdeModel(drift=lambda x: 2.5, noise_amplitude=0.3),
+                       0.1, np.linspace(0.3, -0.9, 5)),
+    "strided xi": (np.linspace(-1.0, 1.0, 4), SdeModel.pure_noise(1.5), 1e-3,
+                   np.linspace(-2.0, 2.0, 40).reshape(4, 10)[:, 3]),
+}
+
+
+@pytest.mark.parametrize("case", list(_EM_CASES))
+def test_em_step_has_the_bits_of_the_reference_expression(case):
+    x, model, dt, xi = _EM_CASES[case]
+    x_before, xi_before = np.array(x, copy=True), np.array(xi, copy=True)
+    want = _em_reference(x, model, dt, xi)
+    got = em_step(x, model, dt, xi)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the inputs are left as they were
+    assert np.array_equal(x, x_before) and np.asarray(x).dtype == x_before.dtype
+    assert np.array_equal(xi, xi_before)
+
+
 def test_em_path_ou_stationary_variance():
     # EM chain x' = (1-r dt)x + sqrt(dt) xi has variance 1/(r(2 - r dt));
     # 100 independent chains advance together, step i taking row i of the draws

@@ -2,6 +2,8 @@
 
 import math
 
+import patchlab.projective
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,7 @@ def test_step_matches_member_by_member_route():
         finals.append(x)
     mean_end = float(np.mean(finals))
     want = x0 + CFG.dt_macro * (mean_end - x0) / CFG.micro_horizon
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == want
 
 
 def test_increment_law_drift_free():
@@ -138,3 +140,33 @@ def test_divergence_is_reported_not_raised():
     assert abs(traj.values[-1]) > 1e12 or not math.isfinite(traj.values[-1])
     # the ledger only counts work actually done
     assert traj.ledger.macro_steps == traj.diverged_at
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_every_micro_step_goes_through_em_step(monkeypatch, alpha):
+    """One ``ensemble_normals`` call per coarse step, one ``em_step`` per micro step.
+
+    Tracing tools count member steps by wrapping ``patchlab.projective.em_step``
+    and compare them with ``CostLedger.micro_steps_total``.
+    """
+    em_sizes, streams = [], []
+
+    def counted_em_step(*args, **kwargs):
+        out = em_step(*args, **kwargs)
+        em_sizes.append(np.size(out))
+        return out
+
+    def counted_normals(spec, *args):
+        streams.append(spec.step_id)
+        return ensemble_normals(spec, *args)
+
+    monkeypatch.setattr(patchlab.projective, "em_step", counted_em_step)
+    monkeypatch.setattr(patchlab.projective, "ensemble_normals", counted_normals)
+    cfg = CoarseStepConfig(ensemble_size=7, micro_steps=6, dt_micro=1e-3, dt_macro=0.1,
+                           alpha=alpha)
+    n_steps = 25
+    traj = run_coarse_trajectory(0.2, SdeModel.ornstein_uhlenbeck(), cfg, n_steps,
+                                 RngStreamSpec(4, 0, 3))
+    assert len(em_sizes) == n_steps * cfg.micro_steps
+    assert sum(em_sizes) == traj.ledger.micro_steps_total == n_steps * 7 * 6
+    assert streams == list(range(3, 3 + n_steps))
