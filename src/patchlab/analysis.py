@@ -23,12 +23,11 @@ __all__ = [
     "stationary_variance_test",
     "UNSTABLE_THRESHOLD",
     "STABLE_THRESHOLD",
-    "ROUNDING_FLOOR",
 ]
 
 UNSTABLE_THRESHOLD = 1.0 + 1e-3
 STABLE_THRESHOLD = 1.0 - 1e-8
-ROUNDING_FLOOR = 1e-12
+_ROUNDING_FLOOR = 1e-12
 _OVERFLOW_NORM = 1e100
 _DISCARD_FRACTION = 0.25  # transient share of the growth ratios
 _BURN_IN_FRACTION = 0.1  # transient share of a trajectory
@@ -162,7 +161,7 @@ def convergence_order(
         err = float(np.sqrt(np.mean((u.values - exact(xs, u.time)) ** 2)))
         spacings.append(u.dx)
         errors.append(err)
-    excluded = tuple(i for i, e in enumerate(errors) if e < ROUNDING_FLOOR)
+    excluded = tuple(i for i, e in enumerate(errors) if e < _ROUNDING_FLOOR)
     if excluded:
         warnings.warn(
             f"excluding rounding-dominated errors at grid indices {excluded}",

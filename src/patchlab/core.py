@@ -19,7 +19,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -201,6 +201,18 @@ class RngStreamSpec:
             self.stream_id if stream_id is None else stream_id,
             self.step_id if step_id is None else step_id,
         )
+
+    def steps(self, n: int) -> Iterator["RngStreamSpec"]:
+        """The addresses at ``step_id, step_id + 1, ...`` of ``n`` successive steps.
+
+        They differ from this validated address only in a larger step id, so
+        they are built without validating each one again.
+        """
+        fields = {"master_seed": self.master_seed, "stream_id": self.stream_id}
+        for step_id in range(self.step_id, self.step_id + int(n)):
+            spec = object.__new__(RngStreamSpec)
+            spec.__dict__.update(fields, step_id=step_id)
+            yield spec
 
 
 def poly_eval(p: TaylorPolynomial, x):

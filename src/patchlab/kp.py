@@ -33,22 +33,22 @@ __all__ = [
     "msd_exponent",
 ]
 
-SELF_CONSISTENCY_TOL = 0.01
+SELF_CONSISTENCY_TOL = 0.005
 
 
 class DtSelfConsistencyError(ValueError):
-    """Halving the step changed the endpoint velocity by more than 1%.
+    """The run's energy drifted by more than 0.5% of its kinetic scale.
 
     ``trajectory`` is the lowest failing row of a stacked field (``None``
-    for a single field); ``deviation`` and ``scale`` are that row's endpoint
-    velocity change and velocity scale.
+    for a single field); ``deviation`` and ``scale`` are that row's largest
+    energy error and kinetic scale (half the mean squared velocity).
     """
 
     def __init__(self, trajectory: int | None, deviation: float, scale: float, dt: float):
         prefix = "" if trajectory is None else f"trajectory {trajectory}: "
         super().__init__(
-            f"{prefix}endpoint velocity moved by {deviation:g} (scale {scale:g}) when the "
-            f"step was halved; dt {dt:g} is not resolving the dynamics"
+            f"{prefix}energy drifted by {deviation / scale:g} of the kinetic scale "
+            f"{scale:g}; dt {dt:g} is not resolving the dynamics"
         )
         self.trajectory = trajectory
         self.deviation = deviation
@@ -115,19 +115,35 @@ class RandomForceField:
 
 @dataclass(frozen=True)
 class ScaledTrajectory:
-    """Uniformly sampled (t, x, v) of one rescaled run."""
+    """Uniformly sampled (t, x, v) of one rescaled run.
+
+    ``energy_error`` is each row's relative energy error from the step
+    check, or ``None`` when the check did not run.
+    """
 
     delta: float
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
     dt_used: float
+    energy_error: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("times", "positions", "velocities"):
+        for name in ("times", "positions", "velocities", "energy_error"):
+            if getattr(self, name) is None:
+                continue
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+class EnsembleVelocities(tuple):
+    """``(times, velocities)`` pair that also carries ``energy_error`` by name."""
+
+    def __new__(cls, times, velocities, energy_error):
+        pair = super().__new__(cls, (times, velocities))
+        pair.energy_error = energy_error
+        return pair
 
 
 @dataclass(frozen=True)
@@ -199,11 +215,13 @@ def kp_integrate(
     exactly.  A stacked field runs one particle per row, all from
     ``initial``, and gives positions and velocities of shape
     ``(n_fields, n_samples + 1)``; each row has the same bits as a run of
-    that row's field alone.  With ``validate=True`` the run is repeated at
-    half the step and rejected (``DtSelfConsistencyError``, naming the
-    lowest failing row of a stack) if the endpoint velocity moves by more
-    than 1% of the velocity scale -- the step-halving self-consistency
-    check.
+    that row's field alone.  With ``validate=True`` the run is checked on
+    its own samples: the flow conserves ``energy``, and the leapfrog keeps
+    its error bounded at O(dt^2), so a row whose largest energy error
+    exceeds 0.5% of its kinetic scale (half its mean squared velocity) has an
+    unresolved step and is rejected (``DtSelfConsistencyError``, naming the
+    lowest failing row of a stack).  The relative errors are kept as
+    ``energy_error``.
     """
     delta = float(delta)
     if not delta > 0:
@@ -220,20 +238,28 @@ def kp_integrate(
     steps_per_sample = max(1, int(math.ceil(sample_dt / dt - 1e-12)))
     dt_used = sample_dt / steps_per_sample
     xs, vs = _leapfrog(field, delta, x0, v0, dt_used, n_samples, steps_per_sample)
+    energy_error = None
     if validate:
-        _, vs_half = _leapfrog(field, delta, x0, v0, dt_used / 2.0, n_samples, 2 * steps_per_sample)
-        end_half = vs_half[..., -1]
-        scale = np.maximum(np.abs(end_half), np.sqrt(np.mean(vs_half**2, axis=-1)))
-        deviation = np.abs(vs[..., -1] - end_half)
-        failing = np.flatnonzero(deviation > SELF_CONSISTENCY_TOL * scale)
+        # one sample column at a time: the whole run at once would build an
+        # (n_fields, n_samples + 1, n_modes) phase array and its sine
+        e0 = energy(field, delta, xs[..., 0], vs[..., 0])
+        drift = np.max([abs(energy(field, delta, xs[..., s], vs[..., s]) - e0)
+                        for s in range(1, n_samples + 1)], axis=0)
+        kinetic = 0.5 * np.mean(vs**2, axis=-1)
+        # a particle at rest throughout has neither drift nor kinetic scale
+        energy_error = np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift > 0)
+        failing = np.flatnonzero(energy_error > SELF_CONSISTENCY_TOL)
         if failing.size:
             row = int(failing[0])
             raise DtSelfConsistencyError(
                 None if field.phases.ndim == 1 else row,
-                float(deviation.flat[row]), float(scale.flat[row]), dt_used,
+                float(drift.flat[row]), float(kinetic.flat[row]), dt_used,
             )
     times = np.linspace(0.0, total_time, n_samples + 1)
-    return ScaledTrajectory(delta=delta, times=times, positions=xs, velocities=vs, dt_used=dt_used)
+    return ScaledTrajectory(
+        delta=delta, times=times, positions=xs, velocities=vs, dt_used=dt_used,
+        energy_error=energy_error,
+    )
 
 
 def ensemble_velocities(
@@ -247,15 +273,16 @@ def ensemble_velocities(
     initial: tuple[float, float] = (0.0, 1.0),
     n_samples: int = 400,
     validate: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> EnsembleVelocities:
     """Velocity samples of independent runs (fresh field per trajectory).
 
     Trajectory ``i`` draws its field phases from ``rng.at(stream_id=i)``;
     the fields run as one stack in lockstep, so a trajectory's velocities
     do not depend on how many others run beside it.  Returns
     ``(times, velocities)`` with velocities of shape
-    ``(n_trajectories, n_samples + 1)``.  A ``DtSelfConsistencyError``
-    names the lowest trajectory that failed the step-halving check.
+    ``(n_trajectories, n_samples + 1)``, and the step check's per-trajectory
+    ``energy_error``.  A ``DtSelfConsistencyError`` names the lowest
+    trajectory that failed the check.
     """
     n_trajectories = int(n_trajectories)
     if n_trajectories < 1:
@@ -272,7 +299,7 @@ def ensemble_velocities(
     traj = kp_integrate(
         stack, delta, total_time, dt, initial=initial, n_samples=n_samples, validate=validate
     )
-    return traj.times, traj.velocities
+    return EnsembleVelocities(traj.times, traj.velocities, traj.energy_error)
 
 
 def msd_exponent(

@@ -29,11 +29,10 @@ __all__ = [
     "detect_order",
     "derivative_blackbox",
     "RELATIVE_THRESHOLD",
-    "THRESHOLD_FLOOR",
 ]
 
 RELATIVE_THRESHOLD = 1e-6
-THRESHOLD_FLOOR = 1e-12
+_THRESHOLD_FLOOR = 1e-12
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -155,7 +154,7 @@ def _threshold(explicit: float | None, variances: list[float]) -> float:
     if explicit is not None:
         return float(explicit)
     peak = max(variances, default=0.0)
-    return max(THRESHOLD_FLOOR, RELATIVE_THRESHOLD * peak)
+    return max(_THRESHOLD_FLOOR, RELATIVE_THRESHOLD * peak)
 
 
 def detect_order(

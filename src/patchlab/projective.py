@@ -187,9 +187,8 @@ def run_coarse_trajectory(
     x = float(x0)
     diverged_at = None
     done = 0
-    for i in range(n_steps):
-        x = coarse_projective_step(x, model, cfg, rng.at(step_id=rng.step_id + i))
-        done = i + 1
+    for done, spec in enumerate(rng.steps(n_steps), 1):
+        x = coarse_projective_step(x, model, cfg, spec)
         values[done] = x
         if not math.isfinite(x) or abs(x) > DIVERGENCE_LIMIT:
             diverged_at = done

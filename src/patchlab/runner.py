@@ -454,10 +454,11 @@ def _run_kp(p: dict, seed: int):
         )
     rng = RngStreamSpec(master_seed=seed)
     for i, delta in enumerate(p["deltas"]):
+        slug = _slug(delta)
         sample_dt = p["total_time"] / p["n_samples"]
         dt = min(p["dt_scale"] * delta * delta, sample_dt)
         try:
-            times, velocities = ensemble_velocities(
+            run = ensemble_velocities(
                 n_trajectories=p["n_trajectories"],
                 n_modes=p["n_modes"],
                 spectrum=p["spectrum"],
@@ -471,17 +472,21 @@ def _run_kp(p: dict, seed: int):
             )
         except DtSelfConsistencyError as err:
             # an unresolved step leaves no trajectory worth fitting at this delta
-            slug = _slug(delta)
             metrics += [
                 MetricResult(f"dt_self_consistent_delta_{slug}", False, verdict="fail"),
-                MetricResult(f"dt_halving_trajectory_delta_{slug}", err.trajectory),
-                MetricResult(f"dt_halving_deviation_delta_{slug}", err.deviation / err.scale),
+                MetricResult(f"dt_check_trajectory_delta_{slug}", err.trajectory),
+                MetricResult(f"energy_error_delta_{slug}", err.deviation / err.scale),
             ]
             continue
+        if run.energy_error is not None:
+            metrics.append(
+                MetricResult(f"energy_error_delta_{slug}", float(np.max(run.energy_error)))
+            )
+        times, velocities = run
         fit = msd_exponent(
             times, velocities, p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"]
         )
-        name = f"gamma_delta_{_slug(delta)}"
+        name = f"gamma_delta_{slug}"
         if bands:
             lo, hi = bands[i]
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -490,7 +495,7 @@ def _run_kp(p: dict, seed: int):
             metrics.append(MetricResult(name, fit.gamma))
         tables.append(
             Table(
-                name=f"msd_{_slug(delta)}",
+                name=f"msd_{slug}",
                 columns=("lag", "msd"),
                 rows=tuple(zip(fit.lags.tolist(), fit.msd.tolist())),
             )

@@ -207,6 +207,13 @@ def test_kp_command_runs_clean(tmp_path):
     summary = (tmp_path / "out" / "summary").read_text()
     assert "gamma_delta_1p0" in summary
     assert (tmp_path / "out" / "msd_1p0.csv").exists()
+    # the step check's largest relative energy error over the trajectories
+    value, *rest = next(line.split()[1:] for line in summary.splitlines()
+                        if line.startswith("energy_error_delta_1p0 "))
+    assert 0.0 < float(value) < 0.005 and rest == ["-", "-", "info"]
+    unchecked = write(tmp_path, FAST_KP + "validate_dt = false\n", "unchecked.cfg")
+    assert main(["kp", "--config", unchecked, "--out", str(tmp_path / "unchecked")]) == 0
+    assert "energy_error" not in (tmp_path / "unchecked" / "summary").read_text()
 
 
 def test_failed_check_exits_one(tmp_path):
@@ -217,7 +224,7 @@ def test_failed_check_exits_one(tmp_path):
 
 
 def test_unresolved_kp_step_is_a_failed_check(tmp_path):
-    # dt = 0.05 delta^2 fails the step-halving check at delta = 0.02: that is a
+    # dt = 0.05 delta^2 fails the energy check at delta = 0.02: that is a
     # numerical verdict (exit 1), not a usage error, and the fit is skipped
     text = (
         "[experiment]\nname = kp\nseed = 9\n[parameters]\n"
@@ -228,12 +235,16 @@ def test_unresolved_kp_step_is_a_failed_check(tmp_path):
     assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
     summary = (out / "summary").read_text()
     assert "dt_self_consistent_delta_0p02 false - - fail" in summary
-    # the failure detail: the lowest failing trajectory and deviation / scale
-    rows = {line.split()[0]: line.split()[1:] for line in summary.splitlines()
-            if not line.startswith("#")}
-    assert rows["dt_halving_trajectory_delta_0p02"] == ["0", "-", "-", "info"]
-    value, *rest = rows["dt_halving_deviation_delta_0p02"]
-    assert float(value) == pytest.approx(0.5212, abs=1e-4)
+    # the failure detail: the lowest failing trajectory and its energy error
+    rows = [line.split() for line in summary.splitlines() if not line.startswith("#")]
+    assert [row[0] for row in rows] == [
+        "dt_self_consistent_delta_0p02",
+        "dt_check_trajectory_delta_0p02",
+        "energy_error_delta_0p02",
+    ]
+    assert rows[1][1:] == ["0", "-", "-", "info"]
+    value, *rest = rows[2][1:]
+    assert float(value) == pytest.approx(1.405, abs=1e-3)
     assert rest == ["-", "-", "info"]
     assert "gamma_delta_0p02" not in summary
     assert not (out / "msd_0p02.csv").exists()

@@ -150,6 +150,8 @@ def test_rng_stream_spec_validation():
     spec = RngStreamSpec(master_seed=5, stream_id=2, step_id=3)
     assert spec.at(step_id=9) == RngStreamSpec(5, 2, 9)
     assert spec.at(stream_id=1) == RngStreamSpec(5, 1, 3)
+    assert list(spec.steps(3)) == [RngStreamSpec(5, 2, step) for step in (3, 4, 5)]
+    assert list(spec.steps(0)) == []
     with pytest.raises(ValueError):
         RngStreamSpec(master_seed=-1)
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Particle in a random force field: integrator fidelity and MSD exponents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import patchlab.kp
 from patchlab import (
     DtSelfConsistencyError,
     RandomForceField,
@@ -99,24 +101,24 @@ def test_stacked_energy_matches_each_row_alone(n_fields, n_modes):
 
 
 def test_stack_error_names_the_lowest_failing_row():
-    # at seed 24 row 0 passes the step-halving check (deviation/scale 0.003)
-    # and row 1 is the first to fail it (0.065)
-    fields = fields_from(24, 4, 256)
-    run = dict(delta=0.02, total_time=0.008, dt=1e-5, n_samples=400)
+    # at seed 141 row 0 passes the energy check (relative energy error 0.0033)
+    # and row 1 is the first to fail it (0.0057)
+    fields = fields_from(141, 4, 256)
+    run = dict(delta=0.02, total_time=0.008, dt=5e-6, n_samples=400)
     kp_integrate(fields[0], **run)
     with pytest.raises(DtSelfConsistencyError) as alone:
         kp_integrate(fields[1], **run)
     assert alone.value.trajectory is None
-    assert str(alone.value).startswith("endpoint velocity moved by")
-    with pytest.raises(DtSelfConsistencyError, match="^trajectory 1: endpoint velocity") as info:
+    assert str(alone.value).startswith("energy drifted by")
+    with pytest.raises(DtSelfConsistencyError, match="^trajectory 1: energy drifted") as info:
         kp_integrate(stacked(fields), **run)
     err = info.value
     assert err.trajectory == 1
     assert (err.deviation, err.scale) == (alone.value.deviation, alone.value.scale)
-    assert err.deviation / err.scale == pytest.approx(0.0645, abs=1e-4)
+    assert err.deviation / err.scale == pytest.approx(0.00566, abs=1e-5)
     with pytest.raises(DtSelfConsistencyError, match="^trajectory 1: "):
         ensemble_velocities(n_trajectories=4, n_modes=256, spectrum=0.0,
-                            rng=RngStreamSpec(24), **run)
+                            rng=RngStreamSpec(141), **run)
 
 
 def test_force_and_potential_shapes():
@@ -151,6 +153,9 @@ def test_zero_amplitude_field_gives_free_motion():
     np.testing.assert_allclose(
         traj.positions, 0.3 + 2.0 * traj.times / delta**2, rtol=1e-12
     )
+    # a particle at rest stays at rest: no drift over no kinetic scale reads 0
+    at_rest = kp_integrate(field, delta, total_time=1.0, dt=1e-3, initial=(0.3, 0.0))
+    assert at_rest.energy_error == 0.0
 
 
 def test_energy_is_conserved_to_second_order():
@@ -214,11 +219,67 @@ def test_self_consistency_check_rejects_coarse_dt():
 
 def test_ensemble_self_consistency_error_names_trajectory():
     # trajectory 0 draws its field from the same stream as the test above
-    with pytest.raises(DtSelfConsistencyError, match="^trajectory 0: endpoint velocity"):
+    with pytest.raises(DtSelfConsistencyError, match="^trajectory 0: energy drifted"):
         ensemble_velocities(
             n_trajectories=1, n_modes=256, spectrum=0.0, delta=0.02,
             total_time=0.008, dt=2e-5, rng=RngStreamSpec(9), n_samples=400,
         )
+
+
+def test_energy_check_is_monotone_in_dt():
+    # seed 0, trajectory 0 at delta 0.02: the old step-halving check passed at
+    # dt 2e-5 and 5e-6 but failed at 1e-5, because it compared the endpoints of
+    # chaotic runs; the energy error falls with the step (0.31, 0.15, 0.0043)
+    field = fields_from(0, 1, 256)[0]
+    run = dict(delta=0.02, total_time=0.008, n_samples=400)
+    for dt in (2e-5, 1e-5):
+        with pytest.raises(DtSelfConsistencyError):
+            kp_integrate(field, dt=dt, **run)
+    traj = kp_integrate(field, dt=5e-6, **run)
+    assert 0.0 < traj.energy_error < 0.005
+
+
+def test_energy_error_is_the_sampled_drift_over_the_kinetic_scale():
+    fields = fields_from(3, 3, 64)
+    run = dict(delta=0.1, total_time=0.008, dt=1e-4, n_samples=80)
+    traj = kp_integrate(stacked(fields), **run)
+    assert traj.energy_error.shape == (3,)
+    for i, field in enumerate(fields):
+        e = energy(field, 0.1, traj.positions[i], traj.velocities[i])
+        expected = np.max(np.abs(e - e[0])) / (0.5 * np.mean(traj.velocities[i] ** 2))
+        assert traj.energy_error[i] == pytest.approx(expected, rel=1e-12)
+    pair = ensemble_velocities(n_trajectories=3, n_modes=64, spectrum=0.0,
+                               rng=RngStreamSpec(3), **run)
+    times, vels = pair
+    np.testing.assert_array_equal(vels, traj.velocities)
+    np.testing.assert_array_equal(pair.energy_error, traj.energy_error)
+    assert kp_integrate(stacked(fields), validate=False, **run).energy_error is None
+
+
+def test_checked_run_integrates_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return leapfrog(*args)
+
+    leapfrog = patchlab.kp._leapfrog
+    monkeypatch.setattr(patchlab.kp, "_leapfrog", counted)
+    kp_integrate(small_field(0), 0.3, total_time=0.008, dt=1e-4, n_samples=50, validate=True)
+    assert len(calls) == 1
+
+
+def test_energy_check_memory_stays_per_sample():
+    # the whole-run energy of a 24 x 256-mode stack over 401 samples would
+    # build a (24, 401, 256) phase array and its sine: about 40 MB
+    fields = fields_from(5, 24, 256)
+    tracemalloc.start()
+    try:
+        kp_integrate(stacked(fields), 1.0, total_time=0.008, dt=2e-5, n_samples=400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_ensemble_velocities_uses_per_trajectory_streams():
