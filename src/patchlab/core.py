@@ -230,13 +230,23 @@ def average_weights(degree: int, h: float) -> np.ndarray:
     """Weights w with ``poly_average(p, h) == w @ p.coeffs`` for ``p`` of ``degree``.
 
     Odd orders integrate to zero over a centered tooth; even order k
-    contributes ``h^k / (k! (k+1) 2^k)``.
+    contributes ``h^k / (k! (k+1) 2^k)``.  The array is cached and read-only.
     """
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    h = float(h)
     if not (math.isfinite(h) and h > 0):
         raise ValueError("tooth width h must be positive and finite")
+    return _average_weights(degree, h)
+
+
+@functools.lru_cache(maxsize=64)
+def _average_weights(degree: int, h: float) -> np.ndarray:
     w = np.zeros(degree + 1)
     for k in range(0, degree + 1, 2):
         w[k] = h**k / (math.factorial(k) * (k + 1) * 2**k)
+    w.setflags(write=False)
     return w
 
 

@@ -146,13 +146,20 @@ def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
     """Matrix of ``exp(dt L)`` on raw coefficient vectors of ``degree``.
 
     ``L = sum_r a_r d^r/dx^r`` shifts raw coefficients, so it is nilpotent
-    on polynomials and the exponential series terminates exactly.
+    on polynomials and the exponential series terminates exactly.  The
+    matrix is cached and read-only.
     """
     degree = int(degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if dt < 0:
         raise ValueError("dt must be >= 0")
+    return _propagator_matrix(pde, degree, float(dt))
+
+
+@functools.lru_cache(maxsize=64)
+def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
+    # the matrix depends only on the operator, the degree and the step
     n = degree + 1
     L = np.zeros((n, n))
     for order, a in pde.terms:
@@ -167,6 +174,7 @@ def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
             break
         factorial *= m
         M = M + (dt**m / factorial) * P
+    M.setflags(write=False)
     return M
 
 

@@ -143,8 +143,8 @@ def coordinate_variance(box: BlackBoxFunction, index: int, probe: ProbeSpec = Pr
     values = np.empty(probe.n_perturb)
     for b in range(probe.n_base):
         point = base[b].copy()
-        for s in range(probe.n_perturb):
-            point[position] = sweeps[b, s]
+        for s, x in enumerate(sweeps[b].tolist()):
+            point[position] = x
             values[s] = box(point)
         total += float(values.var(ddof=1))
     return total / probe.n_base
@@ -238,7 +238,9 @@ def derivative_blackbox(
     response = (w @ M - w) / dt  # linear in the coefficients
 
     def evaluate(coeffs: np.ndarray) -> float:
-        return float(response @ coeffs)
+        # the bits of ``response @ coeffs`` at half its cost: matmul adds the
+        # same BLAS dot to 0.0, which only turns a -0.0 into 0.0
+        return float(response.dot(coeffs)) + 0.0
 
     return BlackBoxFunction(
         evaluator=evaluate,

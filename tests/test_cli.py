@@ -3,6 +3,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -164,6 +165,24 @@ def test_bad_choice_reported():
 def test_comments_and_blanks_ignored():
     cfg = parse_config("# header\n\n[experiment]\nname = projective\n# tail\n")
     assert cfg.experiment == "projective"
+
+
+def test_readme_config_example_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.experiment == "projective"
+    assert cfg.seed == 42
+    assert cfg.output == "my_run_dir"
+    assert cfg.parameters["drift"] == "ou"
+
+
+def test_hash_after_a_value_is_part_of_it():
+    # only whole-line comments exist, so a path may contain '#'
+    cfg = parse_config("[experiment]\nname = projective\noutput = runs/#3\n")
+    assert cfg.output == "runs/#3"
+    assert parse_config(render_config(cfg)) == cfg
 
 
 # ---------------------------------------------------------------- subcommands

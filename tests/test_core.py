@@ -68,6 +68,37 @@ def test_average_weights_rejects_bad_h():
         average_weights(2, math.inf)
 
 
+def test_average_weights_are_read_only():
+    w = average_weights(4, 0.3)
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    assert average_weights(4, 0.3)[0] == 1.0
+
+
+def test_average_weights_tell_nearby_widths_apart():
+    h = 0.3
+    near = float(np.nextafter(h, 1.0))
+    assert average_weights(4, h).tobytes() != average_weights(4, near).tobytes()
+    assert average_weights(4, near)[2] == near**2 / 24.0
+
+
+@pytest.mark.parametrize("degree, h", [
+    (2, 0.0), (2, -0.1), (2, math.inf), (2, math.nan), (-1, 0.1),
+])
+def test_average_weights_reject_bad_input_on_every_call(degree, h):
+    average_weights(2, 0.1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            average_weights(degree, h)
+
+
+def test_average_weights_take_numpy_scalars():
+    w = average_weights(4, 0.3)
+    for degree, h in [(np.int64(4), 0.3), (4, np.float64(0.3)), (np.int32(4), np.float64(0.3))]:
+        other = average_weights(degree, h)
+        assert other.dtype == w.dtype and other.tobytes() == w.tobytes()
+
+
 def test_poly_average_oracle():
     p = TaylorPolynomial(center=0.0, coeffs=(1.0, 0.0, 2.0))
     assert poly_average(p, 1.0) == pytest.approx(13.0 / 12.0, rel=1e-15)

@@ -129,6 +129,37 @@ def test_propagator_series_terminates_exactly():
                 assert M[k, j] == 0.0
 
 
+def test_propagator_matrix_is_read_only():
+    M = propagator_matrix(PdeSpec.heat(0.7), degree=2, dt=0.3)
+    with pytest.raises(ValueError):
+        M[0, 2] = 0.0
+    assert propagator_matrix(PdeSpec.heat(0.7), degree=2, dt=0.3)[0, 2] == 0.7 * 0.3
+
+
+def test_propagator_matrix_keys_on_the_operator():
+    matrices = [
+        propagator_matrix(pde, degree=4, dt=0.3).tobytes()
+        for pde in (PdeSpec.heat(), PdeSpec.advection(), PdeSpec.biharmonic())
+    ]
+    assert len(set(matrices)) == 3
+
+
+@pytest.mark.parametrize("degree, dt", [(-1, 0.1), (2, -1e-3)])
+def test_propagator_matrix_rejects_bad_input_on_every_call(degree, dt):
+    propagator_matrix(PdeSpec.heat(), 2, 0.1)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            propagator_matrix(PdeSpec.heat(), degree, dt)
+
+
+def test_propagator_matrix_takes_numpy_scalars():
+    pde = PdeSpec.advection(-1.3)
+    M = propagator_matrix(pde, 4, 0.25)
+    for degree, dt in [(np.int64(4), 0.25), (4, np.float64(0.25)), (np.int32(4), np.float64(0.25))]:
+        other = propagator_matrix(pde, degree, dt)
+        assert other.dtype == M.dtype and other.tobytes() == M.tobytes()
+
+
 def test_evolve_poly_exact_advection_is_translation():
     # du/dt = -c u_x evolves any profile by translation: u(x, t) = u0(x - c t)
     c, dt = 1.7, 0.4
