@@ -2,10 +2,13 @@
 
 Conventions used throughout the package:
 
-* Local fields around a tooth are stored as Taylor polynomials with *raw
-  derivative coefficients*: ``p(x) = sum_k c[k] (x - center)**k / k!``.
-  Factorials live in the evaluation routines, never in the stored
-  coefficients, so ``c[k]`` is directly comparable to a k-th derivative.
+* The local field around a tooth is a row of *raw derivative
+  coefficients* about the tooth center, the polynomial
+  ``sum_k c[k] (x - center)**k / k!``; a stack of teeth is an array of
+  shape ``(n_teeth, degree+1)``.  Factorials live in the operators that
+  act on a row (``average_weights``, ``micro.propagator_matrix``), never
+  in the stored coefficients, so ``c[k]`` is directly comparable to a
+  k-th derivative.
 * Macroscopic grids are uniform with periodic topology.
 * Randomness is counter-based.  Every stream is addressed by a
   ``(master_seed, stream_id, step_id)`` triple and yields the same numbers
@@ -24,46 +27,15 @@ from typing import Iterator, Mapping
 import numpy as np
 
 __all__ = [
-    "TaylorPolynomial",
     "MacroState",
     "PdeSpec",
     "ToothConfig",
     "RngStreamSpec",
-    "poly_eval",
-    "poly_average",
     "average_weights",
     "generator",
     "normal_stream",
     "ensemble_normals",
 ]
-
-
-@dataclass(frozen=True)
-class TaylorPolynomial:
-    """Polynomial in raw-derivative form around ``center``.
-
-    ``coeffs[k]`` is the k-th derivative of the represented field at the
-    center, i.e. the polynomial is ``sum_k coeffs[k] (x-center)^k / k!``.
-    """
-
-    center: float
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs:
-            raise ValueError("TaylorPolynomial needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("TaylorPolynomial coefficients must be finite")
-        center = float(self.center)
-        if not math.isfinite(center):
-            raise ValueError("TaylorPolynomial center must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "center", center)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -146,9 +118,9 @@ class PdeSpec:
 class ToothConfig:
     """Tooth of width ``h`` inside a micro patch of width ``H``.
 
-    ``H = math.inf`` selects the idealized exact micro solver with no
-    boundary; finite ``H`` is required for the buffered finite-difference
-    solver.
+    ``H = math.inf`` (the default) means no patch boundary, which suits the
+    idealized exact micro solver; the buffered finite-difference solver
+    needs a finite ``H``.  ``PatchConfig.evolution`` selects the solver.
     """
 
     h: float
@@ -159,7 +131,7 @@ class ToothConfig:
         H = float(self.H)
         if not (math.isfinite(h) and h > 0):
             raise ValueError("tooth width h must be positive and finite")
-        if H < h:
+        if not H >= h:  # also rejects nan
             raise ValueError("patch width H must be >= tooth width h")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "H", H)
@@ -215,22 +187,12 @@ class RngStreamSpec:
             yield spec
 
 
-def poly_eval(p: TaylorPolynomial, x):
-    """Evaluate ``p`` at ``x`` (scalar or array)."""
-    y = np.asarray(x, dtype=float) - p.center
-    out = np.full_like(y, p.coeffs[0])
-    term = np.ones_like(y)
-    for k in range(1, len(p.coeffs)):
-        term = term * y / k  # y^k / k!
-        out = out + p.coeffs[k] * term
-    return float(out) if out.ndim == 0 else out
-
-
 def average_weights(degree: int, h: float) -> np.ndarray:
-    """Weights w with ``poly_average(p, h) == w @ p.coeffs`` for ``p`` of ``degree``.
+    """Weights w with ``c @ w`` the average of the coefficient row ``c`` over its tooth.
 
-    Odd orders integrate to zero over a centered tooth; even order k
-    contributes ``h^k / (k! (k+1) 2^k)``.  The array is cached and read-only.
+    The tooth is ``[center - h/2, center + h/2]`` for a row of ``degree``.
+    Odd orders integrate to zero over it; even order k contributes
+    ``h^k / (k! (k+1) 2^k)``.  The array is cached and read-only.
     """
     degree = int(degree)
     if degree < 0:
@@ -248,12 +210,6 @@ def _average_weights(degree: int, h: float) -> np.ndarray:
         w[k] = h**k / (math.factorial(k) * (k + 1) * 2**k)
     w.setflags(write=False)
     return w
-
-
-def poly_average(p: TaylorPolynomial, h: float) -> float:
-    """Average of ``p`` over the tooth ``[center - h/2, center + h/2]``."""
-    w = average_weights(p.degree, h)
-    return float(w @ np.asarray(p.coeffs))
 
 
 def generator(spec: RngStreamSpec) -> np.random.Generator:

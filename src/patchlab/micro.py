@@ -1,16 +1,16 @@
 """Microscale solvers: SDE time stepping and local PDE evolution.
 
-Two interchangeable micro solvers evolve local Taylor polynomials:
+A tooth is a row of raw-derivative coefficients (see ``core``), a stack
+of teeth an ``(n_teeth, degree+1)`` array.  Two micro solvers evolve them:
 
-* ``evolve_poly_exact`` applies the exact constant-coefficient propagator
-  ``exp(dt L)``.  On polynomials the series terminates, so this is the
-  idealized no-boundary micro solver (``H = inf``).
-* ``evolve_fd_buffered`` runs an explicit finite-difference scheme on a
-  buffered patch with the boundary values frozen at their initial values.
-  The buffer must be wide enough that boundary contamination cannot reach
-  the tooth within the requested horizon.  It takes the raw-derivative
-  coefficients of many teeth as one array and evolves all of them in one
-  stencil loop.
+* ``propagator_matrix`` is the exact propagator ``exp(dt L)`` on a row.
+  The series terminates on polynomials, so ``coeffs @ M.T`` is the
+  idealized no-boundary solver (``H = inf``) for a whole stack.
+* ``evolve_fd_buffered`` samples every row on a buffered patch and runs an
+  explicit finite-difference scheme with the boundary values frozen, all
+  teeth in one stencil loop, and returns ``(n_teeth, n_micro)`` samples
+  for ``tooth_average``.  The buffer must be wide enough that boundary
+  contamination cannot reach the tooth within the requested horizon.
 """
 
 from __future__ import annotations
@@ -22,18 +22,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, TaylorPolynomial, ToothConfig
+from .core import PdeSpec, ToothConfig
 
 __all__ = [
     "SdeModel",
     "MicroGrid",
-    "MicroFieldState",
     "MicroStabilityError",
     "BufferTooSmallError",
     "ToothNotCoveredError",
     "em_step",
     "propagator_matrix",
-    "evolve_poly_exact",
     "evolve_fd_buffered",
     "stable_dt_bound",
     "influence_radius",
@@ -97,33 +95,6 @@ class MicroGrid:
         object.__setattr__(self, "dt", dt)
 
 
-@dataclass(frozen=True)
-class MicroFieldState:
-    """Field samples on a uniform micro grid centered on a tooth.
-
-    The last axis runs along the micro grid; a 2-d ``samples`` holds one
-    tooth per row, each on the same grid about its own center.
-    """
-
-    center: float
-    dx: float
-    samples: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=float)
-        if samples.ndim == 0 or samples.shape[-1] < 5:
-            raise ValueError("MicroFieldState needs at least 5 samples along its last axis")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "dx", float(self.dx))
-        object.__setattr__(self, "time", float(self.time))
-
-    def grid(self) -> np.ndarray:
-        return self.center + _centered_offsets(self.samples.shape[-1], self.dx)
-
-
 def em_step(x, model: SdeModel, dt: float, xi):
     """One Euler-Maruyama step: ``x + dt b(x) + amp sqrt(dt) xi``.
 
@@ -176,12 +147,6 @@ def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
         M = M + (dt**m / factorial) * P
     M.setflags(write=False)
     return M
-
-
-def evolve_poly_exact(p: TaylorPolynomial, pde: PdeSpec, dt: float) -> TaylorPolynomial:
-    """Exact free-space evolution of the polynomial field over ``dt``."""
-    M = propagator_matrix(pde, p.degree, dt)
-    return TaylorPolynomial(p.center, tuple(M @ np.asarray(p.coeffs)))
 
 
 def stable_dt_bound(pde: PdeSpec, dx: float) -> float:
@@ -260,16 +225,16 @@ def evolve_fd_buffered(
     dt: float,
     tooth: ToothConfig,
     grid: MicroGrid,
-) -> MicroFieldState:
+) -> np.ndarray:
     """Explicit finite-difference evolution of local polynomials on buffered patches.
 
     ``coeffs`` holds raw-derivative coefficients about each tooth's center:
     one row per tooth, shape ``(n_teeth, degree+1)`` as
     ``patch.lift_coefficients`` returns them, or a single row for one tooth.
     Every tooth is sampled on the same micro grid about its own center, so
-    all rows advance together in one stencil loop.  The samples have shape
-    ``(n_teeth, n_micro)`` (``(n_micro,)`` for a single row) and sit in
-    tooth-local coordinates, so the returned state has center 0.
+    all rows advance together in one stencil loop.  The returned samples
+    have shape ``(n_teeth, n_micro)`` (``(n_micro,)`` for a single row), at
+    spacing ``grid.dx`` and symmetric about each tooth's center.
 
     Each patch spans ``[center - H/2, center + H/2]``; boundary nodes are
     held at their initial values (frozen Dirichlet).  Raises
@@ -311,30 +276,32 @@ def evolve_fd_buffered(
         interior = np.s_[..., frozen:-frozen]
         for _ in range(n_steps):
             u[interior] += step * _stencil_rhs(u, pde, grid.dx)[interior]
-    return MicroFieldState(center=0.0, dx=grid.dx, samples=u, time=dt)
+    return u
 
 
-def tooth_average(state: MicroFieldState, h: float):
-    """Average of the micro field over the tooth ``[center - h/2, center + h/2]``.
+def tooth_average(samples: np.ndarray, dx: float, h: float):
+    """Average of micro samples over the tooth ``[-h/2, h/2]`` about their center.
 
-    Trapezoidal rule on the micro samples, with linear interpolation to the
-    exact tooth endpoints.  The rule is linear in the samples and the same
-    for every row, so it is one weight vector: a stack of teeth gives an
-    array with one average per row, a single tooth a float.
+    ``samples`` run along the last axis at spacing ``dx``, symmetric about
+    the center, as ``evolve_fd_buffered`` returns them.  Trapezoidal rule
+    with linear interpolation to the tooth endpoints: one weight vector, so
+    a stack of teeth gives one average per row, a single tooth a float.
     """
     if h <= 0:
         raise ValueError("tooth width h must be positive")
-    n = state.samples.shape[-1]
-    s = _centered_offsets(n, state.dx)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 0:
+        raise ValueError("tooth_average needs samples along a last axis")
+    dx = float(dx)
+    n = samples.shape[-1]
+    s = _centered_offsets(n, dx)
     lo, hi = -h / 2.0, h / 2.0
-    eps = 1e-12 * max(h, state.dx)
+    eps = 1e-12 * max(h, dx)
     if s[0] > lo + eps or s[-1] < hi - eps:
-        c = state.center
         raise ToothNotCoveredError(
-            f"micro samples span [{c + s[0]:g}, {c + s[-1]:g}] "
-            f"but the tooth needs [{c + lo:g}, {c + hi:g}]"
+            f"micro samples span [{s[0]:g}, {s[-1]:g}] but the tooth needs [{lo:g}, {hi:g}]"
         )
-    avg = state.samples @ _tooth_weights(n, state.dx, float(h))
+    avg = samples @ _tooth_weights(n, dx, float(h))
     return float(avg) if avg.ndim == 0 else avg
 
 

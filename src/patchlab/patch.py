@@ -1,9 +1,10 @@
 """Gap-tooth macro stepping for 1-d periodic fields.
 
 Each macro node owns a tooth of width ``h`` (< grid spacing).  A step
-interpolates node values to a local Taylor polynomial (lifting), evolves
-it with a micro solver over ``dt_micro``, averages the result back over
-the tooth (restriction), and extrapolates the chord over the macro step:
+lifts the node values to one row of raw-derivative coefficients per tooth
+(an ``(n, degree+1)`` array), evolves the rows with a micro solver over
+``dt_micro``, averages the result back over each tooth (restriction), and
+extrapolates the chord over the macro step:
 
     U' = U + dt_macro * (restrict_dt - restrict_alpha) / ((1-alpha) dt_micro)
 
@@ -19,21 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MacroState,
-    PdeSpec,
-    TaylorPolynomial,
-    ToothConfig,
-    average_weights,
-    poly_average,
-)
-from .micro import (
-    MicroFieldState,
-    MicroGrid,
-    evolve_fd_buffered,
-    propagator_matrix,
-    tooth_average,
-)
+from .core import MacroState, PdeSpec, ToothConfig, average_weights
+from .micro import MicroGrid, evolve_fd_buffered, propagator_matrix, tooth_average
 
 __all__ = [
     "LiftingScheme",
@@ -117,6 +105,8 @@ class PatchConfig:
             raise ValueError("evolution must be 'exact' or 'fd'")
         if self.evolution == "fd" and self.micro is None:
             raise ValueError("finite-difference evolution requires a MicroGrid")
+        if self.evolution == "fd" and math.isinf(self.tooth.H):
+            raise ValueError("finite-difference evolution requires a finite patch width H")
         object.__setattr__(self, "dt_micro", dt_micro)
         object.__setattr__(self, "dt_macro", dt_macro)
         object.__setattr__(self, "alpha", alpha)
@@ -167,34 +157,33 @@ def _teeth_rows(*columns: np.ndarray) -> np.ndarray:
     return np.array(columns).T.copy()
 
 
-def lift(U: MacroState, j: int, scheme: LiftingScheme, h: float) -> TaylorPolynomial:
-    """Local polynomial for tooth ``j``, centered at ``x_j = j*dx``."""
+def lift(U: MacroState, j: int, scheme: LiftingScheme, h: float) -> np.ndarray:
+    """Coefficient row of tooth ``j`` (about ``x_j = j*dx``): row ``j`` of ``lift_coefficients``."""
     j = int(j)
     if not 0 <= j < U.n_points:
         raise ValueError(f"tooth index {j} outside grid of {U.n_points} points")
-    coeffs = lift_coefficients(U, scheme, h)[j]
-    return TaylorPolynomial(center=j * U.dx, coeffs=tuple(coeffs))
+    return lift_coefficients(U, scheme, h)[j]
 
 
-def restrict(field, h: float):
-    """Tooth average of a local field (polynomial or micro samples).
+def restrict(coeffs: np.ndarray, h: float):
+    """Tooth average of raw-derivative coefficients: ``coeffs @ average_weights``.
 
-    Micro samples holding a stack of teeth give one average per row.
+    A single row gives a float, a stack of rows one average per row.
     """
-    if isinstance(field, TaylorPolynomial):
-        return poly_average(field, h)
-    if isinstance(field, MicroFieldState):
-        return tooth_average(field, h)
-    raise TypeError(f"cannot restrict {type(field).__name__}")
+    coeffs = np.asarray(coeffs, dtype=float)
+    avg = coeffs @ average_weights(coeffs.shape[-1] - 1, h)
+    return float(avg) if avg.ndim == 0 else avg
 
 
 def extrapolate(u_now, u_tilde, dt_micro: float, dt_macro: float,
                 alpha: float = 0.0, u_tilde_alpha=None):
     """Macro update from restricted micro values (elementwise on arrays).
 
-    With ``alpha = 0`` the chord runs from ``u_now`` to ``u_tilde``;
-    with ``alpha > 0`` it runs from the restricted state at ``alpha *
-    dt_micro`` (which must be supplied) to the one at ``dt_micro``.
+    The chord runs from ``u_tilde_alpha``, the restricted state at
+    ``alpha * dt_micro``, to ``u_tilde``, the one at ``dt_micro``, and is
+    added to ``u_now``.  ``u_tilde_alpha`` is required for ``alpha > 0``
+    and defaults to ``u_now`` at ``alpha = 0``; the FD route supplies its
+    averages at 0 steps there, so that their quadrature error cancels.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
@@ -212,10 +201,8 @@ def extrapolate(u_now, u_tilde, dt_micro: float, dt_macro: float,
 
 
 def _restricted_means_exact(coeffs: np.ndarray, pde: PdeSpec, dt: float, h: float) -> np.ndarray:
-    degree = coeffs.shape[1] - 1
-    M = propagator_matrix(pde, degree, dt)
-    w = average_weights(degree, h)
-    return (coeffs @ M.T) @ w
+    M = propagator_matrix(pde, coeffs.shape[1] - 1, dt)
+    return restrict(coeffs @ M.T, h)
 
 
 def _restricted_means_fd(U: MacroState, pde: PdeSpec, cfg: PatchConfig):
@@ -238,7 +225,9 @@ def _restricted_means_fd(U: MacroState, pde: PdeSpec, cfg: PatchConfig):
         # alpha = 0), so the quadrature error of tooth_average cancels in the
         # difference instead of being amplified by dt_macro/dt_micro
         return tuple(
-            tooth_average(evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro), h)
+            tooth_average(
+                evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro), cfg.micro.dx, h
+            )
             for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
         )
     except ValueError as err:

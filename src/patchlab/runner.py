@@ -23,7 +23,7 @@ from .analysis import (
     stationary_variance_test,
 )
 from .config import ConfigError, ExperimentConfig, render_config
-from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, average_weights
+from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig
 from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent
 from .micro import SdeModel
 from .order_detect import (
@@ -32,7 +32,7 @@ from .order_detect import (
     derivative_blackbox,
     detect_order,
 )
-from .patch import LiftingScheme, PatchConfig, gap_tooth_step, lift_coefficients
+from .patch import LiftingScheme, PatchConfig, gap_tooth_step, lift_coefficients, restrict
 from .projective import (
     CoarseStepConfig,
     effective_noise_std,
@@ -299,11 +299,10 @@ def _run_patch(p: dict, seed: int):
     metrics.append(MetricResult("tooth_width", cfg.tooth.h))
 
     u0 = seeded_noise_state(p["n_points"], dx, RngStreamSpec(master_seed=seed))
-    w = average_weights(cfg.lifting.degree, cfg.tooth.h)
-    # one dot per row is the arithmetic of poly_average, which restrict uses;
-    # a matrix-vector product may round the last bit differently
+    # one restrict per row, as a library caller averages a single lifted
+    # tooth; a matrix-vector product may round the last bit differently
     round_trip = max(
-        abs(float(w @ row) - value)
+        abs(restrict(row, cfg.tooth.h) - value)
         for row, value in zip(lift_coefficients(u0, cfg.lifting, cfg.tooth.h), u0.values)
     )
     metrics.append(_checked("lift_restrict_round_trip", round_trip, 0.0, 1e-12))

@@ -178,6 +178,13 @@ def test_readme_config_example_parses():
     assert cfg.parameters["drift"] == "ou"
 
 
+def test_readme_quickstart_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"## Library quickstart\n\n```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 def test_hash_after_a_value_is_part_of_it():
     # only whole-line comments exist, so a path may contain '#'
     cfg = parse_config("[experiment]\nname = projective\noutput = runs/#3\n")

@@ -8,16 +8,15 @@ import pytest
 
 from patchlab import (
     MacroState,
+    MicroGrid,
     PdeSpec,
     RngStreamSpec,
-    TaylorPolynomial,
     ToothConfig,
     average_weights,
     ensemble_normals,
+    evolve_fd_buffered,
     generator,
     normal_stream,
-    poly_average,
-    poly_eval,
 )
 
 
@@ -25,32 +24,42 @@ def manual_eval(coeffs, center, x):
     return sum(c * (x - center) ** k / math.factorial(k) for k, c in enumerate(coeffs))
 
 
+def sampled(coeffs, dx=0.25, half_width=1.0):
+    """Coefficient rows evaluated on micro offsets ``-half_width..half_width``.
+
+    The buffered FD solver samples its rows this way before stepping, so at
+    ``dt = 0`` it returns the polynomials' values on the micro grid.
+    """
+    tooth = ToothConfig(h=dx, H=2.0 * half_width)
+    grid = MicroGrid(dx=dx, dt=0.1 * dx**2)
+    samples = evolve_fd_buffered(coeffs, PdeSpec.heat(), 0.0, tooth, grid)
+    n = samples.shape[-1]
+    return samples, dx * (np.arange(n) - (n - 1) / 2.0)
+
+
 def test_poly_eval_scalar_oracle():
-    p = TaylorPolynomial(center=0.0, coeffs=(1.0, 2.0, 2.0))
-    # 1 + 2x + 2 x^2/2 at x=1
-    assert poly_eval(p, 1.0) == pytest.approx(4.0, abs=1e-15)
-
-
-def test_poly_eval_center_shift():
-    p = TaylorPolynomial(center=3.0, coeffs=(5.0, -1.0))
-    assert poly_eval(p, 3.0) == 5.0
-    assert poly_eval(p, 4.0) == 4.0
+    samples, xs = sampled([1.0, 2.0, 2.0])
+    # 1 + 2x + 2 x^2/2 at x=0 and x=1
+    assert xs[4] == 0.0 and xs[-1] == 1.0
+    assert samples[4] == 1.0
+    assert samples[-1] == pytest.approx(4.0, abs=1e-15)
 
 
 def test_poly_eval_matches_manual_series():
     rng = np.random.default_rng(7)
-    coeffs = tuple(rng.normal(size=5))
-    p = TaylorPolynomial(center=0.3, coeffs=coeffs)
-    for x in rng.uniform(-2, 2, size=10):
-        assert poly_eval(p, x) == pytest.approx(manual_eval(coeffs, 0.3, x), rel=1e-13)
+    coeffs = rng.normal(size=5)
+    samples, xs = sampled(coeffs, dx=0.1, half_width=2.0)
+    for x, value in zip(xs, samples):
+        assert value == pytest.approx(manual_eval(coeffs, 0.0, x), rel=1e-13, abs=1e-15)
 
 
 def test_poly_eval_array_shape():
-    p = TaylorPolynomial(center=0.0, coeffs=(0.0, 1.0))
-    xs = np.array([[0.0, 1.0], [2.0, 3.0]])
-    out = poly_eval(p, xs)
-    assert out.shape == (2, 2)
-    np.testing.assert_allclose(out, xs)
+    rows = np.array([[0.0, 1.0], [2.0, -1.0]])
+    stack, xs = sampled(rows)
+    assert stack.shape == (2, xs.size)
+    np.testing.assert_allclose(stack, [xs, 2.0 - xs])
+    for row, samples in zip(rows, stack):
+        assert sampled(row)[0].tobytes() == samples.tobytes()
 
 
 def test_average_weights_closed_form():
@@ -100,31 +109,22 @@ def test_average_weights_take_numpy_scalars():
 
 
 def test_poly_average_oracle():
-    p = TaylorPolynomial(center=0.0, coeffs=(1.0, 0.0, 2.0))
-    assert poly_average(p, 1.0) == pytest.approx(13.0 / 12.0, rel=1e-15)
+    # 1 + x^2 averaged over [-1/2, 1/2]
+    average = average_weights(2, 1.0) @ np.array([1.0, 0.0, 2.0])
+    assert average == pytest.approx(13.0 / 12.0, rel=1e-15)
 
 
 def test_poly_average_matches_dense_quadrature():
     # second route: brute-force numerical average over the tooth
     rng = np.random.default_rng(11)
     for _ in range(5):
-        coeffs = tuple(rng.normal(size=rng.integers(1, 6)))
+        coeffs = rng.normal(size=rng.integers(1, 6))
         center = float(rng.uniform(-1, 1))
         h = float(rng.uniform(0.1, 2.0))
-        p = TaylorPolynomial(center=center, coeffs=coeffs)
         xs = np.linspace(center - h / 2, center + h / 2, 20001)
-        brute = np.trapezoid(poly_eval(p, xs), xs) / h
-        assert poly_average(p, h) == pytest.approx(brute, rel=1e-9, abs=1e-12)
-
-
-def test_taylor_polynomial_validation():
-    with pytest.raises(ValueError):
-        TaylorPolynomial(center=0.0, coeffs=())
-    with pytest.raises(ValueError):
-        TaylorPolynomial(center=0.0, coeffs=(1.0, math.nan))
-    with pytest.raises(ValueError):
-        TaylorPolynomial(center=math.inf, coeffs=(1.0,))
-    assert TaylorPolynomial(center=0, coeffs=(1, 2)).degree == 1
+        brute = np.trapezoid(manual_eval(coeffs, center, xs), xs) / h
+        average = average_weights(coeffs.size - 1, h) @ coeffs
+        assert average == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
 
 def test_macro_state_basics():
@@ -173,6 +173,8 @@ def test_tooth_config():
     assert math.isinf(ToothConfig(h=0.1).H)
     with pytest.raises(ValueError):
         ToothConfig(h=0.5, H=0.1)
+    with pytest.raises(ValueError):
+        ToothConfig(h=0.1, H=math.nan)
     with pytest.raises(ValueError):
         ToothConfig(h=0.0)
 

@@ -1,4 +1,4 @@
-"""Micro solver tests: SDE stepping, exact polynomial propagation, buffered FD."""
+"""Micro solver tests: SDE stepping, exact propagation of coefficient rows, buffered FD."""
 
 import math
 
@@ -7,26 +7,26 @@ import pytest
 
 from patchlab import (
     BufferTooSmallError,
-    MicroFieldState,
     MicroGrid,
     MicroStabilityError,
     PdeSpec,
     RngStreamSpec,
     SdeModel,
-    TaylorPolynomial,
     ToothConfig,
     ToothNotCoveredError,
+    average_weights,
     em_step,
     evolve_fd_buffered,
-    evolve_poly_exact,
     influence_radius,
     normal_stream,
-    poly_average,
-    poly_eval,
     propagator_matrix,
     stable_dt_bound,
     tooth_average,
 )
+
+
+def manual_eval(coeffs, center, x):
+    return sum(c * (x - center) ** k / math.factorial(k) for k, c in enumerate(coeffs))
 
 
 # ------------------------------------------------------------------ SDE part
@@ -107,7 +107,7 @@ def test_em_path_ou_stationary_variance():
     assert np.var(tail) == pytest.approx(expected, rel=0.05)
 
 
-# ------------------------------------------------- exact polynomial evolution
+# --------------------------------------------------- exact evolution of a row
 
 
 def test_propagator_matrix_heat_quadratic():
@@ -163,28 +163,30 @@ def test_propagator_matrix_takes_numpy_scalars():
 def test_evolve_poly_exact_advection_is_translation():
     # du/dt = -c u_x evolves any profile by translation: u(x, t) = u0(x - c t)
     c, dt = 1.7, 0.4
-    p = TaylorPolynomial(center=0.5, coeffs=(0.2, -1.0, 3.0, 0.7))
-    q = evolve_poly_exact(p, PdeSpec.advection(c), dt)
+    coeffs = np.array([0.2, -1.0, 3.0, 0.7])
+    evolved = propagator_matrix(PdeSpec.advection(c), 3, dt) @ coeffs
     for x in (-1.0, 0.5, 2.0):
-        assert poly_eval(q, x) == pytest.approx(poly_eval(p, x - c * dt), rel=1e-12, abs=1e-12)
+        assert manual_eval(evolved, 0.5, x) == pytest.approx(
+            manual_eval(coeffs, 0.5, x - c * dt), rel=1e-12, abs=1e-12
+        )
 
 
 def test_evolve_poly_exact_heat_quartic_closed_form():
     # on a quartic, u(t) = p + t nu p'' + t^2 nu^2 p''''/2 exactly
     nu, t = 0.3, 0.8
     coeffs = np.array([1.0, 0.5, -2.0, 0.25, 4.0])
-    q = evolve_poly_exact(TaylorPolynomial(0.0, tuple(coeffs)), PdeSpec.heat(nu), t)
+    evolved = propagator_matrix(PdeSpec.heat(nu), 4, t) @ coeffs
     expected = coeffs.copy()
     expected[0] += t * nu * coeffs[2] + 0.5 * (t * nu) ** 2 * coeffs[4]
     expected[1] += t * nu * coeffs[3]
     expected[2] += t * nu * coeffs[4]
-    np.testing.assert_allclose(q.coeffs, expected, rtol=1e-14)
+    np.testing.assert_allclose(evolved, expected, rtol=1e-14)
 
 
 def test_evolve_poly_exact_zero_dt_is_identity():
-    p = TaylorPolynomial(0.0, (1.0, 2.0, 3.0))
-    q = evolve_poly_exact(p, PdeSpec.biharmonic(), 0.0)
-    assert q.coeffs == p.coeffs
+    coeffs = np.array([1.0, 2.0, 3.0])
+    evolved = propagator_matrix(PdeSpec.biharmonic(), 2, 0.0) @ coeffs
+    assert evolved.tobytes() == coeffs.tobytes()
 
 
 # --------------------------------------------------------- FD solver guards
@@ -214,26 +216,23 @@ def test_fd_rejects_unstable_micro_step():
     pde = PdeSpec.heat(1.0)
     grid = MicroGrid(dx=0.01, dt=1.0)  # far above 0.4 dx^2
     tooth = ToothConfig(h=0.05, H=1.0)
-    p = TaylorPolynomial(0.0, (1.0, 0.0, 0.0))
     with pytest.raises(MicroStabilityError):
-        evolve_fd_buffered(p.coeffs, pde, 1e-4, tooth, grid)
+        evolve_fd_buffered([1.0, 0.0, 0.0], pde, 1e-4, tooth, grid)
 
 
 def test_fd_rejects_too_small_buffer():
     pde = PdeSpec.heat(1.0)
     grid = MicroGrid(dx=0.005, dt=1e-6)
     tooth = ToothConfig(h=0.05, H=0.06)  # buffer 0.005 << radius 6*sqrt(dt_total)
-    p = TaylorPolynomial(0.0, (1.0, 0.0, 0.0))
     with pytest.raises(BufferTooSmallError) as err:
-        evolve_fd_buffered(p.coeffs, pde, 1e-3, tooth, grid)
+        evolve_fd_buffered([1.0, 0.0, 0.0], pde, 1e-3, tooth, grid)
     assert "need H >=" in str(err.value)
 
 
 def test_fd_requires_finite_patch():
-    p = TaylorPolynomial(0.0, (1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         evolve_fd_buffered(
-            p.coeffs, PdeSpec.heat(), 1e-4, ToothConfig(h=0.05), MicroGrid(0.005, 1e-6)
+            [1.0, 0.0, 0.0], PdeSpec.heat(), 1e-4, ToothConfig(h=0.05), MicroGrid(0.005, 1e-6)
         )
 
 
@@ -241,12 +240,11 @@ def test_fd_boundary_stays_frozen():
     pde = PdeSpec.heat(1.0)
     grid = MicroGrid(dx=0.02, dt=1e-4)
     tooth = ToothConfig(h=0.1, H=0.8)
-    p = TaylorPolynomial(0.0, (0.0, 0.0, 2.0))
-    state = evolve_fd_buffered(p.coeffs, pde, 1e-3, tooth, grid)
-    xs = state.grid()
-    assert state.samples[0] == pytest.approx(poly_eval(p, xs[0]), rel=1e-14)
-    assert state.samples[-1] == pytest.approx(poly_eval(p, xs[-1]), rel=1e-14)
-    assert state.time == 1e-3
+    coeffs = (0.0, 0.0, 2.0)
+    samples = evolve_fd_buffered(coeffs, pde, 1e-3, tooth, grid)
+    xs = grid.dx * (np.arange(samples.size) - (samples.size - 1) / 2.0)
+    assert samples[0] == pytest.approx(manual_eval(coeffs, 0.0, xs[0]), rel=1e-14)
+    assert samples[-1] == pytest.approx(manual_eval(coeffs, 0.0, xs[-1]), rel=1e-14)
 
 
 def test_fd_heat_matches_exact_propagator_on_quartic():
@@ -258,19 +256,19 @@ def test_fd_heat_matches_exact_propagator_on_quartic():
     grid = MicroGrid(dx=h / 16.0, dt=0.5 * 0.4 * (h / 16.0) ** 2 / nu)
     H = h + 2.5 * influence_radius(pde, dt)
     tooth = ToothConfig(h=h, H=H)
-    p = TaylorPolynomial(0.3, (0.5, -1.0, 2.0, 1.5, -3.0))
-    fd_avg = tooth_average(evolve_fd_buffered(p.coeffs, pde, dt, tooth, grid), h)
-    exact_avg = poly_average(evolve_poly_exact(p, pde, dt), h)
+    p = np.array([0.5, -1.0, 2.0, 1.5, -3.0])
+    fd_avg = tooth_average(evolve_fd_buffered(p, pde, dt, tooth, grid), grid.dx, h)
+    exact_avg = average_weights(4, h) @ (propagator_matrix(pde, 4, dt) @ p)
     # spatial truncation O(dx^2) plus one-step time error
     assert abs(fd_avg - exact_avg) <= 10.0 * grid.dx**2 + 10.0 * grid.dt
 
     # a stack of teeth evolves row by row as each tooth does alone
-    q = TaylorPolynomial(0.3, (-2.0, 0.5, 6.0, -1.0, 8.0))
-    rows = np.array([p.coeffs, q.coeffs])
-    state = evolve_fd_buffered(rows, pde, dt, tooth, grid)
-    assert state.samples.shape == (2, state.grid().size)
-    row_avgs = tooth_average(state, h)
-    alone = [fd_avg, tooth_average(evolve_fd_buffered(q.coeffs, pde, dt, tooth, grid), h)]
+    q = np.array([-2.0, 0.5, 6.0, -1.0, 8.0])
+    q_samples = evolve_fd_buffered(q, pde, dt, tooth, grid)
+    samples = evolve_fd_buffered(np.array([p, q]), pde, dt, tooth, grid)
+    assert samples.shape == (2, q_samples.size)
+    row_avgs = tooth_average(samples, grid.dx, h)
+    alone = [fd_avg, tooth_average(q_samples, grid.dx, h)]
     np.testing.assert_allclose(row_avgs, alone, rtol=1e-13, atol=1e-13)
 
 
@@ -281,28 +279,23 @@ def test_fd_advection_upwind_exact_on_linear():
     dt = 1e-3
     grid = MicroGrid(dx=0.01, dt=2e-4)
     tooth = ToothConfig(h=0.05, H=0.3)
-    p = TaylorPolynomial(0.0, (0.7, 2.0, 0.0))
-    state = evolve_fd_buffered(p.coeffs, pde, dt, tooth, grid)
-    avg = tooth_average(state, 0.05)
-    assert avg == pytest.approx(poly_average(evolve_poly_exact(p, pde, dt), 0.05), rel=1e-10)
-
-
-def test_micro_field_state_grid_is_centered():
-    state = MicroFieldState(center=1.0, dx=0.1, samples=np.zeros(5), time=0.0)
-    np.testing.assert_allclose(state.grid(), [0.8, 0.9, 1.0, 1.1, 1.2])
-    with pytest.raises(ValueError):
-        MicroFieldState(center=0.0, dx=0.1, samples=np.zeros(3), time=0.0)
+    p = np.array([0.7, 2.0, 0.0])
+    samples = evolve_fd_buffered(p, pde, dt, tooth, grid)
+    avg = tooth_average(samples, grid.dx, 0.05)
+    exact = average_weights(2, 0.05) @ (propagator_matrix(pde, 2, dt) @ p)
+    assert avg == pytest.approx(exact, rel=1e-10)
 
 
 def test_tooth_average_exact_on_linear_field():
     xs_vals = 3.0 + 2.0 * np.linspace(-0.2, 0.2, 9)
-    state = MicroFieldState(center=0.0, dx=0.05, samples=xs_vals, time=0.0)
-    assert tooth_average(state, 0.3) == pytest.approx(3.0, rel=1e-13)
+    assert tooth_average(xs_vals, 0.05, 0.3) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_tooth_average_requires_coverage():
-    state = MicroFieldState(center=0.0, dx=0.01, samples=np.zeros(5), time=0.0)
+    samples = np.zeros(5)
     with pytest.raises(ToothNotCoveredError):
-        tooth_average(state, 1.0)
+        tooth_average(samples, 0.01, 1.0)
     with pytest.raises(ValueError):
-        tooth_average(state, -0.1)
+        tooth_average(samples, 0.01, -0.1)
+    with pytest.raises(ValueError):
+        tooth_average(1.0, 0.01, 0.005)  # no sample axis

@@ -28,6 +28,7 @@ from patchlab import (
     influence_radius,
     lift,
     lift_coefficients,
+    propagator_matrix,
     restrict,
     seeded_noise_state,
     stable_dt_bound,
@@ -55,20 +56,20 @@ def test_lifting_scheme_validation():
 
 def test_lift_central_d2_oracle():
     u = MacroState(values=[0.0, 1.0, 4.0], dx=1.0)
-    p = lift(u, 1, CENTRAL_D2, h=0.5)
-    assert p.center == 1.0
+    row = lift(u, 1, CENTRAL_D2, h=0.5)
     d2 = 0.0 - 2.0 + 4.0          # 2.0
     d1 = (4.0 - 0.0) / 2.0        # 2.0
     d0 = 1.0 - 0.5**2 * d2 / 24.0
-    np.testing.assert_allclose(p.coeffs, [d0, d1, d2], rtol=1e-15)
+    np.testing.assert_allclose(row, [d0, d1, d2], rtol=1e-15)
+    assert row.tobytes() == lift_coefficients(u, CENTRAL_D2, h=0.5)[1].tobytes()
 
 
 def test_lift_upwind_slope_sides():
     u = MacroState(values=[0.0, 1.0, 4.0], dx=1.0)
     with_wind = lift(u, 1, UPWIND_D2, h=0.5)
     against = lift(u, 1, LiftingScheme("upwind_d2", wind_sign=-1), h=0.5)
-    assert with_wind.coeffs[1] == 1.0   # (U_j - U_{j-1})/dx
-    assert against.coeffs[1] == 3.0     # (U_{j+1} - U_j)/dx
+    assert with_wind[1] == 1.0   # (U_j - U_{j-1})/dx
+    assert against[1] == 3.0     # (U_{j+1} - U_j)/dx
 
 
 def test_lift_central_d4_exact_on_quartic():
@@ -80,14 +81,14 @@ def test_lift_central_d4_exact_on_quartic():
     xs = dx * np.arange(n)
     u = MacroState(values=f(xs), dx=dx)
     h = 0.1
-    p = lift(u, j, CENTRAL_D4, h=h)
+    row = lift(u, j, CENTRAL_D4, h=h)
     x0 = xs[j]
     d1 = 4 * x0**3 + 6 * x0**2 - 2 * x0 + 0.5
     d2 = 12 * x0**2 + 12 * x0 - 2
     d3 = 24 * x0 + 12
     d4 = 24.0
     d0 = f(x0) - h**2 * d2 / 24.0 - h**4 * d4 / 1920.0
-    np.testing.assert_allclose(p.coeffs, [d0, d1, d2, d3, d4], rtol=1e-9)
+    np.testing.assert_allclose(row, [d0, d1, d2, d3, d4], rtol=1e-9)
 
 
 def test_lift_validation():
@@ -108,12 +109,13 @@ def test_round_trip_restores_node_values(scheme):
     u = seeded_noise_state(17, dx=0.37, rng=rng)
     h = 0.2 * u.dx
     for j in range(u.n_points):
-        assert restrict(lift(u, j, scheme, h), h) == pytest.approx(u.values[j], abs=1e-13)
-
-
-def test_restrict_rejects_unknown_field():
-    with pytest.raises(TypeError):
-        restrict(np.zeros(5), 0.1)
+        mean = restrict(lift(u, j, scheme, h), h)
+        assert type(mean) is float
+        assert mean == pytest.approx(u.values[j], abs=1e-13)
+    # a stack of rows restricts to one mean per row
+    means = restrict(lift_coefficients(u, scheme, h), h)
+    assert means.shape == (u.n_points,)
+    np.testing.assert_allclose(means, u.values, rtol=0.0, atol=1e-13)
 
 
 def test_extrapolate_forms():
@@ -125,6 +127,8 @@ def test_extrapolate_forms():
     assert got == pytest.approx(2.0 + 0.1 * (3.0 - 2.5) / 0.005)
     with pytest.raises(ValueError):
         extrapolate(2.0, 3.0, 0.01, 0.1, alpha=0.5)
+    # a supplied base is the chord's start at alpha = 0 too, not u_now
+    assert extrapolate(1.0, 2.0, 0.1, 1.0, 0.0, 1.5) == 6.0
 
 
 def test_patch_config_validation():
@@ -135,6 +139,10 @@ def test_patch_config_validation():
         PatchConfig(lifting=CENTRAL_D2, tooth=tooth, dt_micro=0.01, dt_macro=0.1, evolution="fd")
     with pytest.raises(ValueError):
         PatchConfig(lifting=CENTRAL_D2, tooth=tooth, dt_micro=0.01, dt_macro=0.1, evolution="rk4")
+    # without a buffer the FD route cannot run: a config error, not a tooth failure
+    with pytest.raises(ValueError, match="finite patch width"):
+        PatchConfig(lifting=CENTRAL_D2, tooth=tooth, dt_micro=0.01, dt_macro=0.1,
+                    evolution="fd", micro=MicroGrid(dx=0.01, dt=1e-5))
 
 
 def heat_reference_step(values, lam):
@@ -282,12 +290,10 @@ def test_alpha_window_matches_manual_chord():
     u0 = seeded_noise_state(n, dx, RngStreamSpec(4))
     stepped = gap_tooth_step(u0, pde, cfg)
 
-    from patchlab import evolve_poly_exact, poly_average
-
     want = np.empty(n)
     for j in range(n):
-        p = lift(u0, j, CENTRAL_D2, h)
-        a_half = poly_average(evolve_poly_exact(p, pde, 0.5 * dt_micro), h)
-        a_full = poly_average(evolve_poly_exact(p, pde, dt_micro), h)
+        row = lift(u0, j, CENTRAL_D2, h)
+        a_half = restrict(propagator_matrix(pde, 2, 0.5 * dt_micro) @ row, h)
+        a_full = restrict(propagator_matrix(pde, 2, dt_micro) @ row, h)
         want[j] = u0.values[j] + dt_macro * (a_full - a_half) / (0.5 * dt_micro)
     np.testing.assert_allclose(stepped.values, want, rtol=1e-12, atol=1e-12)

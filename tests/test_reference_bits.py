@@ -1,10 +1,12 @@
-"""Bit pins: the exact gap-tooth step and the order probe against reference copies.
+"""Bit pins: both gap-tooth routes and the order probe against reference copies.
 
 The references below are the straightforward implementations the package
 started from: operators rebuilt on every call, periodic neighbours taken
-with ``np.roll``, the probe indexing its sweep array and evaluating
-``response @ coeffs``.  The package caches its operators and moves data
-differently, and these tests pin that it still computes the same bits.
+with ``np.roll``, the FD route sampling and stepping each patch and
+weighting the samples by its quadrature rule, the probe indexing its sweep
+array and evaluating ``response @ coeffs``.  The package caches its
+operators and moves data differently, and these tests pin that it still
+computes the same bits.
 """
 
 import math
@@ -18,6 +20,7 @@ from patchlab import (
     BlackBoxFunction,
     LiftingScheme,
     MacroState,
+    MicroGrid,
     PatchConfig,
     PdeSpec,
     ProbeSpec,
@@ -29,7 +32,9 @@ from patchlab import (
     extrapolate,
     gap_tooth_step,
     generator,
+    influence_radius,
     lift_coefficients,
+    stable_dt_bound,
 )
 
 # ------------------------------------------------------------- references
@@ -97,6 +102,66 @@ def ref_gap_tooth_step(U, pde, cfg):
     means_alpha = None
     if cfg.alpha > 0.0:
         means_alpha = ref_restricted_means(coeffs, pde, cfg.alpha * cfg.dt_micro, h)
+    new_values = extrapolate(U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha)
+    return MacroState(values=new_values, dx=U.dx, time=U.time + cfg.dt_macro)
+
+
+def ref_stencil_rhs(u, pde, dx):
+    du = np.zeros_like(u)
+    for order, a in pde.terms:
+        if order == 1:
+            slope = (u[:, 1:] - u[:, :-1]) / dx
+            if a > 0:
+                du[:, :-1] += a * slope
+            else:
+                du[:, 1:] += a * slope
+        elif order == 2:
+            du[:, 1:-1] += a * ((u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2)
+        else:
+            d4 = u[:, 4:] - 4.0 * u[:, 3:-1] + 6.0 * u[:, 2:-2] - 4.0 * u[:, 1:-3] + u[:, :-4]
+            du[:, 2:-2] += a * (d4 / dx**4)
+    return du
+
+
+def ref_tooth_weights(n, dx, h):
+    s = dx * (np.arange(n) - (n - 1) / 2.0)
+    lo, hi = -h / 2.0, h / 2.0
+    inside = (s > lo) & (s < hi)
+    nodes = np.concatenate(([lo], s[inside], [hi]))
+
+    def interpolation_row(x):
+        x = min(max(x, s[0]), s[-1])
+        return np.maximum(0.0, 1.0 - np.abs(x - s) / dx)
+
+    node_rows = np.vstack((interpolation_row(lo), np.eye(n)[inside], interpolation_row(hi)))
+    return np.trapezoid(node_rows, nodes, axis=0) / h
+
+
+def ref_fd_restricted_means(coeffs, pde, dt, tooth, grid):
+    # sample every row on its buffered patch, step with frozen ends, average
+    n_half = max(2, int(math.ceil(tooth.H / (2.0 * grid.dx) - 1e-12)))
+    n = 2 * n_half + 1
+    offsets = grid.dx * (np.arange(n) - (n - 1) / 2.0)
+    basis = np.empty((coeffs.shape[1], n))
+    basis[0] = 1.0
+    for k in range(1, coeffs.shape[1]):
+        basis[k] = basis[k - 1] * offsets / k
+    u = coeffs @ basis
+    if dt > 0:
+        n_steps = max(1, int(math.ceil(dt / grid.dt - 1e-12)))
+        frozen = 2 if pde.max_order >= 3 else 1
+        for _ in range(n_steps):
+            rhs = ref_stencil_rhs(u, pde, grid.dx)
+            u[:, frozen:-frozen] += (dt / n_steps) * rhs[:, frozen:-frozen]
+    return u @ ref_tooth_weights(n, grid.dx, tooth.h)
+
+
+def ref_fd_gap_tooth_step(U, pde, cfg):
+    coeffs = ref_lift_coefficients(U, cfg.lifting, cfg.tooth.h)
+    means_dt, means_alpha = (
+        ref_fd_restricted_means(coeffs, pde, dt, cfg.tooth, cfg.micro)
+        for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
+    )
     new_values = extrapolate(U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha)
     return MacroState(values=new_values, dx=U.dx, time=U.time + cfg.dt_macro)
 
@@ -179,6 +244,42 @@ def test_exact_gap_tooth_step_matches_reference(pde, scheme, n, alpha):
     for _ in range(25):
         got = gap_tooth_step(got, pde, cfg)
         ref = ref_gap_tooth_step(ref, pde, cfg)
+        assert same_bits(got.values, ref.values)
+        assert got.time == ref.time
+
+
+# -------------------------------------------------------------- FD step
+
+FD_CASES = [
+    pytest.param(PdeSpec.heat(), CENTRAL_D2, 0.4, id="heat-central_d2"),
+    pytest.param(PdeSpec.heat(), CENTRAL_D4, 0.4, id="heat-central_d4"),
+    pytest.param(PdeSpec.advection(), UPWIND_D2, 0.5, id="advection-upwind_d2"),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("pde, scheme, dt_ratio", FD_CASES)
+def test_fd_gap_tooth_step_matches_reference(pde, scheme, dt_ratio, alpha):
+    n = 32
+    dx = 2.0 * math.pi / n
+    dt_macro = dt_ratio * dx**pde.max_order
+    dt_micro = 1e-3 * dt_macro
+    h = 0.2 * dx
+    micro_dx = h / 16.0
+    cfg = PatchConfig(
+        lifting=scheme,
+        tooth=ToothConfig(h=h, H=h + 2.5 * influence_radius(pde, dt_micro)),
+        dt_micro=dt_micro,
+        dt_macro=dt_macro,
+        alpha=alpha,
+        evolution="fd",
+        micro=MicroGrid(dx=micro_dx, dt=0.5 * stable_dt_bound(pde, micro_dx)),
+    )
+    u = np.random.default_rng(n).standard_normal(n)
+    got = ref = MacroState(u - u.mean(), dx)
+    for _ in range(4):
+        got = gap_tooth_step(got, pde, cfg)
+        ref = ref_fd_gap_tooth_step(ref, pde, cfg)
         assert same_bits(got.values, ref.values)
         assert got.time == ref.time
 
