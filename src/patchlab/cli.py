@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed (or nothing to check), 1 at least one check
 failed (a failed numerical precondition included), 2 configuration or usage
-error.
+error, or results that cannot be written.
 """
 
 from __future__ import annotations
@@ -24,24 +24,29 @@ def _seed_type(raw: str) -> int:
     return value
 
 
+_COMMAND_HELPS = {
+    "projective": "coarse projective integration of a scalar SDE",
+    "patch": "gap-tooth stability probe and grid convergence study",
+    "order-detect": "black-box spatial order detection",
+    "kp": "particle-in-random-field displacement exponents",
+}
+_EPILOG = "experiments:\n" + "\n".join(
+    f"  {name:<14}{_COMMAND_HELPS[name]}" for name in EXPERIMENTS
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patchlab",
         description="Coarse projective integration and gap-tooth experiments.",
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "projective": "coarse projective integration of a scalar SDE",
-        "patch": "gap-tooth stability probe and grid convergence study",
-        "order-detect": "black-box spatial order detection",
-        "kp": "particle-in-random-field displacement exponents",
-    }
-    for name in EXPERIMENTS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("--config", required=True, help="path to config file")
-        cmd.add_argument("--seed", type=_seed_type, help="override [experiment] seed")
-        cmd.add_argument("--out", help="override output directory")
-        cmd.add_argument("--force", action="store_true", help="overwrite existing output")
+    parser.add_argument("command", choices=EXPERIMENTS, help="experiment to run (listed below)")
+    parser.add_argument("--config", required=True, help="path to config file")
+    parser.add_argument("--seed", type=_seed_type, help="override [experiment] seed")
+    parser.add_argument("--out", help="override output directory")
+    parser.add_argument("--force", action="store_true", help="overwrite existing output")
     return parser
 
 
@@ -82,6 +87,9 @@ def main(argv: list[str] | None = None) -> int:
         paths = write_results(record, out_dir, force=args.force)
     except OverwriteError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: cannot write results: {err}", file=sys.stderr)
         return 2
 
     sys.stdout.write(render_summary(record))

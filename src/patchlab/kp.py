@@ -330,7 +330,10 @@ def msd_exponent(
     if not 0 < lag_lo < lag_hi:
         raise ValueError("need 0 < lag_lo < lag_hi")
     raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), int(n_lags))
-    lag_steps = np.unique(np.maximum(1, np.round(raw / sample_dt).astype(int)))
+    steps = np.maximum(1, np.round(raw / sample_dt).astype(int))
+    # nondecreasing, so the first of each run of equal steps is np.unique's
+    # result without the numpy.ma import that np.unique costs
+    lag_steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
     lags = lag_steps * sample_dt
     msd = np.empty(lag_steps.size)
     for i, L in enumerate(lag_steps):

@@ -33,6 +33,7 @@ __all__ = [
 
 RELATIVE_THRESHOLD = 1e-6
 _THRESHOLD_FLOOR = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -70,10 +71,13 @@ class BlackBoxFunction:
         self.evaluation_budget = None if evaluation_budget is None else int(evaluation_budget)
         self.first_index = int(first_index)
         self.calls_used = 0
+        self._shape = (arity,)
 
     def __call__(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.arity,):
+        # a float64 ndarray is what np.asarray would return unchanged
+        if type(point) is not np.ndarray or point.dtype is not _FLOAT64:
+            point = np.asarray(point, dtype=float)
+        if point.shape != self._shape:
             raise ValueError(f"expected a point of shape ({self.arity},), got {point.shape}")
         if self.evaluation_budget is not None and self.calls_used >= self.evaluation_budget:
             raise BudgetExhaustedError(

@@ -249,4 +249,5 @@ def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
     new_values = extrapolate(
         U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha
     )
-    return MacroState(values=new_values, dx=U.dx, time=U.time + cfg.dt_macro)
+    # extrapolate returned a fresh array: the new state owns it, uncopied
+    return MacroState._adopt(new_values, U.dx, U.time + cfg.dt_macro)

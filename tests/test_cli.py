@@ -286,6 +286,25 @@ def test_python_dash_m_patchlab_runs_the_cli():
     assert done.returncode == 0, done.stderr
     assert "usage: patchlab" in done.stdout
     assert "RuntimeWarning" not in done.stderr
+    for name, text in [
+        ("projective", "coarse projective integration of a scalar SDE"),
+        ("patch", "gap-tooth stability probe and grid convergence study"),
+        ("order-detect", "black-box spatial order detection"),
+        ("kp", "particle-in-random-field displacement exponents"),
+    ]:
+        assert re.search(rf"^\s+{name}\s+{text}$", done.stdout, re.M), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus", "--config", "run.cfg"], ["kp"]],
+    ids=["no-command", "unknown-command", "no-config"],
+)
+def test_usage_errors_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: patchlab")
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
@@ -328,6 +347,17 @@ def test_overwrite_refused_then_forced(tmp_path, capsys):
     assert main(["projective", "--config", cfg, "--out", out, "--force"]) == 0
 
 
+def test_unwritable_output_exits_two_and_keeps_the_file(tmp_path, capsys):
+    # --out names an existing regular file: a usage error, not a failed check
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE)
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write results: "), err
+    assert out.read_text() == "keep me\n"
+
+
 def _fail_on_second(real):
     calls = []
 
@@ -341,7 +371,7 @@ def _fail_on_second(real):
 
 
 @pytest.mark.parametrize("stage", ["write", "replace"])
-def test_failed_write_leaves_nothing_that_blocks_a_rerun(tmp_path, monkeypatch, stage):
+def test_failed_write_leaves_nothing_that_blocks_a_rerun(tmp_path, monkeypatch, capsys, stage):
     import patchlab.runner as runner
 
     cfg = write(tmp_path, MINIMAL_PROJECTIVE)
@@ -356,8 +386,8 @@ def test_failed_write_leaves_nothing_that_blocks_a_rerun(tmp_path, monkeypatch, 
         else:
             # the second rename fails after the summary was moved into place
             m.setattr(os, "replace", _fail_on_second(os.replace))
-        with pytest.raises(OSError, match="injected"):
-            main(["projective", "--config", cfg, "--out", str(out)])
+        assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: cannot write results: injected write failure" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == []
     assert main(["projective", "--config", cfg, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["config", "summary", "trajectory.csv"]

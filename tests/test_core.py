@@ -136,6 +136,14 @@ def test_macro_state_basics():
         u.values[0] = 9.0
 
 
+def test_macro_state_copies_its_input():
+    a = np.array([1.0, 2.0, 3.0])
+    u = MacroState(values=a, dx=1.0)
+    a[0] = 9.0
+    assert u.values.tolist() == [1.0, 2.0, 3.0]
+    assert a.flags.writeable
+
+
 def test_macro_state_validation():
     with pytest.raises(ValueError):
         MacroState(values=[1.0, 2.0], dx=0.1)

@@ -320,6 +320,20 @@ def test_msd_exponent_brownian_calibration():
     assert abs(fit.gamma - 1.0) <= 0.1
 
 
+@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
+@pytest.mark.parametrize("n_samples", [8, 37, 400, 4000])
+def test_msd_lags_are_the_unique_rounded_lags(n_samples):
+    times = np.linspace(0.0, 1.0, n_samples + 1)
+    sample_dt = times[1] - times[0]
+    vels = np.random.default_rng(n_samples).standard_normal((2, n_samples + 1))
+    for lag_lo, lag_hi in [(0.01, 0.25), (0.012, 0.24), (0.05, 0.06), (0.2, 0.2001)]:
+        for n_lags in (2, 3, 10, 25, 60):
+            raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), n_lags)
+            steps = np.unique(np.maximum(1, np.round(raw / sample_dt).astype(int)))
+            fit = msd_exponent(times, vels, lag_lo, lag_hi, n_lags)
+            assert fit.lags.tobytes() == (steps * sample_dt).tobytes(), (lag_lo, lag_hi, n_lags)
+
+
 def test_msd_exponent_window_validation():
     times = np.linspace(0.0, 1.0, 101)
     vels = np.ones((2, 101))

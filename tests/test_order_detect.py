@@ -20,10 +20,25 @@ def test_blackbox_counts_and_validates():
     box = BlackBoxFunction(evaluator=lambda p: float(p.sum()), arity=3)
     assert box(np.array([1.0, 2.0, 3.0])) == 6.0
     assert box.calls_used == 1
-    with pytest.raises(ValueError):
-        box(np.zeros(4))
+    for wrong in (np.zeros(4), np.zeros((1, 3)), [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            box(wrong)
+    assert box.calls_used == 1
     with pytest.raises(ValueError):
         BlackBoxFunction(evaluator=lambda p: 0.0, arity=0)
+
+
+def test_blackbox_hands_the_evaluator_a_float64_array():
+    seen = []
+    box = BlackBoxFunction(evaluator=lambda p: seen.append(p) or 0.5, arity=3)
+    point = np.array([1.0, 2.0, 3.0])
+    for given in (point, [1, 2, 3], np.array([1, 2, 3]), point.astype(np.float32)):
+        assert box(given) == 0.5
+    assert seen[0] is point
+    for p in seen:
+        assert type(p) is np.ndarray and p.dtype == np.float64
+        assert p.tolist() == [1.0, 2.0, 3.0]
+    assert box.calls_used == 4
 
 
 def test_blackbox_budget_exhaustion():
@@ -33,6 +48,7 @@ def test_blackbox_budget_exhaustion():
     with pytest.raises(BudgetExhaustedError) as err:
         box(np.zeros(2))
     assert err.value.calls_used == 2
+    assert box.calls_used == 2
 
 
 def test_coordinate_variance_linear_oracle():

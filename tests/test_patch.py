@@ -244,6 +244,32 @@ def test_fd_route_agrees_with_exact_route(pde, lifting, dt_ratio, alpha, micro_p
     assert np.max(np.abs(du_fd - du_exact)) <= 5e-3 * scale
 
 
+@pytest.mark.parametrize("evolution", ["exact", "fd"])
+def test_step_returns_a_fresh_read_only_state(evolution):
+    n = 16
+    dx = 2.0 * math.pi / n
+    pde = PdeSpec.heat(1.0)
+    dt_macro = 0.4 * dx**2
+    dt_micro = 1e-3 * dt_macro
+    h = 0.2 * dx
+    fd = dict(evolution="fd", micro=MicroGrid(dx=h / 16, dt=0.5 * stable_dt_bound(pde, h / 16)))
+    cfg = PatchConfig(
+        lifting=CENTRAL_D2,
+        tooth=ToothConfig(h=h, H=h + 2.5 * influence_radius(pde, dt_micro)),
+        dt_micro=dt_micro,
+        dt_macro=dt_macro,
+        **(fd if evolution == "fd" else {}),
+    )
+    u0 = MacroState(values=np.sin(dx * np.arange(n)), dx=dx, time=0.25)
+    u1 = gap_tooth_step(u0, pde, cfg)
+    assert u1.values.dtype == np.float64 and u1.values.shape == (n,)
+    assert not u1.values.flags.writeable
+    assert not np.shares_memory(u1.values, u0.values)
+    with pytest.raises(ValueError):
+        u1.values[0] = 1.0
+    assert u1.dx == dx and u1.time == 0.25 + dt_macro
+
+
 def test_fd_route_wraps_tooth_failures():
     n = 16
     dx = 2.0 * math.pi / n

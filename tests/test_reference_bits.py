@@ -4,7 +4,8 @@ The references below are the straightforward implementations the package
 started from: operators rebuilt on every call, periodic neighbours taken
 with ``np.roll``, the FD route sampling and stepping each patch and
 weighting the samples by its quadrature rule, the probe indexing its sweep
-array and evaluating ``response @ coeffs``.  The package caches its
+array and evaluating ``response @ coeffs``, the growth-factor probe taking
+its norm with ``np.mean``.  The package caches its
 operators and moves data differently, and these tests pin that it still
 computes the same bits.
 """
@@ -32,10 +33,15 @@ from patchlab import (
     extrapolate,
     gap_tooth_step,
     generator,
+    growth_factor_probe,
     influence_radius,
     lift_coefficients,
+    parse_config,
+    seeded_noise_state,
     stable_dt_bound,
 )
+from patchlab.analysis import _rms
+from patchlab.runner import _patch_setup
 
 # ------------------------------------------------------------- references
 
@@ -183,6 +189,24 @@ def ref_coordinate_variance(box, index, probe):
     return total / probe.n_base
 
 
+def ref_growth_factor_probe(stepper, initial, n_steps):
+    u = initial
+    norm = float(np.sqrt(np.mean(u.values**2)))
+    log_ratios = []
+    terminated = False
+    for _ in range(n_steps):
+        u = stepper(u)
+        new_norm = float(np.sqrt(np.mean(u.values**2)))
+        if not math.isfinite(new_norm) or new_norm > 1e100 or new_norm == 0.0:
+            terminated = True
+            break
+        log_ratios.append(math.log(new_norm / norm))
+        norm = new_norm
+    start = int(len(log_ratios) * 0.25) if not terminated else 0
+    tail = log_ratios[start:] or log_ratios
+    return math.exp(sum(tail) / len(tail)), len(log_ratios), terminated
+
+
 def ref_response(pde, d_max, dt, h):
     M = ref_propagator_matrix(pde, d_max, dt)
     w = ref_average_weights(d_max, h)
@@ -323,3 +347,39 @@ def test_derivative_blackbox_evaluates_response_at_coeffs(d_max):
             if trial % 4 == 0:  # signed zeros, where a sum's start value shows
                 x[rng.random(d_max + 1) < 0.5] = (0.0, -0.0)[trial % 8 // 4]
             assert same_bits(box(x), float(response @ x))
+
+
+# ------------------------------------------------------- growth factor
+
+# the stability probes of the benchmark's diagnostics patch runs
+PROBE_CASES = {
+    "heat-central_d2": "pde = heat\nlifting = central_d2\n",
+    "advection-central_d2": "pde = advection\nlifting = central_d2\nprobe_steps = 300\n",
+    "advection-upwind_d2": "pde = advection\nlifting = upwind_d2\n",
+    "biharmonic-central_d2": "pde = biharmonic\nlifting = central_d2\nn_points = 32\n",
+    "biharmonic-central_d4": "pde = biharmonic\nlifting = central_d4\nn_points = 32\n",
+}
+
+
+@pytest.mark.parametrize("parameters", PROBE_CASES.values(), ids=PROBE_CASES.keys())
+def test_growth_factor_probe_matches_reference(parameters):
+    p = parse_config(f"[experiment]\nname = patch\n[parameters]\n{parameters}").parameters
+    pde, cfg, dx = _patch_setup(p, p["n_points"])
+    u0 = seeded_noise_state(p["n_points"], dx, RngStreamSpec(master_seed=5))
+
+    def step(u):
+        return gap_tooth_step(u, pde, cfg)
+
+    got = growth_factor_probe(step, u0, p["probe_steps"])
+    factor, steps_used, terminated = ref_growth_factor_probe(step, u0, p["probe_steps"])
+    assert same_bits(got.growth_factor, factor)
+    assert got.steps_used == steps_used
+    assert got.terminated_early == terminated
+
+
+def test_probe_norm_matches_reference():
+    rng = np.random.default_rng(9)
+    for n in [3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 64, 127, 128, 129, 1000, 4097]:
+        for _ in range(200):
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150)
+            assert same_bits(_rms(v), float(np.sqrt(np.mean(v**2)))), n
