@@ -17,8 +17,10 @@ __all__ = [
     "IncrementMoments",
     "VarianceCheck",
     "growth_factor_probe",
+    "symbol_growth_factor",
     "seeded_noise_state",
     "convergence_order",
+    "symbol_stepper",
     "increment_moments",
     "stationary_variance_test",
     "UNSTABLE_THRESHOLD",
@@ -32,6 +34,8 @@ _OVERFLOW_NORM = 1e100
 _DISCARD_FRACTION = 0.25  # transient share of the growth ratios
 _BURN_IN_FRACTION = 0.1  # transient share of a trajectory
 _MIN_TAIL = 1000
+_REACHED = 1.0 - 1e-9  # a study stops at the first time >= _REACHED * final_time
+_OVERFLOWED_AT_ONCE = "stepper overflowed immediately; no growth ratios available"
 
 
 @dataclass(frozen=True)
@@ -110,13 +114,9 @@ def growth_factor_probe(
     non-finite state terminates the probe early; the factor is then
     computed from the ratios gathered so far.
     """
-    n_steps = int(n_steps)
-    if n_steps < 4:
-        raise ValueError("need at least 4 probe steps")
+    n_steps = _probe_steps(n_steps)
     u = initial
-    norm = _rms(u.values)
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError("initial state must be finite and nonzero")
+    norm = _initial_norm(initial)
     log_ratios: list[float] = []
     terminated = False
     for _ in range(n_steps):
@@ -128,7 +128,7 @@ def growth_factor_probe(
         log_ratios.append(math.log(new_norm / norm))
         norm = new_norm
     if not log_ratios:
-        raise ValueError("stepper overflowed immediately; no growth ratios available")
+        raise ValueError(_OVERFLOWED_AT_ONCE)
     start = int(len(log_ratios) * _DISCARD_FRACTION) if not terminated else 0
     tail = log_ratios[start:] or log_ratios
     factor = math.exp(sum(tail) / len(tail))
@@ -136,6 +136,81 @@ def growth_factor_probe(
         growth_factor=factor,
         classification=_classify(factor),
         steps_used=len(log_ratios),
+        terminated_early=terminated,
+    )
+
+
+def _probe_steps(n_steps) -> int:
+    n_steps = int(n_steps)
+    if n_steps < 4:
+        raise ValueError("need at least 4 probe steps")
+    return n_steps
+
+
+def _initial_norm(initial: MacroState) -> float:
+    norm = _rms(initial.values)
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError("initial state must be finite and nonzero")
+    return norm
+
+
+def symbol_growth_factor(
+    symbol: np.ndarray, initial: MacroState, n_steps: int
+) -> StabilityReport:
+    """``growth_factor_probe`` of a circulant stepper, from its symbol alone.
+
+    ``symbol`` is the stepper's amplification factor ``G`` (as from
+    ``patch.step_symbol``).  By Parseval the RMS norm after ``k`` steps is
+    ``sqrt(sum |G|**(2k) |fft(u0)|**2) / n``, and its logarithm ``L(k)``,
+    taken by log-sum-exp, neither overflows nor underflows.  The per-step
+    log-ratios of the probe telescope, so the factor is
+    ``exp((L(used) - L(start)) / (used - start))`` over the same steps.  The
+    probe stops before the first step whose norm exceeds 1e100, is zero or
+    is not finite; ``L`` is convex in ``k``, so that step is found by
+    bisection.  Time is O(n log n_steps) and memory O(n).
+    """
+    n_steps = _probe_steps(n_steps)
+    _initial_norm(initial)
+    n = initial.n_points
+    with np.errstate(divide="ignore"):
+        rate = 2.0 * np.log(np.abs(symbol))  # log |G|^2 per step
+        weight = 2.0 * (np.log(np.abs(np.fft.fft(initial.values))) - math.log(n))
+
+    def log_norm(k: int) -> float:
+        e = weight + k * rate if k else weight
+        top = float(e.max())
+        if not math.isfinite(top):
+            return top  # -inf: a zero state; nan or +inf: a non-finite one
+        return 0.5 * (top + math.log(np.add.reduce(np.exp(e - top))))
+
+    limit = math.log(_OVERFLOW_NORM)
+
+    def stops(k: int) -> bool:
+        value = log_norm(k)
+        return not math.isfinite(value) or value > limit
+
+    if stops(1):
+        raise ValueError(_OVERFLOWED_AT_ONCE)
+    # for k >= 1 finiteness does not depend on k, and with L(1) <= limit and L
+    # convex, "L(k) > limit" is monotone: bisect for the first stopping step
+    terminated = stops(n_steps)
+    if terminated:
+        ok, stop = 1, n_steps
+        while stop - ok > 1:
+            mid = (ok + stop) // 2
+            if stops(mid):
+                stop = mid
+            else:
+                ok = mid
+        used, start = ok, 0
+    else:
+        used = n_steps
+        start = int(used * _DISCARD_FRACTION)
+    factor = math.exp((log_norm(used) - log_norm(start)) / (used - start))
+    return StabilityReport(
+        growth_factor=factor,
+        classification=_classify(factor),
+        steps_used=used,
         terminated_early=terminated,
     )
 
@@ -156,13 +231,15 @@ def convergence_order(
     grid_sizes = tuple(int(n) for n in grid_sizes)
     if len(grid_sizes) < 2:
         raise ValueError("need at least two grid sizes")
+    if len(set(grid_sizes)) != len(grid_sizes):
+        raise ValueError(f"grid sizes must be distinct, got {grid_sizes}")
     if final_time <= 0:
         raise ValueError("final_time must be positive")
     spacings = []
     errors = []
     for n in grid_sizes:
         step, u = make_problem(n)
-        while u.time < final_time * (1.0 - 1e-9):
+        while u.time < final_time * _REACHED:
             u = step(u)
         xs = u.grid()
         err = float(np.sqrt(np.mean((u.values - exact(xs, u.time)) ** 2)))
@@ -188,6 +265,28 @@ def convergence_order(
         fitted_order=float(slope),
         excluded=excluded,
     )
+
+
+def symbol_stepper(
+    symbol: np.ndarray, dt_macro: float, final_time: float
+) -> Callable[[MacroState], MacroState]:
+    """A ``convergence_order`` stepper that takes every macro step at once.
+
+    ``N`` steps of the circulant map with symbol ``symbol`` are
+    ``ifft(symbol**N * fft(u))``.  ``N`` and the reached time come from the
+    repeated ``t + dt_macro`` addition of iterated steps, so one call lands
+    where ``convergence_order`` would stop iterating them.
+    """
+
+    def advance(u: MacroState) -> MacroState:
+        steps, t = 0, u.time
+        while t < final_time * _REACHED:
+            t += dt_macro
+            steps += 1
+        values = np.fft.ifft(symbol**steps * np.fft.fft(u.values)).real
+        return MacroState(values=values, dx=u.dx, time=t)
+
+    return advance
 
 
 def increment_moments(values: np.ndarray) -> IncrementMoments:

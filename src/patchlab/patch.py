@@ -35,6 +35,7 @@ __all__ = [
     "restrict",
     "extrapolate",
     "gap_tooth_step",
+    "step_symbol",
 ]
 
 _VARIANTS = ("central_d2", "upwind_d2", "central_d4")
@@ -251,3 +252,17 @@ def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
     )
     # extrapolate returned a fresh array: the new state owns it, uncopied
     return MacroState._adopt(new_values, U.dx, U.time + cfg.dt_macro)
+
+
+def step_symbol(pde: PdeSpec, cfg: PatchConfig, n_points: int, dx: float) -> np.ndarray:
+    """Amplification factor ``G(k)`` of one gap-tooth step, ``np.fft.fft`` order.
+
+    On a periodic grid the step is a linear circulant map, so its response
+    to a unit impulse at node 0 (column 0 of the step matrix, the stencil)
+    fixes it: ``fft(step(u)) = G * fft(u)`` for every state ``u``, and
+    ``np.fft.ifft(G).real`` gives the stencil back.
+    """
+    impulse = np.zeros(int(n_points))
+    impulse[0] = 1.0
+    stencil = gap_tooth_step(MacroState(impulse, dx), pde, cfg).values
+    return np.fft.fft(stencil)

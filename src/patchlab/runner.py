@@ -17,10 +17,11 @@ import numpy as np
 from . import __version__
 from .analysis import (
     convergence_order,
-    growth_factor_probe,
     increment_moments,
     seeded_noise_state,
     stationary_variance_test,
+    symbol_growth_factor,
+    symbol_stepper,
 )
 from .config import ConfigError, ExperimentConfig, render_config
 from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig
@@ -32,7 +33,7 @@ from .order_detect import (
     derivative_blackbox,
     detect_order,
 )
-from .patch import LiftingScheme, PatchConfig, gap_tooth_step, lift_coefficients, restrict
+from .patch import LiftingScheme, PatchConfig, lift_coefficients, restrict, step_symbol
 from .projective import (
     CoarseStepConfig,
     effective_noise_std,
@@ -293,6 +294,8 @@ def _patch_setup(p: dict, n_points: int):
 
 
 def _run_patch(p: dict, seed: int):
+    if not (p["grids"] or math.isnan(p["expect_order"])):
+        raise ConfigError("expect_order needs grids to fit a convergence order on")
     pde, cfg, dx = _patch_setup(p, p["n_points"])
     metrics: list[MetricResult] = []
     metrics.append(MetricResult("dt_macro", cfg.dt_macro))
@@ -307,10 +310,13 @@ def _run_patch(p: dict, seed: int):
     )
     metrics.append(_checked("lift_restrict_round_trip", round_trip, 0.0, 1e-12))
 
-    report = growth_factor_probe(
-        lambda u: gap_tooth_step(u, pde, cfg), u0, p["probe_steps"]
-    )
+    # the step is a linear circulant map: its symbol G(k) gives the growth of
+    # the iterated noise state and every grid's state at final_time exactly
+    symbol = step_symbol(pde, cfg, p["n_points"], dx)
+    report = symbol_growth_factor(symbol, u0, p["probe_steps"])
     metrics.append(MetricResult("growth_factor", report.growth_factor))
+    # |G(0)| = 1 up to rounding, so the constant mode is left out
+    metrics.append(MetricResult("amplification_max", float(np.max(np.abs(symbol[1:])))))
     classification = report.classification
     if p["expect_stability"]:
         verdict = "pass" if classification == p["expect_stability"] else "fail"
@@ -337,7 +343,8 @@ def _run_patch(p: dict, seed: int):
             pde_n, cfg_n, dx_n = _patch_setup(p, n)
             xs = dx_n * np.arange(n)
             u_init = MacroState(values=np.sin(xs), dx=dx_n)
-            return (lambda u: gap_tooth_step(u, pde_n, cfg_n)), u_init
+            symbol_n = step_symbol(pde_n, cfg_n, n, dx_n)
+            return symbol_stepper(symbol_n, cfg_n.dt_macro, final_time), u_init
 
         study = convergence_order(make_problem, p["grids"], final_time, exact)
         if math.isnan(p["expect_order"]):

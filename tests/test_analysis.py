@@ -11,6 +11,8 @@ from patchlab import (
     increment_moments,
     seeded_noise_state,
     stationary_variance_test,
+    symbol_growth_factor,
+    symbol_stepper,
 )
 
 
@@ -69,6 +71,45 @@ def test_growth_factor_validation():
         growth_factor_probe(scale_stepper(0.5), zero, 10)
 
 
+@pytest.mark.parametrize("factor, n_steps", [(0.5, 40), (2.0, 40), (1.0, 40), (1e60, 40)])
+def test_symbol_growth_factor_matches_the_probe_on_scale_steppers(factor, n_steps):
+    # a scale stepper is the circulant map whose symbol is constant
+    u0 = seeded_noise_state(32, 1.0, RngStreamSpec(0))
+    probe = growth_factor_probe(scale_stepper(factor), u0, n_steps)
+    exact = symbol_growth_factor(np.full(32, factor, dtype=complex), u0, n_steps)
+    assert exact.growth_factor == pytest.approx(probe.growth_factor, rel=1e-12)
+    assert exact.classification == probe.classification
+    assert exact.steps_used == probe.steps_used
+    assert exact.terminated_early == probe.terminated_early
+
+
+def test_symbol_growth_factor_follows_the_dominant_mode():
+    # one growing mode among decaying ones: its growth wins after the transient
+    u0 = seeded_noise_state(16, 1.0, RngStreamSpec(2))
+    symbol = np.full(16, 0.9, dtype=complex)
+    symbol[3] = symbol[-3] = 1.05j
+    exact = symbol_growth_factor(symbol, u0, 400)
+    assert exact.growth_factor == pytest.approx(1.05, rel=1e-10)
+    assert exact.classification == "unstable"
+
+
+def test_symbol_growth_factor_validation():
+    u0 = seeded_noise_state(8, 1.0, RngStreamSpec(0))
+    with pytest.raises(ValueError, match="need at least 4 probe steps"):
+        symbol_growth_factor(np.ones(8, dtype=complex), u0, 3)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        symbol_growth_factor(np.ones(8, dtype=complex), MacroState(np.zeros(8), 1.0), 10)
+    for symbol in (np.full(8, 1e150 + 0j), np.full(8, np.nan + 0j), np.zeros(8, dtype=complex)):
+        with pytest.raises(ValueError, match="overflowed immediately"):
+            symbol_growth_factor(symbol, u0, 10)
+    # a decaying stepper from a norm above the overflow bound stops at once, as the probe does
+    huge = MacroState(values=u0.values * 1e120, dx=1.0)
+    with pytest.raises(ValueError, match="overflowed immediately"):
+        growth_factor_probe(scale_stepper(0.5), huge, 10)
+    with pytest.raises(ValueError, match="overflowed immediately"):
+        symbol_growth_factor(np.full(8, 0.5 + 0j), huge, 10)
+
+
 def heat_problem(n):
     """Plain explicit heat scheme on [0, 2pi), independent of the package."""
     dx = 2.0 * math.pi / n
@@ -123,6 +164,27 @@ def test_convergence_order_needs_two_usable_points():
         with pytest.raises(ValueError):
             convergence_order(make, (16, 32), final_time=1.0,
                               exact=lambda xs, t: np.sin(xs))
+
+
+def test_convergence_order_needs_distinct_grid_sizes():
+    with pytest.raises(ValueError, match="distinct"):
+        convergence_order(heat_problem, (32, 32), final_time=0.5,
+                          exact=lambda xs, t: math.exp(-t) * np.sin(xs))
+
+
+def test_symbol_stepper_lands_where_iterated_steps_stop():
+    # the explicit heat scheme is circulant with symbol 1 - 4 lam sin^2(k dx / 2)
+    n = 32
+    step, u0 = heat_problem(n)
+    dx = u0.dx
+    dt = 0.4 * dx * dx
+    symbol = 1.0 - 1.6 * np.sin(np.pi * np.fft.fftfreq(n)) ** 2 + 0j
+    iterated = u0
+    while iterated.time < 0.5 * (1.0 - 1e-9):
+        iterated = step(iterated)
+    jumped = symbol_stepper(symbol, dt, 0.5)(u0)
+    assert jumped.time == iterated.time
+    np.testing.assert_allclose(jumped.values, iterated.values, rtol=0, atol=1e-12)
 
 
 def test_increment_moments_oracle():

@@ -338,6 +338,48 @@ def test_runtime_config_error_exits_two(tmp_path, capsys):
     assert "gamma_bands" in capsys.readouterr().err
 
 
+PATCH_PARAMETERS = "[experiment]\nname = patch\n[parameters]\npde = heat\nlifting = central_d2\n"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("probe_steps = 3\n", "error: patch: need at least 4 probe steps"),
+        ("n_points = 16\ngrids = 32, 32\n", "error: patch: grid sizes must be distinct"),
+        ("expect_order = 2.0\n", "error: patch: expect_order needs grids"),
+    ],
+    ids=["probe_steps", "repeated-grids", "order-without-grids"],
+)
+def test_patch_config_errors_exit_two(tmp_path, capsys, extra, message):
+    cfg = write(tmp_path, PATCH_PARAMETERS + extra)
+    out = tmp_path / "o"
+    assert main(["patch", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_order_without_grids_fails_before_any_work(tmp_path, monkeypatch):
+    import patchlab.runner as runner
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its config was checked")
+
+    monkeypatch.setattr(runner, "_patch_setup", no_work)
+    cfg = write(tmp_path, PATCH_PARAMETERS + "expect_order = 2.0\n")
+    assert main(["patch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_patch_reports_the_largest_amplification(tmp_path):
+    cfg = write(tmp_path, PATCH_PARAMETERS)
+    assert main(["patch", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = {line.split()[0]: line.split()[1:]
+            for line in (tmp_path / "o" / "summary").read_text().splitlines()
+            if not line.startswith("#")}
+    value, expected, tolerance, verdict = rows["amplification_max"]
+    assert float(value) == pytest.approx(0.996148, abs=5e-7)
+    assert (expected, tolerance, verdict) == ("-", "-", "info")
+
+
 def test_overwrite_refused_then_forced(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL_PROJECTIVE)
     out = str(tmp_path / "out")

@@ -22,17 +22,23 @@ from patchlab import (
     PdeSpec,
     RngStreamSpec,
     ToothConfig,
+    convergence_order,
     extrapolate,
     gap_tooth_step,
     growth_factor_probe,
     influence_radius,
     lift,
     lift_coefficients,
+    parse_config,
     propagator_matrix,
     restrict,
     seeded_noise_state,
     stable_dt_bound,
+    step_symbol,
+    symbol_growth_factor,
+    symbol_stepper,
 )
+from patchlab.runner import _FINAL_TIME_DEFAULTS, _exact_solution, _patch_setup
 
 
 def make_config(lifting, dx, dt_ratio, order, dt_micro_factor=1e-3, h_frac=0.2):
@@ -323,3 +329,99 @@ def test_alpha_window_matches_manual_chord():
         a_full = restrict(propagator_matrix(pde, 2, dt_micro) @ row, h)
         want[j] = u0.values[j] + dt_macro * (a_full - a_half) / (0.5 * dt_micro)
     np.testing.assert_allclose(stepped.values, want, rtol=1e-12, atol=1e-12)
+
+
+# ------------------------------------------------------------ exact symbol
+
+_PDES = {
+    "heat": (PdeSpec.heat(1.0), 0.4),
+    "advection": (PdeSpec.advection(1.0), 0.5),
+    "biharmonic": (PdeSpec.biharmonic(1.0), 0.0375),
+}
+_LIFTINGS = {
+    "central_d2": CENTRAL_D2,
+    "upwind_d2": UPWIND_D2,
+    "upwind_d2-against": LiftingScheme("upwind_d2", wind_sign=-1),
+    "central_d4": CENTRAL_D4,
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("lifting", _LIFTINGS.values(), ids=_LIFTINGS.keys())
+@pytest.mark.parametrize("pde_name", _PDES)
+def test_step_symbol_is_the_fft_of_the_circulant_step(pde_name, lifting, alpha):
+    pde, dt_ratio = _PDES[pde_name]
+    n = 16
+    dx = 2.0 * math.pi / n
+    dt_macro = dt_ratio * dx**pde.max_order
+    cfg = PatchConfig(lifting=lifting, tooth=ToothConfig(h=0.2 * dx),
+                      dt_micro=1e-3 * dt_macro, dt_macro=dt_macro, alpha=alpha)
+    columns = np.column_stack(
+        [gap_tooth_step(MacroState(values=e, dx=dx), pde, cfg).values for e in np.eye(n)]
+    )
+    for j in range(n):
+        np.testing.assert_allclose(columns[:, j], np.roll(columns[:, 0], j), rtol=0, atol=1e-12)
+    symbol = step_symbol(pde, cfg, n, dx)
+    np.testing.assert_array_equal(symbol, np.fft.fft(columns[:, 0]))
+    # the chord multiplies the step's rounding by dt_macro / ((1 - alpha) dt_micro) <= 2000
+    u = seeded_noise_state(n, dx, RngStreamSpec(3))
+    np.testing.assert_allclose(
+        np.fft.ifft(symbol * np.fft.fft(u.values)).real,
+        gap_tooth_step(u, pde, cfg).values, rtol=0, atol=1e-10,
+    )
+
+
+# the stability probes of the benchmark's diagnostics patch runs, and one
+# whose probe overflows and stops early
+SYMBOL_CASES = {
+    "heat-central_d2": "pde = heat\nlifting = central_d2\ngrids = 32, 64, 128\nfinal_time = 0.5\n",
+    "advection-central_d2": "pde = advection\nlifting = central_d2\nprobe_steps = 300\n",
+    "advection-central_d2-overflow": "pde = advection\nlifting = central_d2\nprobe_steps = 3000\n",
+    "advection-upwind_d2": "pde = advection\nlifting = upwind_d2\ngrids = 32, 64, 128\n",
+    "biharmonic-central_d2": "pde = biharmonic\nlifting = central_d2\nn_points = 32\n",
+    "biharmonic-central_d4": "pde = biharmonic\nlifting = central_d4\nn_points = 32\n"
+                             "grids = 16, 24, 32\n",
+}
+
+
+def _patch_parameters(text):
+    return parse_config(f"[experiment]\nname = patch\n[parameters]\n{text}").parameters
+
+
+@pytest.mark.parametrize("parameters", SYMBOL_CASES.values(), ids=SYMBOL_CASES.keys())
+def test_symbol_growth_factor_matches_the_iterated_probe(parameters):
+    p = _patch_parameters(parameters)
+    pde, cfg, dx = _patch_setup(p, p["n_points"])
+    u0 = seeded_noise_state(p["n_points"], dx, RngStreamSpec(master_seed=5))
+    iterated = growth_factor_probe(lambda u: gap_tooth_step(u, pde, cfg), u0, p["probe_steps"])
+    exact = symbol_growth_factor(step_symbol(pde, cfg, p["n_points"], dx), u0, p["probe_steps"])
+    assert exact.classification == iterated.classification
+    assert exact.steps_used == iterated.steps_used
+    assert exact.terminated_early == iterated.terminated_early
+    assert exact.growth_factor == pytest.approx(iterated.growth_factor, rel=1e-12, abs=0)
+    if "3000" in parameters:
+        assert exact.terminated_early and exact.steps_used < 3000
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [text for text in SYMBOL_CASES.values() if "grids" in text],
+    ids=[name for name, text in SYMBOL_CASES.items() if "grids" in text],
+)
+def test_symbol_convergence_study_matches_the_iterated_one(parameters):
+    p = _patch_parameters(parameters)
+    final_time = p["final_time"] or _FINAL_TIME_DEFAULTS[p["pde"]]
+
+    def problem(n, exact_steps):
+        pde, cfg, dx = _patch_setup(p, n)
+        u0 = MacroState(values=np.sin(dx * np.arange(n)), dx=dx)
+        if exact_steps:
+            return symbol_stepper(step_symbol(pde, cfg, n, dx), cfg.dt_macro, final_time), u0
+        return (lambda u: gap_tooth_step(u, pde, cfg)), u0
+
+    exact = _exact_solution(p["pde"], p["coefficient"])
+    iterated = convergence_order(lambda n: problem(n, False), p["grids"], final_time, exact)
+    symbol = convergence_order(lambda n: problem(n, True), p["grids"], final_time, exact)
+    assert symbol.spacings == iterated.spacings
+    np.testing.assert_allclose(symbol.errors, iterated.errors, rtol=1e-5, atol=0)
+    assert symbol.fitted_order == pytest.approx(iterated.fitted_order, abs=1e-6)
