@@ -95,13 +95,6 @@ def _classify(factor: float) -> str:
     return "marginal"
 
 
-def _rms(v: np.ndarray) -> float:
-    # the bits of np.sqrt(np.mean(v**2)) without np.mean's per-call overhead:
-    # the same pairwise sum divided by the same count, and both square roots
-    # are correctly rounded
-    return math.sqrt(np.add.reduce(v * v) / v.size)
-
-
 def growth_factor_probe(
     stepper: Callable[[MacroState], MacroState],
     initial: MacroState,
@@ -121,7 +114,7 @@ def growth_factor_probe(
     terminated = False
     for _ in range(n_steps):
         u = stepper(u)
-        new_norm = _rms(u.values)
+        new_norm = float(np.sqrt(np.mean(u.values**2)))
         if not math.isfinite(new_norm) or new_norm > _OVERFLOW_NORM or new_norm == 0.0:
             terminated = True
             break
@@ -148,7 +141,7 @@ def _probe_steps(n_steps) -> int:
 
 
 def _initial_norm(initial: MacroState) -> float:
-    norm = _rms(initial.values)
+    norm = float(np.sqrt(np.mean(initial.values**2)))
     if not (math.isfinite(norm) and norm > 0):
         raise ValueError("initial state must be finite and nonzero")
     return norm

@@ -63,22 +63,6 @@ class MacroState:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "time", float(self.time))
 
-    @classmethod
-    def _adopt(cls, values: np.ndarray, dx: float, time: float) -> "MacroState":
-        """A state that takes ownership of ``values`` instead of copying it.
-
-        For arrays the package has just computed and holds no other
-        reference to: ``values`` must be a 1-d float64 array of at least 3
-        entries, ``dx`` a checked grid spacing and ``time`` a float.
-        ``values`` is set read-only here.
-        """
-        values.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "values", values)
-        object.__setattr__(state, "dx", dx)
-        object.__setattr__(state, "time", time)
-        return state
-
     @property
     def n_points(self) -> int:
         return int(self.values.size)

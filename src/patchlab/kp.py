@@ -329,11 +329,18 @@ def msd_exponent(
         raise ValueError("lag range must lie within [T/100, T/4]")
     if not 0 < lag_lo < lag_hi:
         raise ValueError("need 0 < lag_lo < lag_hi")
+    if int(n_lags) < 2:
+        raise ValueError("need n_lags >= 2 to fit an exponent")
     raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), int(n_lags))
     steps = np.maximum(1, np.round(raw / sample_dt).astype(int))
     # nondecreasing, so the first of each run of equal steps is np.unique's
     # result without the numpy.ma import that np.unique costs
     lag_steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    if lag_steps.size < 2:
+        raise ValueError(
+            f"lags in [{lag_lo}, {lag_hi}] round to one sample step; "
+            "need at least two distinct lag steps to fit an exponent"
+        )
     lags = lag_steps * sample_dt
     msd = np.empty(lag_steps.size)
     for i, L in enumerate(lag_steps):

@@ -118,7 +118,8 @@ def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
 
     ``L = sum_r a_r d^r/dx^r`` shifts raw coefficients, so it is nilpotent
     on polynomials and the exponential series terminates exactly.  The
-    matrix is cached and read-only.
+    matrix is cached and read-only; a ``dt`` that makes it non-finite, by
+    overflow or as NaN, raises ``ValueError``.
     """
     degree = int(degree)
     if degree < 0:
@@ -139,12 +140,20 @@ def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
     M = np.eye(n)
     P = np.eye(n)
     factorial = 1.0
-    for m in range(1, n + 1):
-        P = P @ L
-        if not P.any():
-            break
-        factorial *= m
-        M = M + (dt**m / factorial) * P
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            P = P @ L
+            if not P.any():
+                break
+            factorial *= m
+            try:
+                scale = dt**m / factorial
+            except OverflowError:
+                scale = math.inf
+            M = M + scale * P
+    if not np.isfinite(M).all():
+        # raised, so not cached: a smaller dt gets its own entry
+        raise ValueError(f"the propagator exp(dt L) is not finite at dt = {dt!r}")
     M.setflags(write=False)
     return M
 

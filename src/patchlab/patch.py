@@ -250,8 +250,7 @@ def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
     new_values = extrapolate(
         U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha
     )
-    # extrapolate returned a fresh array: the new state owns it, uncopied
-    return MacroState._adopt(new_values, U.dx, U.time + cfg.dt_macro)
+    return MacroState(new_values, U.dx, U.time + cfg.dt_macro)
 
 
 def step_symbol(pde: PdeSpec, cfg: PatchConfig, n_points: int, dx: float) -> np.ndarray:

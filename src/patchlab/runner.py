@@ -71,7 +71,11 @@ class MetricResult:
             raise ValueError(f"bad verdict {self.verdict!r}")
 
 
-def _checked(name: str, value: float, expected: float, tolerance: float) -> MetricResult:
+def _checked(name: str, value, expected=None, tolerance=None) -> MetricResult:
+    """An info row when ``expected`` is None, else the verdict every check uses:
+    pass when ``value`` is finite and within ``tolerance`` of ``expected``."""
+    if expected is None:
+        return MetricResult(name, value)
     ok = abs(value - expected) <= tolerance and math.isfinite(value)
     return MetricResult(name, value, expected, tolerance, "pass" if ok else "fail")
 
@@ -203,6 +207,8 @@ def _run_projective(p: dict, seed: int):
         model = SdeModel.pure_noise(p["noise_amplitude"])
     else:
         model = SdeModel.ornstein_uhlenbeck(p["ou_rate"], p["noise_amplitude"])
+        # a coarse chain that does not mean-revert fails here, before any step
+        expected = predicted_ou_tail_variance(cfg, p["ou_rate"], p["noise_amplitude"])
     rng = RngStreamSpec(master_seed=seed)
     traj = run_coarse_trajectory(p["x0"], model, cfg, p["n_steps"], rng)
 
@@ -211,23 +217,17 @@ def _run_projective(p: dict, seed: int):
     metrics.append(MetricResult("effective_noise_std", sigma))
 
     if traj.diverged_at is not None:
-        metrics.append(MetricResult("diverged_at_step", int(traj.diverged_at)))
-
-    if p["drift"] == "zero":
+        # a truncated, exploding trajectory has no moments or tail to test
+        metrics.append(MetricResult("diverged_at_step", int(traj.diverged_at), verdict="fail"))
+    elif p["drift"] == "zero":
         mom = increment_moments(traj.values)
         metrics.append(_checked("increment_mean", mom.mean, 0.0, 3.0 * mom.se_mean))
         metrics.append(_checked("increment_std", mom.std, sigma, 3.0 * mom.se_std))
     else:
-        expected = predicted_ou_tail_variance(cfg, p["ou_rate"], p["noise_amplitude"])
         check = stationary_variance_test(traj.values, expected, p["tolerance_fraction"])
         metrics.append(
-            MetricResult(
-                "tail_variance",
-                check.measured,
-                check.expected,
-                check.tolerance_fraction * check.expected,
-                "pass" if check.passed else "fail",
-            )
+            _checked("tail_variance", check.measured, check.expected,
+                     check.tolerance_fraction * check.expected)
         )
 
     ledger = traj.ledger
@@ -237,13 +237,7 @@ def _run_projective(p: dict, seed: int):
     if abs(horizon - cfg.dt_macro) <= 1e-12 * cfg.dt_macro:
         brute = round(ledger.macro_steps * cfg.dt_macro / cfg.dt_micro)
         metrics.append(
-            MetricResult(
-                "cost_parity_vs_brute_force",
-                int(ledger.micro_steps_total - brute),
-                0,
-                0,
-                "pass" if ledger.micro_steps_total == brute else "fail",
-            )
+            _checked("cost_parity_vs_brute_force", int(ledger.micro_steps_total - brute), 0, 0)
         )
 
     table = Table(
@@ -317,22 +311,11 @@ def _run_patch(p: dict, seed: int):
     metrics.append(MetricResult("growth_factor", report.growth_factor))
     # |G(0)| = 1 up to rounding, so the constant mode is left out
     metrics.append(MetricResult("amplification_max", float(np.max(np.abs(symbol[1:])))))
-    classification = report.classification
-    if p["expect_stability"]:
-        verdict = "pass" if classification == p["expect_stability"] else "fail"
-        metrics.append(
-            MetricResult(
-                f"stability_is_{p['expect_stability']}",
-                _STABILITY_CODES[classification],
-                _STABILITY_CODES[p["expect_stability"]],
-                0,
-                verdict,
-            )
-        )
-    else:
-        metrics.append(
-            MetricResult(f"stability_code_{classification}", _STABILITY_CODES[classification])
-        )
+    expect = p["expect_stability"]
+    name = f"stability_is_{expect}" if expect else f"stability_code_{report.classification}"
+    metrics.append(
+        _checked(name, _STABILITY_CODES[report.classification], _STABILITY_CODES.get(expect), 0)
+    )
 
     tables: list[Table] = []
     if p["grids"]:
@@ -347,17 +330,10 @@ def _run_patch(p: dict, seed: int):
             return symbol_stepper(symbol_n, cfg_n.dt_macro, final_time), u_init
 
         study = convergence_order(make_problem, p["grids"], final_time, exact)
-        if math.isnan(p["expect_order"]):
-            metrics.append(MetricResult("convergence_order", study.fitted_order))
-        else:
-            metrics.append(
-                _checked(
-                    "convergence_order",
-                    study.fitted_order,
-                    p["expect_order"],
-                    p["order_tolerance"],
-                )
-            )
+        expected = None if math.isnan(p["expect_order"]) else p["expect_order"]
+        metrics.append(
+            _checked("convergence_order", study.fitted_order, expected, p["order_tolerance"])
+        )
         tables.append(
             Table(
                 name="convergence",
@@ -406,13 +382,8 @@ def _run_order_detect(p: dict, seed: int):
     report = detect_order(box, probe, stop_after=p["stop_after"] or None)
 
     metrics: list[MetricResult] = []
-    if p["expected_order"] >= 0:
-        metrics.append(
-            _checked("detected_order", int(report.detected_order),
-                     int(p["expected_order"]), 0)
-        )
-    else:
-        metrics.append(MetricResult("detected_order", int(report.detected_order)))
+    expected = int(p["expected_order"]) if p["expected_order"] >= 0 else None
+    metrics.append(_checked("detected_order", int(report.detected_order), expected, 0))
     metrics.append(MetricResult("coordinates_probed", len(report.indices)))
     metrics.append(MetricResult("stopped_early", report.stopped_early))
     metrics.append(MetricResult("budget_exhausted", report.budget_exhausted))
@@ -492,13 +463,11 @@ def _run_kp(p: dict, seed: int):
         fit = msd_exponent(
             times, velocities, p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"]
         )
-        name = f"gamma_delta_{slug}"
+        mid = half = None
         if bands:
             lo, hi = bands[i]
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            metrics.append(_checked(name, fit.gamma, mid, half))
-        else:
-            metrics.append(MetricResult(name, fit.gamma))
+        metrics.append(_checked(f"gamma_delta_{slug}", fit.gamma, mid, half))
         tables.append(
             Table(
                 name=f"msd_{slug}",

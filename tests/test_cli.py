@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import patchlab
@@ -378,6 +379,126 @@ def test_patch_reports_the_largest_amplification(tmp_path):
     value, expected, tolerance, verdict = rows["amplification_max"]
     assert float(value) == pytest.approx(0.996148, abs=5e-7)
     assert (expected, tolerance, verdict) == ("-", "-", "info")
+
+
+def test_overflowing_propagator_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "[experiment]\nname = patch\n[parameters]\npde = advection\n"
+                          "lifting = central_d2\ndt_ratio = 1e200\n")
+    out = tmp_path / "o"
+    assert main(["patch", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: patch: ") and "dt = " in err[0]
+    assert not out.exists()
+
+
+def test_one_lag_step_is_a_config_error(tmp_path, capsys):
+    # two samples leave one distinct lag step: no exponent can be fitted
+    cfg = write(tmp_path, FAST_KP + "n_samples = 2\n")
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: kp: lags in ")
+    assert "two distinct lag steps" in err[0]
+    assert not out.exists()
+
+
+def summary_lines(out_dir) -> dict[str, str]:
+    """Rendered summary rows by metric name."""
+    text = (out_dir / "summary").read_text()
+    return {line.split()[0]: line for line in text.splitlines() if not line.startswith("#")}
+
+
+def test_diverged_projective_run_is_a_failed_check(tmp_path):
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE + "noise_amplitude = 1e15\n")
+    out = tmp_path / "o"
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == 1
+    rows = summary_lines(out)
+    assert list(rows) == ["effective_noise_std", "diverged_at_step", "macro_steps",
+                          "micro_steps_total", "cost_parity_vs_brute_force"]
+    assert rows["diverged_at_step"] == "diverged_at_step 1 - - fail"
+    assert rows["macro_steps"] == "macro_steps 1 - - info"
+    assert rows["micro_steps_total"] == "micro_steps_total 100 - - info"
+    assert rows["cost_parity_vs_brute_force"] == "cost_parity_vs_brute_force 0 0 0 pass"
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 3
+
+
+def test_unstable_coarse_chain_fails_before_the_run(tmp_path, monkeypatch, capsys):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the trajectory ran before its config was checked")
+
+    monkeypatch.setattr(runner, "run_coarse_trajectory", no_run)
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE + "drift = ou\nou_rate = 30\n")
+    assert main(["projective", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: projective: coarse chain is not mean-reverting")
+
+
+# the exact rendered rows of every checked and unchecked verdict form
+
+
+@pytest.mark.parametrize("fraction, verdict, code", [(0.5, "pass", 0), (1e-9, "fail", 1)])
+def test_tail_variance_row(tmp_path, fraction, verdict, code):
+    from patchlab import CoarseStepConfig, predicted_ou_tail_variance, stationary_variance_test
+
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE.replace("n_steps = 200", "n_steps = 1200")
+                + f"drift = ou\nou_rate = 5.0\ntolerance_fraction = {fraction!r}\n")
+    out = tmp_path / "o"
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == code
+    lines = (out / "trajectory.csv").read_text().splitlines()[1:]
+    values = np.array([float(line.split(",")[1]) for line in lines])
+    step = CoarseStepConfig(ensemble_size=10, micro_steps=10, dt_micro=1e-3, dt_macro=0.1)
+    expected = predicted_ou_tail_variance(step, 5.0, 1.0)
+    measured = stationary_variance_test(values, expected, fraction).measured
+    rows = summary_lines(out)
+    assert rows["tail_variance"] == (
+        f"tail_variance {measured!r} {expected!r} {fraction * expected!r} {verdict}"
+    )
+    assert rows["cost_parity_vs_brute_force"] == "cost_parity_vs_brute_force 0 0 0 pass"
+    assert "increment_mean" not in rows
+
+
+def test_stability_and_convergence_rows(tmp_path):
+    checked, unchecked = tmp_path / "checked", tmp_path / "unchecked"
+    assert main(["patch", "--config", write(tmp_path, FAST_PATCH), "--out", str(checked)]) == 0
+    bare = FAST_PATCH.replace("expect_stability = stable\n", "").replace("expect_order = 2.0\n", "")
+    assert main(["patch", "--config", write(tmp_path, bare, "bare.cfg"),
+                 "--out", str(unchecked)]) == 0
+    checked, unchecked = summary_lines(checked), summary_lines(unchecked)
+    assert checked["stability_is_stable"] == "stability_is_stable 0 0 0 pass"
+    assert unchecked["stability_code_stable"] == "stability_code_stable 0 - - info"
+    order = checked["convergence_order"].split()[1]
+    assert checked["convergence_order"] == f"convergence_order {order} 2.0 0.3 pass"
+    assert unchecked["convergence_order"] == f"convergence_order {order} - - info"
+    assert " fail" not in "\n".join(checked.values())
+
+
+@pytest.mark.parametrize(
+    "parameters, row",
+    [
+        ("target = adversarial\nstop_after = 5\nexpected_order = 1\n",
+         "detected_order 1 1 0 pass"),
+        ("target = adversarial\nstop_after = 5\n", "detected_order 1 - - info"),
+        ("target = heat\nn_perturb = 256\n", "detected_order 2 - - info"),
+    ],
+    ids=["adversarial-checked", "adversarial-unchecked", "heat-unchecked"],
+)
+def test_detected_order_row(tmp_path, parameters, row):
+    cfg = write(tmp_path, f"[experiment]\nname = order-detect\n[parameters]\n{parameters}")
+    out = tmp_path / "o"
+    assert main(["order-detect", "--config", cfg, "--out", str(out)]) == 0
+    assert summary_lines(out)["detected_order"] == row
+
+
+def test_gamma_rows(tmp_path):
+    checked, unchecked = tmp_path / "checked", tmp_path / "unchecked"
+    banded = write(tmp_path, FAST_KP + "gamma_bands = 0.0:4.0\n", "banded.cfg")
+    assert main(["kp", "--config", banded, "--out", str(checked)]) == 0
+    assert main(["kp", "--config", write(tmp_path, FAST_KP), "--out", str(unchecked)]) == 0
+    gamma = summary_lines(unchecked)["gamma_delta_1p0"].split()[1]
+    assert summary_lines(unchecked)["gamma_delta_1p0"] == f"gamma_delta_1p0 {gamma} - - info"
+    assert summary_lines(checked)["gamma_delta_1p0"] == f"gamma_delta_1p0 {gamma} 2.0 2.0 pass"
 
 
 def test_overwrite_refused_then_forced(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -320,7 +321,6 @@ def test_msd_exponent_brownian_calibration():
     assert abs(fit.gamma - 1.0) <= 0.1
 
 
-@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 @pytest.mark.parametrize("n_samples", [8, 37, 400, 4000])
 def test_msd_lags_are_the_unique_rounded_lags(n_samples):
     times = np.linspace(0.0, 1.0, n_samples + 1)
@@ -330,8 +330,32 @@ def test_msd_lags_are_the_unique_rounded_lags(n_samples):
         for n_lags in (2, 3, 10, 25, 60):
             raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), n_lags)
             steps = np.unique(np.maximum(1, np.round(raw / sample_dt).astype(int)))
+            if steps.size < 2:
+                # one lag step leaves a single point: no line to fit
+                with pytest.raises(ValueError, match="two distinct lag steps"):
+                    msd_exponent(times, vels, lag_lo, lag_hi, n_lags)
+                continue
             fit = msd_exponent(times, vels, lag_lo, lag_hi, n_lags)
             assert fit.lags.tobytes() == (steps * sample_dt).tobytes(), (lag_lo, lag_hi, n_lags)
+
+
+@pytest.mark.parametrize("n_lags", [0, 1])
+def test_msd_exponent_needs_two_lags(n_lags):
+    times = np.linspace(0.0, 1.0, 401)
+    vels = np.random.default_rng(3).standard_normal((2, 401))
+    with pytest.raises(ValueError, match="n_lags >= 2"):
+        msd_exponent(times, vels, 0.02, 0.2, n_lags)
+
+
+def test_msd_exponent_refuses_a_one_point_fit():
+    # two samples per unit time: every lag in [T/100, T/4] rounds to one step,
+    # which used to give a rank-deficient fit with a RankWarning
+    times = np.linspace(0.0, 1.0, 3)
+    vels = np.random.default_rng(4).standard_normal((2, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="round to one sample step"):
+            msd_exponent(times, vels, 0.01, 0.25)
 
 
 def test_msd_exponent_window_validation():

@@ -152,6 +152,22 @@ def test_propagator_matrix_rejects_bad_input_on_every_call(degree, dt):
             propagator_matrix(PdeSpec.heat(), degree, dt)
 
 
+@pytest.mark.parametrize(
+    "pde, degree, dt",
+    [
+        (PdeSpec.advection(1.0), 2, 1e200),  # dt**2 overflows a Python float
+        (PdeSpec.heat(1e10), 4, 1e150),      # the series term overflows in numpy
+        (PdeSpec.heat(1.0), 2, math.nan),
+    ],
+    ids=["float-overflow", "array-overflow", "nan"],
+)
+def test_propagator_matrix_rejects_a_dt_it_cannot_represent(pde, degree, dt):
+    for _ in range(2):  # raised, not cached
+        with pytest.raises(ValueError, match="not finite at dt = "):
+            propagator_matrix(pde, degree, dt)
+    assert np.isfinite(propagator_matrix(pde, degree, 1e-3)).all()
+
+
 def test_propagator_matrix_takes_numpy_scalars():
     pde = PdeSpec.advection(-1.3)
     M = propagator_matrix(pde, 4, 0.25)
