@@ -157,10 +157,10 @@ def symbol_growth_factor(
     ``sqrt(sum |G|**(2k) |fft(u0)|**2) / n``, and its logarithm ``L(k)``,
     taken by log-sum-exp, neither overflows nor underflows.  The per-step
     log-ratios of the probe telescope, so the factor is
-    ``exp((L(used) - L(start)) / (used - start))`` over the same steps.  The
-    probe stops before the first step whose norm exceeds 1e100, is zero or
-    is not finite; ``L`` is convex in ``k``, so that step is found by
-    bisection.  Time is O(n log n_steps) and memory O(n).
+    ``exp((L(n_steps) - L(start)) / (n_steps - start))`` over the probe's
+    window.  Unlike the iterated probe, this one never stops at a large
+    norm; only a zero or non-finite state after a step leaves no growth to
+    read.  Time is O(n log n) and memory O(n).
     """
     n_steps = _probe_steps(n_steps)
     _initial_norm(initial)
@@ -170,41 +170,18 @@ def symbol_growth_factor(
         weight = 2.0 * (np.log(np.abs(np.fft.fft(initial.values))) - math.log(n))
 
     def log_norm(k: int) -> float:
-        e = weight + k * rate if k else weight
+        e = weight + k * rate
         top = float(e.max())
         if not math.isfinite(top):
-            return top  # -inf: a zero state; nan or +inf: a non-finite one
+            raise ValueError("the state after a step is zero or not finite; no growth to read")
         return 0.5 * (top + math.log(np.add.reduce(np.exp(e - top))))
 
-    limit = math.log(_OVERFLOW_NORM)
-
-    def stops(k: int) -> bool:
-        value = log_norm(k)
-        return not math.isfinite(value) or value > limit
-
-    if stops(1):
-        raise ValueError(_OVERFLOWED_AT_ONCE)
-    # for k >= 1 finiteness does not depend on k, and with L(1) <= limit and L
-    # convex, "L(k) > limit" is monotone: bisect for the first stopping step
-    terminated = stops(n_steps)
-    if terminated:
-        ok, stop = 1, n_steps
-        while stop - ok > 1:
-            mid = (ok + stop) // 2
-            if stops(mid):
-                stop = mid
-            else:
-                ok = mid
-        used, start = ok, 0
-    else:
-        used = n_steps
-        start = int(used * _DISCARD_FRACTION)
-    factor = math.exp((log_norm(used) - log_norm(start)) / (used - start))
+    start = int(n_steps * _DISCARD_FRACTION)
+    factor = math.exp((log_norm(n_steps) - log_norm(start)) / (n_steps - start))
     return StabilityReport(
         growth_factor=factor,
         classification=_classify(factor),
-        steps_used=used,
-        terminated_early=terminated,
+        steps_used=n_steps,
     )
 
 

@@ -154,9 +154,7 @@ def coordinate_variance(box: BlackBoxFunction, index: int, probe: ProbeSpec = Pr
     return total / probe.n_base
 
 
-def _threshold(explicit: float | None, variances: list[float]) -> float:
-    if explicit is not None:
-        return float(explicit)
+def _threshold(variances: list[float]) -> float:
     peak = max(variances, default=0.0)
     return max(_THRESHOLD_FLOOR, RELATIVE_THRESHOLD * peak)
 
@@ -164,17 +162,16 @@ def _threshold(explicit: float | None, variances: list[float]) -> float:
 def detect_order(
     box: BlackBoxFunction,
     probe: ProbeSpec = ProbeSpec(),
-    threshold: float | None = None,
     stop_after: int | None = None,
 ) -> DependencyReport:
     """Probe coordinates in increasing label order and flag dependencies.
 
-    Without an explicit ``threshold``, a coordinate counts as dependent
-    when its variance exceeds ``1e-6`` times the largest variance seen
-    (floored at ``1e-12``).  ``stop_after = S`` stops the scan after S
-    consecutive quiet coordinates -- cheap, and exactly the heuristic a
-    function like ``f(x_1, x_100)`` defeats.  Budget exhaustion ends the
-    scan early and is reported rather than raised.
+    A coordinate counts as dependent when its variance exceeds ``1e-6``
+    times the largest variance seen (floored at ``1e-12``).
+    ``stop_after = S`` stops the scan after S consecutive quiet
+    coordinates -- cheap, and exactly the heuristic a function like
+    ``f(x_1, x_100)`` defeats.  Budget exhaustion ends the scan early and
+    is reported rather than raised.
     """
     if stop_after is not None and int(stop_after) < 1:
         raise ValueError("stop_after must be >= 1 or None")
@@ -192,14 +189,14 @@ def detect_order(
             break
         variances.append(v)
         labels.append(label)
-        if v > _threshold(threshold, variances):
+        if v > _threshold(variances):
             quiet_run = 0
         else:
             quiet_run += 1
             if stop_after is not None and quiet_run >= int(stop_after):
                 stopped_early = True
                 break
-    final_threshold = _threshold(threshold, variances)
+    final_threshold = _threshold(variances)
     dependent = tuple(v > final_threshold for v in variances)
     detected = 0
     for label, dep in zip(labels, dependent):

@@ -207,8 +207,12 @@ def _run_projective(p: dict, seed: int):
         model = SdeModel.pure_noise(p["noise_amplitude"])
     else:
         model = SdeModel.ornstein_uhlenbeck(p["ou_rate"], p["noise_amplitude"])
-        # a coarse chain that does not mean-revert fails here, before any step
+        # a coarse chain that does not mean-revert, or a run too short or too
+        # quiet for the tail test, fails here, before any step: the test's own
+        # checks run on a stand-in trajectory of the run's length
         expected = predicted_ou_tail_variance(cfg, p["ou_rate"], p["noise_amplitude"])
+        stationary_variance_test(np.zeros(max(p["n_steps"] + 1, 0)), expected,
+                                 p["tolerance_fraction"])
     rng = RngStreamSpec(master_seed=seed)
     traj = run_coarse_trajectory(p["x0"], model, cfg, p["n_steps"], rng)
 

@@ -71,7 +71,9 @@ def test_growth_factor_validation():
         growth_factor_probe(scale_stepper(0.5), zero, 10)
 
 
-@pytest.mark.parametrize("factor, n_steps", [(0.5, 40), (2.0, 40), (1.0, 40), (1e60, 40)])
+@pytest.mark.parametrize(
+    "factor, n_steps", [(0.5, 40), (2.0, 40), (1.0, 40), (1e60, 40), (2.0, 400)]
+)
 def test_symbol_growth_factor_matches_the_probe_on_scale_steppers(factor, n_steps):
     # a scale stepper is the circulant map whose symbol is constant
     u0 = seeded_noise_state(32, 1.0, RngStreamSpec(0))
@@ -79,8 +81,12 @@ def test_symbol_growth_factor_matches_the_probe_on_scale_steppers(factor, n_step
     exact = symbol_growth_factor(np.full(32, factor, dtype=complex), u0, n_steps)
     assert exact.growth_factor == pytest.approx(probe.growth_factor, rel=1e-12)
     assert exact.classification == probe.classification
-    assert exact.steps_used == probe.steps_used
-    assert exact.terminated_early == probe.terminated_early
+    assert exact.growth_factor == pytest.approx(factor, rel=1e-12)
+    # the iterated probe stops once the norm passes 1e100 (after one ratio at
+    # 1e60, after 332 at 2.0 over 400 steps); the symbol probe reads the whole window
+    assert probe.terminated_early == (n_steps * math.log10(factor) > 100)
+    assert exact.steps_used == n_steps
+    assert not exact.terminated_early
 
 
 def test_symbol_growth_factor_follows_the_dominant_mode():
@@ -99,15 +105,20 @@ def test_symbol_growth_factor_validation():
         symbol_growth_factor(np.ones(8, dtype=complex), u0, 3)
     with pytest.raises(ValueError, match="finite and nonzero"):
         symbol_growth_factor(np.ones(8, dtype=complex), MacroState(np.zeros(8), 1.0), 10)
-    for symbol in (np.full(8, 1e150 + 0j), np.full(8, np.nan + 0j), np.zeros(8, dtype=complex)):
-        with pytest.raises(ValueError, match="overflowed immediately"):
+    for symbol in (np.full(8, np.nan + 0j), np.full(8, np.inf + 0j), np.zeros(8, dtype=complex)):
+        with pytest.raises(ValueError, match="zero or not finite; no growth to read"):
             symbol_growth_factor(symbol, u0, 10)
-    # a decaying stepper from a norm above the overflow bound stops at once, as the probe does
+    # norms far above 1e100 are read, not stopped at
+    report = symbol_growth_factor(np.full(8, 1e150 + 0j), u0, 10)
+    assert report.growth_factor == pytest.approx(1e150, rel=1e-12)
+    assert report.classification == "unstable"
+    # a decaying stepper from a norm above 1e100: the iterated probe stops at once
     huge = MacroState(values=u0.values * 1e120, dx=1.0)
     with pytest.raises(ValueError, match="overflowed immediately"):
         growth_factor_probe(scale_stepper(0.5), huge, 10)
-    with pytest.raises(ValueError, match="overflowed immediately"):
-        symbol_growth_factor(np.full(8, 0.5 + 0j), huge, 10)
+    report = symbol_growth_factor(np.full(8, 0.5 + 0j), huge, 10)
+    assert report.growth_factor == pytest.approx(0.5, rel=1e-12)
+    assert report.classification == "stable"
 
 
 def heat_problem(n):

@@ -435,6 +435,90 @@ def test_unstable_coarse_chain_fails_before_the_run(tmp_path, monkeypatch, capsy
     assert err.startswith("error: projective: coarse chain is not mean-reverting")
 
 
+@pytest.mark.parametrize(
+    "parameters, message",
+    [
+        ("n_steps = 1000\nensemble_size = 1000\n", "only 901 tail points; need at least 1000"),
+        ("n_steps = 2000\nnoise_amplitude = 0\n", "expected variance must be positive"),
+    ],
+    ids=["short", "quiet"],
+)
+def test_untestable_tail_fails_before_the_run(tmp_path, monkeypatch, capsys, parameters, message):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the trajectory ran before its tail test was checked")
+
+    monkeypatch.setattr(runner, "run_coarse_trajectory", no_run)
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE.replace("n_steps = 200\n", "drift = ou\n" + parameters))
+    out = tmp_path / "o"
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: projective: {message}\n"
+    assert not out.exists()
+
+
+def test_violently_unstable_scheme_is_a_verdict(tmp_path, capsys):
+    # one step grows the norm by about 1e197: far past the iterated probe's
+    # overflow stop, but the symbol probe reads its growth all the same
+    cfg = write(tmp_path, "[experiment]\nname = patch\n[parameters]\npde = advection\n"
+                          "lifting = central_d2\ndt_ratio = 1e100\nexpect_stability = unstable\n")
+    out = tmp_path / "o"
+    assert main(["patch", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = summary_lines(out)
+    assert rows["stability_is_unstable"] == "stability_is_unstable 2 2 0 pass"
+    assert float(rows["growth_factor"].split()[1]) > 1e100
+
+
+# the diagnostics benchmark's patch items at item seed 5, and the rows they print
+DIAGNOSTICS_PATCH_ROWS = {
+    "heat": (
+        "pde = heat\nlifting = central_d2\ngrids = 32, 64, 128\nfinal_time = 0.5\n"
+        "expect_stability = stable\nexpect_order = 2.0\n",
+        ["growth_factor 0.9958055940210809 - - info",
+         "amplification_max 0.9961477813379572 - - info",
+         "stability_is_stable 0 0 0 pass"],
+    ),
+    "advection-central": (
+        "pde = advection\nlifting = central_d2\nexpect_stability = unstable\nprobe_steps = 300\n",
+        ["growth_factor 1.1152763285072202 - - info",
+         "amplification_max 1.117810387543501 - - info",
+         "stability_is_unstable 2 2 0 pass"],
+    ),
+    "advection-upwind": (
+        "pde = advection\nlifting = upwind_d2\nexpect_stability = stable\n"
+        "grids = 32, 64, 128\nexpect_order = 1.0\n",
+        ["growth_factor 0.9972107450189284 - - info",
+         "amplification_max 0.9987942538370255 - - info",
+         "stability_is_stable 0 0 0 pass"],
+    ),
+    "biharmonic-d2": (
+        "pde = biharmonic\nlifting = central_d2\nn_points = 32\nexpect_stability = marginal\n",
+        ["growth_factor 0.9999999999999999 - - info",
+         "amplification_max 1.0000000000000004 - - info",
+         "stability_is_marginal 1 1 0 pass"],
+    ),
+    "biharmonic-d4": (
+        "pde = biharmonic\nlifting = central_d4\nn_points = 32\ngrids = 16, 24, 32\n",
+        ["growth_factor 0.9991667675024658 - - info",
+         "amplification_max 0.9999446191827032 - - info",
+         "stability_code_stable 0 - - info"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "parameters, rows", DIAGNOSTICS_PATCH_ROWS.values(), ids=DIAGNOSTICS_PATCH_ROWS.keys()
+)
+def test_diagnostics_patch_rows_keep_their_bits(tmp_path, parameters, rows):
+    cfg = write(tmp_path, f"[experiment]\nname = patch\nseed = 5\n[parameters]\n{parameters}")
+    out = tmp_path / "o"
+    assert main(["patch", "--config", cfg, "--out", str(out)]) == 0
+    summary = summary_lines(out)
+    for row in rows:
+        assert summary[row.split()[0]] == row
+
+
 # the exact rendered rows of every checked and unchecked verdict form
 
 

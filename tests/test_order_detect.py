@@ -92,17 +92,6 @@ def test_detect_order_flags_the_right_coordinate():
     assert report.budget_used == box.calls_used
 
 
-def test_detect_order_explicit_threshold():
-    box = BlackBoxFunction(evaluator=lambda p: 0.01 * p[0], arity=1)
-    quiet = detect_order(box, ProbeSpec(seed=0), threshold=1.0)
-    assert quiet.detected_order == 0
-    loud = detect_order(
-        BlackBoxFunction(evaluator=lambda p: 0.01 * p[0], arity=1),
-        ProbeSpec(seed=0), threshold=1e-8,
-    )
-    assert loud.detected_order == 1
-
-
 def test_stop_rule_misses_distant_dependency():
     # f(x_1, x_100): the inductive stop rule gives up after 5 quiet coordinates
     def f(p):
