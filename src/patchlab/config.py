@@ -235,6 +235,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: {key!r} must be one of {', '.join(map(repr, param.choices))}"
             )
             continue
+        if value == () and param.default is _REQUIRED:
+            errors.append(f"line {lineno}: {key!r} needs at least one value")
         parameters[key] = value
 
     for param in _SCHEMAS[name]:

@@ -192,7 +192,8 @@ def average_weights(degree: int, h: float) -> np.ndarray:
 
     The tooth is ``[center - h/2, center + h/2]`` for a row of ``degree``.
     Odd orders integrate to zero over it; even order k contributes
-    ``h^k / (k! (k+1) 2^k)``.  The array is cached and read-only.
+    ``h^k / (k! (k+1) 2^k)``.  The array is cached and read-only; weights
+    that overflow a float raise ``ValueError``.
     """
     degree = int(degree)
     if degree < 0:
@@ -207,7 +208,10 @@ def average_weights(degree: int, h: float) -> np.ndarray:
 def _average_weights(degree: int, h: float) -> np.ndarray:
     w = np.zeros(degree + 1)
     for k in range(0, degree + 1, 2):
-        w[k] = h**k / (math.factorial(k) * (k + 1) * 2**k)
+        try:
+            w[k] = h**k / (math.factorial(k) * (k + 1) * 2**k)
+        except OverflowError:
+            raise ValueError(f"average weights overflow at degree {degree}, h = {h!r}") from None
     w.setflags(write=False)
     return w
 

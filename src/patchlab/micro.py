@@ -196,33 +196,6 @@ def influence_radius(pde: PdeSpec, dt: float) -> float:
     return radius
 
 
-def _stencil_rhs(u: np.ndarray, pde: PdeSpec, dx: float) -> np.ndarray:
-    """Spatial operator along the last axis; only interior entries are valid.
-
-    ``u`` holds one patch or a stack of patches, one per row.
-    """
-    du = np.zeros_like(u)
-    for order, a in pde.terms:
-        if order == 1:
-            slope = (u[..., 1:] - u[..., :-1]) / dx
-            if a > 0:
-                # information comes from the right (u_t = a u_x moves left)
-                du[..., :-1] += a * slope
-            else:
-                du[..., 1:] += a * slope
-        elif order == 2:
-            du[..., 1:-1] += a * ((u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2)
-        elif order == 4:
-            d4 = (
-                u[..., 4:] - 4.0 * u[..., 3:-1] + 6.0 * u[..., 2:-2] - 4.0 * u[..., 1:-3]
-                + u[..., :-4]
-            )
-            du[..., 2:-2] += a * (d4 / dx**4)
-        else:  # pragma: no cover - rejected earlier by stable_dt_bound
-            raise ValueError(f"no finite-difference stencil for derivative order {order}")
-    return du
-
-
 def _centered_offsets(n: int, dx: float) -> np.ndarray:
     """Positions of ``n`` micro samples relative to the tooth center."""
     return dx * (np.arange(n) - (n - 1) / 2.0)
@@ -282,9 +255,38 @@ def evolve_fd_buffered(
         step = dt / n_steps
         # widest stencil arm decides how many boundary nodes stay frozen
         frozen = 2 if pde.max_order >= 3 else 1
-        interior = np.s_[..., frozen:-frozen]
+        # node-major, so each stencil arm is one contiguous block of rows:
+        # at[s] holds node j + s of every tooth for the interior nodes j
+        v = np.ascontiguousarray(u.T)
+        at = {s: v[frozen + s : len(v) - frozen + s] for s in range(-frozen, frozen + 1)}
+        dx = grid.dx
         for _ in range(n_steps):
-            u[interior] += step * _stencil_rhs(u, pde, grid.dx)[interior]
+            # the operator sums from 0.0, so a -0.0 term leaves 0.0
+            rhs = 0.0
+            for order, a in pde.terms:
+                if order == 1:
+                    # u_t = a u_x moves left for a > 0: take the slope from the right
+                    term = at[1] - at[0] if a > 0 else at[0] - at[-1]
+                    term /= dx
+                elif order == 2:
+                    term = 2.0 * at[0]
+                    np.subtract(at[1], term, out=term)
+                    term += at[-1]
+                    term /= dx**2
+                elif order == 4:
+                    term = 4.0 * at[1]
+                    np.subtract(at[2], term, out=term)
+                    term += 6.0 * at[0]
+                    term -= 4.0 * at[-1]
+                    term += at[-2]
+                    term /= dx**4
+                else:  # pragma: no cover - rejected earlier by stable_dt_bound
+                    raise ValueError(f"no finite-difference stencil for derivative order {order}")
+                term *= a
+                rhs = np.add(rhs, term, out=term)
+            rhs *= step
+            at[0] += rhs
+        u = np.ascontiguousarray(v.T)
     return u
 
 

@@ -428,6 +428,8 @@ def _synthetic_paths(kind: str, n_traj: int, n_samples: int, rng: RngStreamSpec)
 def _run_kp(p: dict, seed: int):
     metrics: list[MetricResult] = []
     tables: list[Table] = []
+    if p["n_samples"] < 1:
+        raise ConfigError("n_samples must be >= 1")
     bands = p["gamma_bands"]
     if bands and len(bands) != len(p["deltas"]):
         raise ConfigError(

@@ -391,6 +391,45 @@ def test_overflowing_propagator_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["heat", "advection", "biharmonic_d4", "biharmonic_d2"])
+def test_overflowing_average_weights_are_a_config_error(tmp_path, capsys, target):
+    cfg = write(tmp_path, f"[experiment]\nname = order-detect\n[parameters]\n"
+                          f"target = {target}\nd_max = 150\n")
+    out = tmp_path / "o"
+    assert main(["order-detect", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: order-detect: average weights overflow at degree 150, h = 0.1\n"
+    )
+    assert not out.exists()
+
+
+def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, capsys):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated before n_samples was checked")
+
+    monkeypatch.setattr(runner, "ensemble_velocities", no_run)
+    cfg = write(tmp_path, FAST_KP + "n_samples = 0\n")
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: kp: n_samples must be >= 1\n"
+    assert not out.exists()
+
+
+def test_empty_required_list_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "[experiment]\nname = kp\n[parameters]\ndeltas =\n")
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 4: 'deltas' needs at least one value\n"
+    assert not out.exists()
+    # the optional lists may stay empty
+    params = parse_config("[experiment]\nname = kp\n[parameters]\ndeltas = 1.0\n"
+                          "gamma_bands =\n").parameters
+    assert params["gamma_bands"] == ()
+    assert parse_config(PATCH_PARAMETERS + "grids =\n").parameters["grids"] == ()
+
+
 def test_one_lag_step_is_a_config_error(tmp_path, capsys):
     # two samples leave one distinct lag step: no exponent can be fitted
     cfg = write(tmp_path, FAST_KP + "n_samples = 2\n")

@@ -108,6 +108,18 @@ def test_average_weights_take_numpy_scalars():
         assert other.dtype == w.dtype and other.tobytes() == w.tobytes()
 
 
+def test_average_weights_name_the_degree_they_overflow_at():
+    # k! (k+1) 2^k passes the largest float at k = 150, h^k at k = 31 for h = 1e10
+    w = average_weights(148, 0.1)
+    assert w.tobytes() == np.array(
+        [0.1**k / (math.factorial(k) * (k + 1) * 2**k) if k % 2 == 0 else 0.0
+         for k in range(149)]
+    ).tobytes()
+    for degree, h in [(150, 0.1), (151, 0.1), (400, 0.1), (40, 1e10)]:
+        with pytest.raises(ValueError, match=rf"overflow at degree {degree}, h = {h!r}$"):
+            average_weights(degree, h)
+
+
 def test_poly_average_oracle():
     # 1 + x^2 averaged over [-1/2, 1/2]
     average = average_weights(2, 1.0) @ np.array([1.0, 0.0, 2.0])

@@ -30,6 +30,7 @@ from patchlab import (
     UPWIND_D2,
     coordinate_variance,
     derivative_blackbox,
+    evolve_fd_buffered,
     extrapolate,
     gap_tooth_step,
     generator,
@@ -171,6 +172,28 @@ def ref_fd_gap_tooth_step(U, pde, cfg):
     return MacroState(values=new_values, dx=U.dx, time=U.time + cfg.dt_macro)
 
 
+def ref_evolve_fd_buffered(coeffs, pde, dt, tooth, grid):
+    # the sampling and stepping of ref_fd_restricted_means, one row or a stack
+    width = np.shape(coeffs)[-1]
+    n_half = max(2, int(math.ceil(tooth.H / (2.0 * grid.dx) - 1e-12)))
+    n = 2 * n_half + 1
+    offsets = grid.dx * (np.arange(n) - (n - 1) / 2.0)
+    basis = np.empty((width, n))
+    basis[0] = 1.0
+    for k in range(1, width):
+        basis[k] = basis[k - 1] * offsets / k
+    u = coeffs @ basis
+    if dt > 0:
+        u = np.atleast_2d(u)
+        n_steps = max(1, int(math.ceil(dt / grid.dt - 1e-12)))
+        frozen = 2 if pde.max_order >= 3 else 1
+        for _ in range(n_steps):
+            rhs = ref_stencil_rhs(u, pde, grid.dx)
+            u[:, frozen:-frozen] += (dt / n_steps) * rhs[:, frozen:-frozen]
+        u = u.reshape(np.shape(coeffs)[:-1] + (n,))
+    return u
+
+
 def ref_coordinate_variance(box, index, probe):
     position = int(index) - box.first_index
     rng = generator(RngStreamSpec(master_seed=probe.seed, stream_id=position, step_id=0))
@@ -305,6 +328,35 @@ def test_fd_gap_tooth_step_matches_reference(pde, scheme, dt_ratio, alpha):
         ref = ref_fd_gap_tooth_step(ref, pde, cfg)
         assert same_bits(got.values, ref.values)
         assert got.time == ref.time
+
+
+FD_PDES = [
+    pytest.param(PdeSpec.heat(), id="heat"),
+    pytest.param(PdeSpec.advection(), id="advection-right"),
+    pytest.param(PdeSpec.advection(-1.0), id="advection-left"),
+    pytest.param(PdeSpec.biharmonic(), id="biharmonic"),
+    pytest.param(PdeSpec({1: 0.3, 2: 1.0}), id="d1-d2"),
+    pytest.param(PdeSpec({2: 0.5, 4: -0.1}), id="d2-d4"),
+    pytest.param(PdeSpec({1: -0.2, 2: 0.7, 4: -0.05}), id="d1-d2-d4"),
+]
+
+
+@pytest.mark.parametrize("pde", FD_PDES)
+def test_evolve_fd_buffered_matches_reference(pde):
+    rng = np.random.default_rng(pde.max_order + len(pde.terms))
+    h = 0.05
+    micro_dx = h / 8.0
+    grid = MicroGrid(dx=micro_dx, dt=0.5 * stable_dt_bound(pde, micro_dx))
+    for dt in (0.0, grid.dt, 9.5 * grid.dt):
+        tooth = ToothConfig(h=h, H=h + 2.5 * influence_radius(pde, 9.5 * grid.dt))
+        for degree in range(1, 6):
+            stack = rng.standard_normal((37, degree + 1)) * 10.0 ** rng.uniform(-3, 3, (37, 1))
+            stack[5] = -0.0
+            for coeffs in (stack, stack[:1], stack[0], stack[5]):
+                got = evolve_fd_buffered(coeffs.copy(), pde, dt, tooth, grid)
+                assert got.flags.c_contiguous
+                ref = ref_evolve_fd_buffered(coeffs.copy(), pde, dt, tooth, grid)
+                assert same_bits(got, ref), (dt, degree, coeffs.shape)
 
 
 # ---------------------------------------------------------------- probe
