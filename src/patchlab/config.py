@@ -51,7 +51,6 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("pde", "str", choices=("heat", "advection", "biharmonic")),
         _Param("coefficient", "float", 1.0),
         _Param("lifting", "str", choices=("central_d2", "upwind_d2", "central_d4")),
-        _Param("wind_sign", "int", 1),
         _Param("n_points", "int", 64),
         _Param("h_fraction", "float", 0.2),
         _Param("dt_ratio", "float", 0.0),

@@ -33,7 +33,6 @@ __all__ = [
     "lift",
     "lift_coefficients",
     "restrict",
-    "extrapolate",
     "gap_tooth_step",
     "step_symbol",
 ]
@@ -176,31 +175,6 @@ def restrict(coeffs: np.ndarray, h: float):
     return float(avg) if avg.ndim == 0 else avg
 
 
-def extrapolate(u_now, u_tilde, dt_micro: float, dt_macro: float,
-                alpha: float = 0.0, u_tilde_alpha=None):
-    """Macro update from restricted micro values (elementwise on arrays).
-
-    The chord runs from ``u_tilde_alpha``, the restricted state at
-    ``alpha * dt_micro``, to ``u_tilde``, the one at ``dt_micro``, and is
-    added to ``u_now``.  ``u_tilde_alpha`` is required for ``alpha > 0``
-    and defaults to ``u_now`` at ``alpha = 0``; the FD route supplies its
-    averages at 0 steps there, so that their quadrature error cancels.
-    """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    if alpha == 0.0:
-        base = u_now if u_tilde_alpha is None else u_tilde_alpha
-    else:
-        if u_tilde_alpha is None:
-            raise ValueError("alpha > 0 requires the restricted state at alpha*dt_micro")
-        base = u_tilde_alpha
-    u_now = np.asarray(u_now, dtype=float)
-    out = u_now + dt_macro * (np.asarray(u_tilde, dtype=float) - np.asarray(base, dtype=float)) / (
-        (1.0 - alpha) * dt_micro
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def _restricted_means_exact(coeffs: np.ndarray, pde: PdeSpec, dt: float, h: float) -> np.ndarray:
     M = propagator_matrix(pde, coeffs.shape[1] - 1, dt)
     return restrict(coeffs @ M.T, h)
@@ -241,15 +215,12 @@ def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
     if cfg.evolution == "exact":
         coeffs = lift_coefficients(U, cfg.lifting, h)
         means_dt = _restricted_means_exact(coeffs, pde, cfg.dt_micro, h)
-        if cfg.alpha > 0.0:
-            means_alpha = _restricted_means_exact(coeffs, pde, cfg.alpha * cfg.dt_micro, h)
-        else:
-            means_alpha = None
+        # the chord starts from U itself at alpha = 0
+        base = (_restricted_means_exact(coeffs, pde, cfg.alpha * cfg.dt_micro, h)
+                if cfg.alpha > 0.0 else U.values)
     else:
-        means_dt, means_alpha = _restricted_means_fd(U, pde, cfg)
-    new_values = extrapolate(
-        U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha
-    )
+        means_dt, base = _restricted_means_fd(U, pde, cfg)
+    new_values = U.values + cfg.dt_macro * (means_dt - base) / ((1.0 - cfg.alpha) * cfg.dt_micro)
     return MacroState(new_values, U.dx, U.time + cfg.dt_macro)
 
 

@@ -280,7 +280,9 @@ def _patch_setup(p: dict, n_points: int):
     ratio = p["dt_ratio"] or _DT_RATIO_DEFAULTS[p["pde"]]
     dt_macro = ratio * dx ** pde.max_order
     dt_micro = p["dt_micro_factor"] * dt_macro
-    scheme = LiftingScheme(p["lifting"], wind_sign=p["wind_sign"])
+    # upwind slopes come from where the transport comes from: velocity = -a_1
+    a1 = dict(pde.terms).get(1, 0.0)
+    scheme = LiftingScheme(p["lifting"], wind_sign=-1 if a1 > 0 else 1)
     cfg = PatchConfig(
         lifting=scheme,
         tooth=ToothConfig(h=p["h_fraction"] * dx),

@@ -509,6 +509,26 @@ def test_violently_unstable_scheme_is_a_verdict(tmp_path, capsys):
     assert float(rows["growth_factor"].split()[1]) > 1e100
 
 
+def test_upwind_lifting_follows_the_transport_direction(tmp_path, capsys):
+    # the lifting's upwind side comes from the PDE: transport to the left is
+    # the mirror image of transport to the right, with the same growth bits
+    rows = {}
+    for coefficient in ("1.0", "-1.0"):
+        cfg = write(tmp_path, "[experiment]\nname = patch\nseed = 5\n[parameters]\n"
+                              f"pde = advection\ncoefficient = {coefficient}\n"
+                              "lifting = upwind_d2\nexpect_stability = stable\n")
+        out = tmp_path / coefficient
+        assert main(["patch", "--config", cfg, "--out", str(out)]) == 0
+        rows[coefficient] = summary_lines(out)
+        assert rows[coefficient]["stability_is_stable"] == "stability_is_stable 0 0 0 pass"
+    for name in ("growth_factor", "amplification_max"):
+        assert rows["-1.0"][name] == rows["1.0"][name]
+    # the direction is no longer a config key
+    cfg = write(tmp_path, PATCH_PARAMETERS + "wind_sign = -1\n")
+    assert main(["patch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'wind_sign'" in capsys.readouterr().err
+
+
 # the diagnostics benchmark's patch items at item seed 5, and the rows they print
 DIAGNOSTICS_PATCH_ROWS = {
     "heat": (

@@ -23,7 +23,6 @@ from patchlab import (
     RngStreamSpec,
     ToothConfig,
     convergence_order,
-    extrapolate,
     gap_tooth_step,
     growth_factor_probe,
     influence_radius,
@@ -122,19 +121,6 @@ def test_round_trip_restores_node_values(scheme):
     means = restrict(lift_coefficients(u, scheme, h), h)
     assert means.shape == (u.n_points,)
     np.testing.assert_allclose(means, u.values, rtol=0.0, atol=1e-13)
-
-
-def test_extrapolate_forms():
-    assert extrapolate(1.0, 1.5, dt_micro=0.01, dt_macro=0.1) == pytest.approx(6.0)
-    out = extrapolate(np.array([0.0, 1.0]), np.array([0.1, 1.1]), 0.01, 0.1)
-    np.testing.assert_allclose(out, [1.0, 2.0])
-    # alpha chord uses the restricted state at alpha*dt_micro as base
-    got = extrapolate(2.0, 3.0, 0.01, 0.1, alpha=0.5, u_tilde_alpha=2.5)
-    assert got == pytest.approx(2.0 + 0.1 * (3.0 - 2.5) / 0.005)
-    with pytest.raises(ValueError):
-        extrapolate(2.0, 3.0, 0.01, 0.1, alpha=0.5)
-    # a supplied base is the chord's start at alpha = 0 too, not u_now
-    assert extrapolate(1.0, 2.0, 0.1, 1.0, 0.0, 1.5) == 6.0
 
 
 def test_patch_config_validation():

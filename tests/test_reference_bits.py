@@ -31,7 +31,6 @@ from patchlab import (
     coordinate_variance,
     derivative_blackbox,
     evolve_fd_buffered,
-    extrapolate,
     gap_tooth_step,
     generator,
     growth_factor_probe,
@@ -105,10 +104,10 @@ def ref_gap_tooth_step(U, pde, cfg):
     h = cfg.tooth.h
     coeffs = ref_lift_coefficients(U, cfg.lifting, h)
     means_dt = ref_restricted_means(coeffs, pde, cfg.dt_micro, h)
-    means_alpha = None
+    base = U.values
     if cfg.alpha > 0.0:
-        means_alpha = ref_restricted_means(coeffs, pde, cfg.alpha * cfg.dt_micro, h)
-    new_values = extrapolate(U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha)
+        base = ref_restricted_means(coeffs, pde, cfg.alpha * cfg.dt_micro, h)
+    new_values = U.values + cfg.dt_macro * (means_dt - base) / ((1.0 - cfg.alpha) * cfg.dt_micro)
     return MacroState(values=new_values, dx=U.dx, time=U.time + cfg.dt_macro)
 
 
@@ -164,11 +163,12 @@ def ref_fd_restricted_means(coeffs, pde, dt, tooth, grid):
 
 def ref_fd_gap_tooth_step(U, pde, cfg):
     coeffs = ref_lift_coefficients(U, cfg.lifting, cfg.tooth.h)
-    means_dt, means_alpha = (
+    # the chord starts from the 0-step averages at alpha = 0, not from U
+    means_dt, base = (
         ref_fd_restricted_means(coeffs, pde, dt, cfg.tooth, cfg.micro)
         for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
     )
-    new_values = extrapolate(U.values, means_dt, cfg.dt_micro, cfg.dt_macro, cfg.alpha, means_alpha)
+    new_values = U.values + cfg.dt_macro * (means_dt - base) / ((1.0 - cfg.alpha) * cfg.dt_micro)
     return MacroState(values=new_values, dx=U.dx, time=U.time + cfg.dt_macro)
 
 
