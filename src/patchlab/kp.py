@@ -37,7 +37,8 @@ SELF_CONSISTENCY_TOL = 0.005
 
 
 class DtSelfConsistencyError(ValueError):
-    """The run's energy drifted by more than 0.5% of its kinetic scale.
+    """The run's energy drifted by more than 0.5% of its kinetic scale, or by
+    an amount that is not finite.
 
     ``trajectory`` is the lowest failing row of a stacked field (``None``
     for a single field); ``deviation`` and ``scale`` are that row's largest
@@ -218,10 +219,10 @@ def kp_integrate(
     that row's field alone.  With ``validate=True`` the run is checked on
     its own samples: the flow conserves ``energy``, and the leapfrog keeps
     its error bounded at O(dt^2), so a row whose largest energy error
-    exceeds 0.5% of its kinetic scale (half its mean squared velocity) has an
-    unresolved step and is rejected (``DtSelfConsistencyError``, naming the
-    lowest failing row of a stack).  The relative errors are kept as
-    ``energy_error``.
+    exceeds 0.5% of its kinetic scale (half its mean squared velocity), or
+    is not finite, has an unresolved step and is rejected
+    (``DtSelfConsistencyError``, naming the lowest failing row of a stack).
+    The relative errors are kept as ``energy_error``.
     """
     delta = float(delta)
     if not delta > 0:
@@ -234,6 +235,8 @@ def kp_integrate(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x0, v0 = (float(initial[0]), float(initial[1]))
+    if not (math.isfinite(x0) and math.isfinite(v0)):
+        raise ValueError("initial position and velocity must be finite")
     sample_dt = total_time / n_samples
     steps_per_sample = max(1, int(math.ceil(sample_dt / dt - 1e-12)))
     dt_used = sample_dt / steps_per_sample
@@ -246,9 +249,10 @@ def kp_integrate(
         drift = np.max([abs(energy(field, delta, xs[..., s], vs[..., s]) - e0)
                         for s in range(1, n_samples + 1)], axis=0)
         kinetic = 0.5 * np.mean(vs**2, axis=-1)
-        # a particle at rest throughout has neither drift nor kinetic scale
-        energy_error = np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift > 0)
-        failing = np.flatnonzero(energy_error > SELF_CONSISTENCY_TOL)
+        # a particle at rest throughout has neither drift nor kinetic scale;
+        # a NaN drift stays NaN and fails the check
+        energy_error = np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift != 0)
+        failing = np.flatnonzero(~(energy_error <= SELF_CONSISTENCY_TOL))
         if failing.size:
             row = int(failing[0])
             raise DtSelfConsistencyError(

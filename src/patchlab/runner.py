@@ -437,6 +437,15 @@ def _run_kp(p: dict, seed: int):
         raise ConfigError(
             f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}"
         )
+    # every delta and the fit's lag window fail here, before the first
+    # integration: the fit's own checks run on a stand-in path over the
+    # run's sample grid
+    if not all(delta > 0 for delta in p["deltas"]):
+        raise ConfigError("delta must be positive")
+    if not p["total_time"] > 0:
+        raise ConfigError("total_time must be positive")
+    times = np.linspace(0.0, p["total_time"], p["n_samples"] + 1)
+    msd_exponent(times, times[None, :], p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"])
     rng = RngStreamSpec(master_seed=seed)
     for i, delta in enumerate(p["deltas"]):
         slug = _slug(delta)

@@ -417,6 +417,55 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("deltas = 1.0, 0.05, -0.05\n", "delta must be positive"),
+        ("deltas = 1.0\nfit_lag_hi = 0.5\n", "lag range must lie within [T/100, T/4]"),
+        ("deltas = 1.0\nn_lags = 1\n", "need n_lags >= 2 to fit an exponent"),
+    ],
+    ids=["negative-delta", "lag-window", "one-lag"],
+)
+def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys,
+                                                     extra, message):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated before its config was checked")
+
+    monkeypatch.setattr(runner, "ensemble_velocities", no_run)
+    cfg = write(tmp_path, FAST_KP.replace("deltas = 1.0\n", extra))
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: kp: {message}\n"
+    assert not out.exists()
+
+
+def test_non_finite_kp_start_is_a_config_error(tmp_path, monkeypatch, capsys):
+    import patchlab.kp as kp
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated from a non-finite start")
+
+    monkeypatch.setattr(kp, "_leapfrog", no_run)
+    cfg = write(tmp_path, FAST_KP + "x0 = nan\n")
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: kp: initial position and velocity must be finite\n"
+    assert not out.exists()
+
+
+def test_overflowing_kp_run_is_a_failed_step_check(tmp_path):
+    cfg = write(tmp_path, FAST_KP + "v0 = 1e200\n")
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):
+        assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
+    rows = summary_lines(out)
+    assert rows["dt_self_consistent_delta_1p0"] == "dt_self_consistent_delta_1p0 false - - fail"
+    assert rows["energy_error_delta_1p0"] == "energy_error_delta_1p0 nan - - info"
+    assert "gamma_delta_1p0" not in rows
+
+
 def test_empty_required_list_is_a_config_error(tmp_path, capsys):
     cfg = write(tmp_path, "[experiment]\nname = kp\n[parameters]\ndeltas =\n")
     out = tmp_path / "o"

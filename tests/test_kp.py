@@ -218,6 +218,17 @@ def test_self_consistency_check_rejects_coarse_dt():
         kp_integrate(field, 0.02, total_time=0.008, dt=2e-5, n_samples=400)
 
 
+def test_non_finite_energy_error_fails_the_step_check():
+    # v0 = 1e200 overflows v**2: the energy drift is NaN, not a pass at 0.0
+    field = small_field(0)
+    with pytest.warns(RuntimeWarning), pytest.raises(DtSelfConsistencyError) as err:
+        kp_integrate(field, 1.0, total_time=0.008, dt=1e-4, initial=(0.0, 1e200), n_samples=50)
+    assert math.isnan(err.value.deviation)
+    for initial in ((math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="initial position and velocity must be finite"):
+            kp_integrate(field, 1.0, total_time=0.008, dt=1e-4, initial=initial, validate=False)
+
+
 def test_ensemble_self_consistency_error_names_trajectory():
     # trajectory 0 draws its field from the same stream as the test above
     with pytest.raises(DtSelfConsistencyError, match="^trajectory 0: energy drifted"):
