@@ -179,6 +179,28 @@ def test_readme_config_example_parses():
     assert cfg.parameters["drift"] == "ou"
 
 
+def test_readme_config_key_tables_match_the_schemas():
+    from patchlab.config import _REQUIRED, _SCHEMAS, _parse_value
+
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
+    tables = dict(re.findall(r"^`([a-z-]+)`:\n\n((?:\|.*\n)+)", section, re.M))
+    assert list(tables) == list(_SCHEMAS)
+    for experiment, table in tables.items():
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[2:]]
+        assert [row[0] for row in rows] == [f"`{p.name}`" for p in _SCHEMAS[experiment]]
+        for param, (_, default, _meaning) in zip(_SCHEMAS[experiment], rows):
+            if param.default is _REQUIRED:
+                assert default == "*required*", param.name
+                continue
+            raw = "" if default == "*empty*" else default.strip("`")
+            value = _parse_value(raw, param.kind)
+            assert value == param.default or (
+                math.isnan(value) and math.isnan(param.default)
+            ), param.name
+
+
 def test_readme_quickstart_runs():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"## Library quickstart\n\n```python\n(.*?)```", readme.read_text(), re.S)
@@ -625,6 +647,73 @@ def test_diagnostics_patch_rows_keep_their_bits(tmp_path, parameters, rows):
     summary = summary_lines(out)
     for row in rows:
         assert summary[row.split()[0]] == row
+
+
+# every key that no other test sets, at a non-default value: (config,
+# the runner-level callee to watch or None, a check of the outputs and of
+# that callee's last (args, kwargs))
+KP_BASE = "[experiment]\nname = kp\n[parameters]\ndeltas = 1.0\nn_trajectories = 2\n" \
+          "n_modes = 32\ncalibrate = false\n"
+PATCH_BASE = PATCH_PARAMETERS + "n_points = 16\nprobe_steps = 50\n"
+ORDER_BASE = "[experiment]\nname = order-detect\n[parameters]\ntarget = heat\nn_perturb = 256\n"
+
+
+def msd_lags(out):
+    return [float(line.split(",")[0])
+            for line in (out / "msd_1p0.csv").read_text().splitlines()[1:]]
+
+
+WIRING_CASES = {
+    "coefficient": (PATCH_BASE + "coefficient = 2.0\n", "step_symbol",
+                    lambda out, call: call[0][0] == patchlab.PdeSpec.heat(2.0)),
+    "h_fraction": (PATCH_BASE + "h_fraction = 0.1\n", None,
+                   lambda out, call: summary_lines(out)["tooth_width"]
+                   == f"tooth_width {0.1 * (2.0 * math.pi / 16)!r} - - info"),
+    "dt_micro_factor": (PATCH_BASE + "dt_micro_factor = 0.01\n", "step_symbol",
+                        lambda out, call: call[0][1].dt_micro == 0.01 * call[0][1].dt_macro),
+    "order_tolerance": (PATCH_BASE + "grids = 16, 32\nfinal_time = 0.1\nexpect_order = 2.0\n"
+                        "order_tolerance = 0.5\n", None,
+                        lambda out, call: summary_lines(out)["convergence_order"].split()[2:]
+                        == ["2.0", "0.5", "pass"]),
+    "n_base": (ORDER_BASE + "n_base = 4\n", "detect_order",
+               lambda out, call: call[0][1].n_base == 4),
+    "halfwidth": (ORDER_BASE + "halfwidth = 0.5\n", "detect_order",
+                  lambda out, call: call[0][1].halfwidth == 0.5),
+    "budget": (ORDER_BASE + "budget = 100\n", None,
+               lambda out, call: (summary_lines(out)["budget_exhausted"],
+                                  summary_lines(out)["evaluations_used"])
+               == ("budget_exhausted true - - info", "evaluations_used 100 - - info")),
+    "spectrum": (KP_BASE + "spectrum = 1.5\n", "ensemble_velocities",
+                 lambda out, call: call[1]["spectrum"] == 1.5),
+    "v0": (KP_BASE + "v0 = 2.0\n", "ensemble_velocities",
+           lambda out, call: call[1]["initial"] == (0.0, 2.0)),
+    "total_time": (KP_BASE + "total_time = 0.01\n", "ensemble_velocities",
+                   lambda out, call: call[1]["total_time"] == 0.01),
+    "fit_lag_lo": (KP_BASE + "fit_lag_lo = 2e-4\n", None,
+                   lambda out, call: msd_lags(out)[0] == pytest.approx(2e-4)),
+    "fit_lag_hi": (KP_BASE + "fit_lag_hi = 5e-4\n", None,
+                   lambda out, call: msd_lags(out)[-1] == pytest.approx(5e-4)),
+    "n_lags": (KP_BASE + "n_lags = 4\n", None, lambda out, call: len(msd_lags(out)) == 4),
+}
+
+
+@pytest.mark.parametrize("text, callee, check", WIRING_CASES.values(), ids=WIRING_CASES.keys())
+def test_config_keys_reach_the_run(tmp_path, monkeypatch, text, callee, check):
+    import patchlab.runner as runner
+
+    calls = []
+    if callee is not None:
+        real = getattr(runner, callee)
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, callee, spy)
+    config = parse_config(text)
+    out = tmp_path / "o"
+    assert main([config.experiment, "--config", write(tmp_path, text), "--out", str(out)]) == 0
+    assert check(out, calls[-1] if calls else None)
 
 
 # the exact rendered rows of every checked and unchecked verdict form
