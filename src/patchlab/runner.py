@@ -438,8 +438,8 @@ def _run_kp(p: dict, seed: int):
             f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}"
         )
     # every delta and the fit's lag window fail here, before the first
-    # integration: the fit's own checks run on a stand-in path over the
-    # run's sample grid
+    # integration; the fit checks a stand-in path on the run's sample grid,
+    # which needs a positive total_time
     if not all(delta > 0 for delta in p["deltas"]):
         raise ConfigError("delta must be positive")
     if not p["total_time"] > 0:
