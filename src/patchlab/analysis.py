@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MacroState, RngStreamSpec, normal_stream
+from .core import MacroState, RngStreamSpec, normal_stream, value_type
 
 __all__ = [
     "StabilityReport",
@@ -38,7 +37,7 @@ _REACHED = 1.0 - 1e-9  # a study stops at the first time >= _REACHED * final_tim
 _OVERFLOWED_AT_ONCE = "stepper overflowed immediately; no growth ratios available"
 
 
-@dataclass(frozen=True)
+@value_type
 class StabilityReport:
     """Measured per-step L2 growth of an iterated macro stepper."""
 
@@ -48,7 +47,7 @@ class StabilityReport:
     terminated_early: bool = False
 
 
-@dataclass(frozen=True)
+@value_type
 class ConvergenceReport:
     grid_sizes: tuple[int, ...]
     spacings: tuple[float, ...]
@@ -57,7 +56,7 @@ class ConvergenceReport:
     excluded: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_type
 class IncrementMoments:
     n: int
     mean: float
@@ -66,7 +65,7 @@ class IncrementMoments:
     se_std: float
 
 
-@dataclass(frozen=True)
+@value_type
 class VarianceCheck:
     measured: float
     expected: float

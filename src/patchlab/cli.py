@@ -8,10 +8,10 @@ error, or results that cannot be written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .config import EXPERIMENTS, ConfigError, parse_config
+from .core import replace
 from .runner import OverwriteError, render_summary, run_experiment, write_results
 
 __all__ = ["main"]
@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     out_dir = args.out or config.output_dir()
 
     try:

@@ -7,8 +7,9 @@ collected and reported together with their line numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any
+
+from .core import value_type
 
 __all__ = [
     "ConfigError",
@@ -25,7 +26,7 @@ class ConfigError(ValueError):
     """Invalid configuration; message lists every violation found."""
 
 
-@dataclass(frozen=True)
+@value_type
 class _Param:
     name: str
     kind: str            # int | float | bool | str | int_list | float_list | band_list
@@ -98,7 +99,7 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
 EXPERIMENTS = tuple(_SCHEMAS)
 
 
-@dataclass(frozen=True)
+@value_type
 class ExperimentConfig:
     experiment: str
     parameters: dict[str, Any]

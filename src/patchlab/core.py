@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -31,6 +30,7 @@ __all__ = [
     "PdeSpec",
     "ToothConfig",
     "RngStreamSpec",
+    "replace",
     "average_weights",
     "generator",
     "normal_stream",
@@ -38,7 +38,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+_object_setattr = object.__setattr__
+
+
+def _astuple(obj) -> tuple:
+    return tuple([getattr(obj, name) for name in obj._value_fields])
+
+
+def _bind(cls, args, kwargs) -> list:
+    """The field values of ``cls(*args, **kwargs)``, in field order, defaults filled in."""
+    names = cls._value_fields
+    if len(args) > len(names):
+        raise TypeError(
+            f"{cls.__name__}() takes at most {len(names)} positional arguments "
+            f"({len(args)} given)"
+        )
+    for name in names[: len(args)]:
+        if name in kwargs:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+    values = dict(cls._value_defaults)
+    values.update(zip(names, args))
+    values.update(kwargs)
+    try:
+        fields = [values[name] for name in names]
+    except KeyError as err:
+        raise TypeError(f"{cls.__name__}() missing required argument {err}") from None
+    if len(values) > len(names):
+        unexpected = sorted(values.keys() - names)
+        raise TypeError(f"{cls.__name__}() got unexpected keyword arguments {unexpected}")
+    return fields
+
+
+def _value_init(self, *args, **kwargs) -> None:
+    cls = type(self)
+    names = cls._value_fields
+    if kwargs or len(args) != len(names):
+        args = _bind(cls, args, kwargs)
+    # set one by one, as a dataclass does, so the instance keeps the compact
+    # attribute storage that makes reading a field fast
+    for name, value in zip(names, args):
+        _object_setattr(self, name, value)
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        post_init(self)
+
+
+def _value_setattr(self, name, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+
+def _value_delattr(self, name) -> None:
+    raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+
+def _value_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _astuple(self) == _astuple(other)
+
+
+def _value_hash(self) -> int:
+    return hash(_astuple(self))
+
+
+def _value_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._value_fields)
+    return f"{type(self).__qualname__}({fields})"
+
+
+_VALUE_METHODS = {
+    "__init__": _value_init,
+    "__setattr__": _value_setattr,
+    "__delattr__": _value_delattr,
+    "__eq__": _value_eq,
+    "__hash__": _value_hash,
+    "__repr__": _value_repr,
+}
+
+
+def value_type(cls: type) -> type:
+    """Class decorator: an immutable value over the class's annotated fields.
+
+    The fields are the class's own annotations, in order, and a class
+    attribute of the same name is the field's default.  Instances are built
+    by position or keyword, then ``__post_init__`` runs if the class has one;
+    they refuse assignment and deletion, compare and hash by the tuple of
+    their fields, and show the fields in their ``repr``.  A method the class
+    defines itself (``PdeSpec.__init__``) is kept.  Unlike ``dataclasses``
+    the decorator compiles no code, which keeps importing the package cheap.
+    """
+    names = tuple(cls.__annotations__)
+    cls._value_fields = names
+    cls._value_defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    for name, method in _VALUE_METHODS.items():
+        if name not in vars(cls):
+            setattr(cls, name, method)
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the value ``obj`` with the named fields changed, built and checked anew."""
+    if not hasattr(type(obj), "_value_fields"):
+        raise TypeError(f"replace() needs a value type, not {type(obj).__name__}")
+    return type(obj)(**dict(zip(obj._value_fields, _astuple(obj)), **changes))
+
+
+@value_type
 class MacroState:
     """Field values on a uniform periodic grid.
 
@@ -71,7 +176,7 @@ class MacroState:
         return np.arange(self.n_points) * self.dx
 
 
-@dataclass(frozen=True, init=False)
+@value_type
 class PdeSpec:
     """Constant-coefficient linear evolution ``du/dt = sum_r a_r d^r u/dx^r``.
 
@@ -114,7 +219,7 @@ class PdeSpec:
         return self.terms[-1][0] if self.terms else 0
 
 
-@dataclass(frozen=True)
+@value_type
 class ToothConfig:
     """Tooth of width ``h`` inside a micro patch of width ``H``.
 
@@ -141,7 +246,7 @@ class ToothConfig:
         return (self.H - self.h) / 2.0
 
 
-@dataclass(frozen=True)
+@value_type
 class RngStreamSpec:
     """Address of one reproducible stream of standard normals.
 

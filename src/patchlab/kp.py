@@ -15,11 +15,10 @@ the experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStreamSpec, generator
+from .core import RngStreamSpec, generator, value_type
 
 __all__ = [
     "RandomForceField",
@@ -47,16 +46,19 @@ class DtSelfConsistencyError(ValueError):
 
     def __init__(self, trajectory: int | None, deviation: float, scale: float, dt: float):
         prefix = "" if trajectory is None else f"trajectory {trajectory}: "
-        super().__init__(
-            f"{prefix}energy drifted by {deviation / scale:g} of the kinetic scale "
-            f"{scale:g}; dt {dt:g} is not resolving the dynamics"
-        )
+        if math.isfinite(deviation) and math.isfinite(scale):
+            message = (f"energy drifted by {deviation / scale:g} of the kinetic scale "
+                       f"{scale:g}; dt {dt:g} is not resolving the dynamics")
+        else:
+            # an overflow, which no smaller step mends
+            message = f"energy error is not finite (drift {deviation:g}, kinetic scale {scale:g})"
+        super().__init__(prefix + message)
         self.trajectory = trajectory
         self.deviation = deviation
         self.scale = scale
 
 
-@dataclass(frozen=True)
+@value_type
 class RandomForceField:
     """Superposition of cosine modes ``F(x) = sum_m a_m cos(k_m x + phi_m)``.
 
@@ -114,7 +116,7 @@ class RandomForceField:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@value_type
 class ScaledTrajectory:
     """Uniformly sampled (t, x, v) of one rescaled run.
 
@@ -147,7 +149,7 @@ class EnsembleVelocities(tuple):
         return pair
 
 
-@dataclass(frozen=True)
+@value_type
 class MsdFit:
     """Log-log fit of mean-square velocity displacement against lag."""
 
@@ -225,8 +227,8 @@ def kp_integrate(
     The relative errors are kept as ``energy_error``.
     """
     delta = float(delta)
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
     if not total_time > 0:
         raise ValueError("total_time must be positive")
     if not dt > 0:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, ToothConfig
+from .core import PdeSpec, ToothConfig, value_type
 
 __all__ = [
     "SdeModel",
@@ -51,7 +50,7 @@ class ToothNotCoveredError(ValueError):
     """Micro samples do not span the tooth to be averaged."""
 
 
-@dataclass(frozen=True)
+@value_type
 class SdeModel:
     """Scalar SDE ``dx = drift(x) dt + noise_amplitude dW``.
 
@@ -77,7 +76,7 @@ class SdeModel:
         return cls(drift=lambda x, r=float(rate): -r * x, noise_amplitude=noise_amplitude)
 
 
-@dataclass(frozen=True)
+@value_type
 class MicroGrid:
     """Micro discretization: spacing ``dx`` and a ceiling ``dt`` on the step."""
 

@@ -12,12 +12,11 @@ quiet coordinates will miss dependencies parked at distant indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, RngStreamSpec, average_weights, generator
+from .core import PdeSpec, RngStreamSpec, average_weights, generator, value_type
 from .micro import propagator_matrix
 
 __all__ = [
@@ -87,7 +86,7 @@ class BlackBoxFunction:
         return float(self._evaluator(point))
 
 
-@dataclass(frozen=True)
+@value_type
 class ProbeSpec:
     """Sampling plan for the variance probe (box is ``[-halfwidth, halfwidth]``)."""
 
@@ -109,7 +108,7 @@ class ProbeSpec:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
+@value_type
 class DependencyReport:
     """Outcome of ``detect_order``.
 

@@ -16,11 +16,10 @@ high-order operators are seen at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MacroState, PdeSpec, ToothConfig, average_weights
+from .core import MacroState, PdeSpec, ToothConfig, average_weights, value_type
 from .micro import MicroGrid, evolve_fd_buffered, propagator_matrix, tooth_average
 
 __all__ = [
@@ -44,7 +43,7 @@ class GapToothError(ValueError):
     """A tooth-local failure, annotated with the tooth index."""
 
 
-@dataclass(frozen=True)
+@value_type
 class LiftingScheme:
     """How node values become local polynomials.
 
@@ -77,7 +76,7 @@ UPWIND_D2 = LiftingScheme("upwind_d2")
 CENTRAL_D4 = LiftingScheme("central_d4")
 
 
-@dataclass(frozen=True)
+@value_type
 class PatchConfig:
     """Gap-tooth step parameters."""
 

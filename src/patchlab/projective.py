@@ -16,11 +16,10 @@ lose, keep, or exaggerate the microscopic noise depending on how
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStreamSpec, ensemble_normals
+from .core import RngStreamSpec, ensemble_normals, value_type
 from .micro import SdeModel, em_step
 
 __all__ = [
@@ -37,7 +36,7 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@value_type
 class CoarseStepConfig:
     """Parameters of one coarse projective step."""
 
@@ -84,7 +83,7 @@ class CoarseStepConfig:
         return int(round(self.alpha * self.micro_steps))
 
 
-@dataclass(frozen=True)
+@value_type
 class CostLedger:
     """Exact work bookkeeping: what the coarse run actually paid for."""
 
@@ -97,7 +96,7 @@ class CostLedger:
         return self.macro_steps * self.ensemble_size * self.micro_steps_per_member
 
 
-@dataclass(frozen=True)
+@value_type
 class CoarseTrajectory:
     """Result of ``run_coarse_trajectory``.
 

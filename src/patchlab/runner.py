@@ -10,7 +10,6 @@ import contextlib
 import math
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .analysis import (
     symbol_stepper,
 )
 from .config import ConfigError, ExperimentConfig, render_config
-from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig
+from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, value_type
 from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent
 from .micro import SdeModel
 from .order_detect import (
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@value_type
 class MetricResult:
     """One summary row: a measured value, optionally checked against a target.
 
@@ -80,14 +79,14 @@ def _checked(name: str, value, expected=None, tolerance=None) -> MetricResult:
     return MetricResult(name, value, expected, tolerance, "pass" if ok else "fail")
 
 
-@dataclass(frozen=True)
+@value_type
 class Table:
     name: str                      # file stem, becomes <name>.csv
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
+@value_type
 class RunRecord:
     config: ExperimentConfig
     metrics: tuple[MetricResult, ...]
@@ -440,8 +439,8 @@ def _run_kp(p: dict, seed: int):
     # every delta and the fit's lag window fail here, before the first
     # integration; the fit checks a stand-in path on the run's sample grid,
     # which needs a positive total_time
-    if not all(delta > 0 for delta in p["deltas"]):
-        raise ConfigError("delta must be positive")
+    if not all(math.isfinite(delta) and delta > 0 for delta in p["deltas"]):
+        raise ConfigError("delta must be positive and finite")
     if not p["total_time"] > 0:
         raise ConfigError("total_time must be positive")
     times = np.linspace(0.0, p["total_time"], p["n_samples"] + 1)

@@ -56,3 +56,22 @@ def test_scripts_import_only_exported_names(path):
     submodules = {module.__name__.rpartition(".")[2] for module in _modules()}
     missing = _imported_from_patchlab(path) - set(patchlab.__all__) - submodules
     assert not missing, f"{path.name} imports {sorted(missing)} which patchlab does not export"
+
+
+def _imported_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "patchlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_does_not_import_dataclasses(path):
+    # each dataclass compiles its methods at import; core.value_type builds
+    # the value types without that start-up cost
+    assert "dataclasses" not in _imported_modules(path)

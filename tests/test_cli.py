@@ -442,11 +442,12 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ("deltas = 1.0, 0.05, -0.05\n", "delta must be positive"),
+        ("deltas = 1.0, 0.05, -0.05\n", "delta must be positive and finite"),
+        ("deltas = 1.0, inf\n", "delta must be positive and finite"),
         ("deltas = 1.0\nfit_lag_hi = 0.5\n", "lag range must lie within [T/100, T/4]"),
         ("deltas = 1.0\nn_lags = 1\n", "need n_lags >= 2 to fit an exponent"),
     ],
-    ids=["negative-delta", "lag-window", "one-lag"],
+    ids=["negative-delta", "infinite-delta", "lag-window", "one-lag"],
 )
 def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys,
                                                      extra, message):

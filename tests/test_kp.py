@@ -229,6 +229,30 @@ def test_non_finite_energy_error_fails_the_step_check():
             kp_integrate(field, 1.0, total_time=0.008, dt=1e-4, initial=initial, validate=False)
 
 
+def test_non_finite_energy_error_does_not_blame_the_step():
+    # an overflowing velocity is no unresolved step: a smaller dt does not mend it
+    field = small_field(0)
+    with pytest.warns(RuntimeWarning), pytest.raises(DtSelfConsistencyError) as err:
+        kp_integrate(field, 1.0, total_time=0.008, dt=1e-4, initial=(0.0, 1e200), n_samples=50)
+    assert str(err.value) == "energy error is not finite (drift nan, kinetic scale inf)"
+    assert err.value.trajectory is None
+    assert math.isnan(err.value.deviation) and math.isinf(err.value.scale)
+    stack = RandomForceField(field.amplitudes, field.wavenumbers, np.stack([field.phases] * 2))
+    with pytest.warns(RuntimeWarning), pytest.raises(DtSelfConsistencyError) as err:
+        kp_integrate(stack, 1.0, total_time=0.008, dt=1e-4, initial=(0.0, 1e200), n_samples=50)
+    assert str(err.value).startswith("trajectory 0: energy error is not finite")
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
+def test_kp_integrate_rejects_a_delta_that_is_not_positive_and_finite(monkeypatch, delta):
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated at a bad delta")
+
+    monkeypatch.setattr(patchlab.kp, "_leapfrog", no_run)
+    with pytest.raises(ValueError, match="^delta must be positive and finite$"):
+        kp_integrate(small_field(0), delta, total_time=0.008, dt=1e-4)
+
+
 def test_ensemble_self_consistency_error_names_trajectory():
     # trajectory 0 draws its field from the same stream as the test above
     with pytest.raises(DtSelfConsistencyError, match="^trajectory 0: energy drifted"):
