@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MacroState, RngStreamSpec, normal_stream, value_type
+from .core import MacroState, RngStreamSpec, normal_stream, positive, value_type
 
 __all__ = [
     "StabilityReport",
@@ -202,8 +202,7 @@ def convergence_order(
         raise ValueError("need at least two grid sizes")
     if len(set(grid_sizes)) != len(grid_sizes):
         raise ValueError(f"grid sizes must be distinct, got {grid_sizes}")
-    if final_time <= 0:
-        raise ValueError("final_time must be positive")
+    final_time = positive(final_time, "final_time")
     spacings = []
     errors = []
     for n in grid_sizes:
@@ -246,6 +245,8 @@ def symbol_stepper(
     repeated ``t + dt_macro`` addition of iterated steps, so one call lands
     where ``convergence_order`` would stop iterating them.
     """
+    dt_macro = positive(dt_macro, "dt_macro")
+    final_time = positive(final_time, "final_time")
 
     def advance(u: MacroState) -> MacroState:
         steps, t = 0, u.time

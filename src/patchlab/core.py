@@ -143,6 +143,22 @@ def replace(obj, /, **changes):
     return type(obj)(**dict(zip(obj._value_fields, _astuple(obj)), **changes))
 
 
+def positive(value, name: str) -> float:
+    """``value`` as a float; ``ValueError`` naming ``name`` unless it is positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def at_least(value, minimum: int, name: str) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` if it is below ``minimum``."""
+    value = int(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
+
+
 @value_type
 class MacroState:
     """Field values on a uniform periodic grid.
@@ -161,11 +177,8 @@ class MacroState:
         if values.ndim != 1 or values.size < 3:
             raise ValueError("MacroState needs a 1-d array of at least 3 values")
         values.setflags(write=False)
-        dx = float(self.dx)
-        if not (math.isfinite(dx) and dx > 0):
-            raise ValueError("MacroState dx must be positive and finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dx", positive(self.dx, "MacroState dx"))
         object.__setattr__(self, "time", float(self.time))
 
     @property
@@ -232,10 +245,8 @@ class ToothConfig:
     H: float = math.inf
 
     def __post_init__(self) -> None:
-        h = float(self.h)
+        h = positive(self.h, "tooth width h")
         H = float(self.H)
-        if not (math.isfinite(h) and h > 0):
-            raise ValueError("tooth width h must be positive and finite")
         if not H >= h:  # also rejects nan
             raise ValueError("patch width H must be >= tooth width h")
         object.__setattr__(self, "h", h)
@@ -300,13 +311,7 @@ def average_weights(degree: int, h: float) -> np.ndarray:
     ``h^k / (k! (k+1) 2^k)``.  The array is cached and read-only; weights
     that overflow a float raise ``ValueError``.
     """
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    h = float(h)
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError("tooth width h must be positive and finite")
-    return _average_weights(degree, h)
+    return _average_weights(at_least(degree, 0, "degree"), positive(h, "tooth width h"))
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,10 +341,7 @@ def generator(spec: RngStreamSpec) -> np.random.Generator:
 
 def normal_stream(spec: RngStreamSpec, n: int) -> np.ndarray:
     """``n`` standard normals from the stream at ``spec``."""
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return generator(spec).standard_normal(n)
+    return generator(spec).standard_normal(at_least(n, 0, "n"))
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words.

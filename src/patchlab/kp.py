@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import RngStreamSpec, generator, value_type
+from .core import RngStreamSpec, at_least, generator, positive, value_type
 
 __all__ = [
     "RandomForceField",
@@ -166,9 +166,7 @@ class MsdFit:
 
 def synthesize_force_field(n_modes: int, spectrum: float, rng: RngStreamSpec) -> RandomForceField:
     """Random field with ``k_m = m``, ``a_m = m**-spectrum``, seeded phases."""
-    n_modes = int(n_modes)
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
+    n_modes = at_least(n_modes, 1, "n_modes")
     spectrum = float(spectrum)
     if not math.isfinite(spectrum):
         raise ValueError("spectrum exponent must be finite")
@@ -226,16 +224,10 @@ def kp_integrate(
     (``DtSelfConsistencyError``, naming the lowest failing row of a stack).
     The relative errors are kept as ``energy_error``.
     """
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError("delta must be positive and finite")
-    if not total_time > 0:
-        raise ValueError("total_time must be positive")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    delta = positive(delta, "delta")
+    total_time = positive(total_time, "total_time")
+    dt = positive(dt, "dt")
+    n_samples = at_least(n_samples, 1, "n_samples")
     x0, v0 = (float(initial[0]), float(initial[1]))
     if not (math.isfinite(x0) and math.isfinite(v0)):
         raise ValueError("initial position and velocity must be finite")
@@ -290,9 +282,7 @@ def ensemble_velocities(
     ``energy_error``.  A ``DtSelfConsistencyError`` names the lowest
     trajectory that failed the check.
     """
-    n_trajectories = int(n_trajectories)
-    if n_trajectories < 1:
-        raise ValueError("n_trajectories must be >= 1")
+    n_trajectories = at_least(n_trajectories, 1, "n_trajectories")
     fields = [
         synthesize_force_field(n_modes, spectrum, rng.at(stream_id=i))
         for i in range(n_trajectories)

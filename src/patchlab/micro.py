@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, ToothConfig, value_type
+from .core import PdeSpec, ToothConfig, at_least, positive, value_type
 
 __all__ = [
     "SdeModel",
@@ -84,14 +84,8 @@ class MicroGrid:
     dt: float
 
     def __post_init__(self) -> None:
-        dx = float(self.dx)
-        dt = float(self.dt)
-        if not (math.isfinite(dx) and dx > 0):
-            raise ValueError("micro dx must be positive and finite")
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError("micro dt must be positive and finite")
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "dx", positive(self.dx, "micro dx"))
+        object.__setattr__(self, "dt", positive(self.dt, "micro dt"))
 
 
 def em_step(x, model: SdeModel, dt: float, xi):
@@ -120,9 +114,7 @@ def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
     matrix is cached and read-only; a ``dt`` that makes it non-finite, by
     overflow or as NaN, raises ``ValueError``.
     """
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    degree = at_least(degree, 0, "degree")
     if dt < 0:
         raise ValueError("dt must be >= 0")
     return _propagator_matrix(pde, degree, float(dt))
@@ -159,8 +151,7 @@ def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
 
 def stable_dt_bound(pde: PdeSpec, dx: float) -> float:
     """Largest admissible explicit micro step on spacing ``dx``."""
-    if dx <= 0:
-        raise ValueError("dx must be positive")
+    dx = positive(dx, "dx")
     bounds = []
     for order, a in pde.terms:
         if order == 1:
@@ -297,8 +288,7 @@ def tooth_average(samples: np.ndarray, dx: float, h: float):
     with linear interpolation to the tooth endpoints: one weight vector, so
     a stack of teeth gives one average per row, a single tooth a float.
     """
-    if h <= 0:
-        raise ValueError("tooth width h must be positive")
+    h = positive(h, "tooth width h")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 0:
         raise ValueError("tooth_average needs samples along a last axis")
@@ -311,7 +301,7 @@ def tooth_average(samples: np.ndarray, dx: float, h: float):
         raise ToothNotCoveredError(
             f"micro samples span [{s[0]:g}, {s[-1]:g}] but the tooth needs [{lo:g}, {hi:g}]"
         )
-    avg = samples @ _tooth_weights(n, dx, float(h))
+    avg = samples @ _tooth_weights(n, dx, h)
     return float(avg) if avg.ndim == 0 else avg
 
 

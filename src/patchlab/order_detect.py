@@ -11,12 +11,13 @@ quiet coordinates will miss dependencies parked at distant indices.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, RngStreamSpec, average_weights, generator, value_type
+from .core import (
+    PdeSpec, RngStreamSpec, at_least, average_weights, generator, positive, value_type,
+)
 from .micro import propagator_matrix
 
 __all__ = [
@@ -58,17 +59,13 @@ class BlackBoxFunction:
         evaluation_budget: int | None = None,
         first_index: int = 1,
     ):
-        arity = int(arity)
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
+        arity = at_least(arity, 1, "arity")
         if evaluation_budget is not None and int(evaluation_budget) < 0:
             raise ValueError("evaluation_budget must be >= 0 or None")
-        if int(first_index) < 0:
-            raise ValueError("first_index must be >= 0")
         self._evaluator = evaluator
         self.arity = arity
         self.evaluation_budget = None if evaluation_budget is None else int(evaluation_budget)
-        self.first_index = int(first_index)
+        self.first_index = at_least(first_index, 0, "first_index")
         self.calls_used = 0
         self._shape = (arity,)
 
@@ -96,15 +93,9 @@ class ProbeSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n_base) < 1:
-            raise ValueError("n_base must be >= 1")
-        if int(self.n_perturb) < 2:
-            raise ValueError("n_perturb must be >= 2")
-        if not (math.isfinite(float(self.halfwidth)) and float(self.halfwidth) > 0):
-            raise ValueError("halfwidth must be positive and finite")
-        object.__setattr__(self, "n_base", int(self.n_base))
-        object.__setattr__(self, "n_perturb", int(self.n_perturb))
-        object.__setattr__(self, "halfwidth", float(self.halfwidth))
+        object.__setattr__(self, "n_base", at_least(self.n_base, 1, "n_base"))
+        object.__setattr__(self, "n_perturb", at_least(self.n_perturb, 2, "n_perturb"))
+        object.__setattr__(self, "halfwidth", positive(self.halfwidth, "halfwidth"))
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -228,11 +219,8 @@ def derivative_blackbox(
     are derivative orders, so ``detect_order`` returns the effective
     spatial order directly.
     """
-    d_max = int(d_max)
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    d_max = at_least(d_max, 0, "d_max")
+    dt = positive(dt, "dt")
     M = propagator_matrix(pde, d_max, dt)
     w = average_weights(d_max, h)
     response = (w @ M - w) / dt  # linear in the coefficients

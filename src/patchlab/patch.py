@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import MacroState, PdeSpec, ToothConfig, average_weights, value_type
+from .core import MacroState, PdeSpec, ToothConfig, average_weights, positive, value_type
 from .micro import MicroGrid, evolve_fd_buffered, propagator_matrix, tooth_average
 
 __all__ = [
@@ -89,12 +89,8 @@ class PatchConfig:
     micro: MicroGrid | None = None
 
     def __post_init__(self) -> None:
-        dt_micro = float(self.dt_micro)
-        dt_macro = float(self.dt_macro)
-        if not (math.isfinite(dt_micro) and dt_micro > 0):
-            raise ValueError("dt_micro must be positive and finite")
-        if not (math.isfinite(dt_macro) and dt_macro > 0):
-            raise ValueError("dt_macro must be positive and finite")
+        dt_micro = positive(self.dt_micro, "dt_micro")
+        dt_macro = positive(self.dt_macro, "dt_macro")
         if dt_micro > dt_macro * (1.0 + 1e-12):
             raise ValueError("dt_micro must not exceed dt_macro")
         alpha = float(self.alpha)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import RngStreamSpec, ensemble_normals, value_type
+from .core import RngStreamSpec, at_least, ensemble_normals, positive, value_type
 from .micro import SdeModel, em_step
 
 __all__ = [
@@ -47,18 +47,10 @@ class CoarseStepConfig:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        n = int(self.ensemble_size)
-        k = int(self.micro_steps)
-        if n < 1:
-            raise ValueError("ensemble_size must be >= 1")
-        if k < 1:
-            raise ValueError("micro_steps must be >= 1")
-        dt_micro = float(self.dt_micro)
-        dt_macro = float(self.dt_macro)
-        if not (math.isfinite(dt_micro) and dt_micro > 0):
-            raise ValueError("dt_micro must be positive and finite")
-        if not (math.isfinite(dt_macro) and dt_macro > 0):
-            raise ValueError("dt_macro must be positive and finite")
+        n = at_least(self.ensemble_size, 1, "ensemble_size")
+        k = at_least(self.micro_steps, 1, "micro_steps")
+        dt_micro = positive(self.dt_micro, "dt_micro")
+        dt_macro = positive(self.dt_macro, "dt_macro")
         if k * dt_micro > dt_macro * (1.0 + 1e-12):
             raise ValueError("micro horizon micro_steps*dt_micro must not exceed dt_macro")
         alpha = float(self.alpha)
@@ -178,9 +170,7 @@ def run_coarse_trajectory(
     stops the run and is reported through ``diverged_at`` instead of
     raising.
     """
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    n_steps = at_least(n_steps, 0, "n_steps")
     values = np.empty(n_steps + 1)
     values[0] = float(x0)
     x = float(x0)

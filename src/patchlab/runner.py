@@ -23,7 +23,7 @@ from .analysis import (
     symbol_stepper,
 )
 from .config import ConfigError, ExperimentConfig, render_config
-from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, value_type
+from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, at_least, positive, value_type
 from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent
 from .micro import SdeModel
 from .order_detect import (
@@ -429,8 +429,7 @@ def _synthetic_paths(kind: str, n_traj: int, n_samples: int, rng: RngStreamSpec)
 def _run_kp(p: dict, seed: int):
     metrics: list[MetricResult] = []
     tables: list[Table] = []
-    if p["n_samples"] < 1:
-        raise ConfigError("n_samples must be >= 1")
+    at_least(p["n_samples"], 1, "n_samples")
     bands = p["gamma_bands"]
     if bands and len(bands) != len(p["deltas"]):
         raise ConfigError(
@@ -438,11 +437,10 @@ def _run_kp(p: dict, seed: int):
         )
     # every delta and the fit's lag window fail here, before the first
     # integration; the fit checks a stand-in path on the run's sample grid,
-    # which needs a positive total_time
-    if not all(math.isfinite(delta) and delta > 0 for delta in p["deltas"]):
-        raise ConfigError("delta must be positive and finite")
-    if not p["total_time"] > 0:
-        raise ConfigError("total_time must be positive")
+    # which needs a positive, finite total_time
+    for delta in p["deltas"]:
+        positive(delta, "delta")
+    positive(p["total_time"], "total_time")
     times = np.linspace(0.0, p["total_time"], p["n_samples"] + 1)
     msd_exponent(times, times[None, :], p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"])
     rng = RngStreamSpec(master_seed=seed)

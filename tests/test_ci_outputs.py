@@ -1,0 +1,49 @@
+"""``ci/outputs.py``: the check that a change keeps every output byte."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    spec = importlib.util.spec_from_file_location("outputs", ROOT / "ci" / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tree(root, files):
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return str(root)
+
+
+def test_compare_fails_on_each_kind_of_difference_unless_allowed(outputs, tmp_path, capsys):
+    same = {"kp/seed-0/out/summary": b"a 1\n", "kp/seed-0/exit_code": b"0\n"}
+    old = tree(tmp_path / "old", {**same, "kp/seed-0/stderr": b"", "gone": b"x"})
+    new = tree(tmp_path / "new", {**same, "kp/seed-0/stderr": b"error\n", "added/f": b"y"})
+    assert outputs.differing(old, new) == ["added/f", "gone", "kp/seed-0/stderr"]
+
+    allow = tmp_path / "allowed.txt"
+    allow.write_text("# comment\ngone  # removed on purpose\n\n")
+    assert outputs.compare(old, new, str(allow)) == 1
+    assert "DIFFERS added/f\nallowed gone\nDIFFERS kp/seed-0/stderr\n" in capsys.readouterr().out
+    allow.write_text("gone\nadded/f\nkp/seed-0/stderr\n")
+    assert outputs.compare(old, new, str(allow)) == 0
+    assert outputs.compare(old, old, str(tmp_path / "old" / "kp" / "seed-0" / "stderr")) == 0
+
+
+def test_a_run_records_its_exit_code_and_stderr(outputs, tmp_path):
+    text = "[experiment]\nname = kp\n[parameters]\ndeltas = 1.0\ntotal_time = inf\n"
+    outputs._run_cli("kp", text, str(tmp_path / "run"))
+    assert (tmp_path / "run" / "exit_code").read_text() == "2\n"
+    assert (tmp_path / "run" / "stderr").read_text() == (
+        "error: kp: total_time must be positive and finite\n"
+    )
+    assert not (tmp_path / "run" / "out").exists()

@@ -128,6 +128,9 @@ def test_errors_collected_with_line_numbers():
         "n_steps = ten\n"       # 6
         "mystery = 3\n"         # 7
         "n_steps = 5\n"         # 8  (duplicate of line 6)
+        "[experiment]\n"        # 9
+        "colour = red\n"        # 10
+        "no equals sign\n"      # 11
     )
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -137,6 +140,8 @@ def test_errors_collected_with_line_numbers():
     assert "line 6: bad value for 'n_steps'" in msg
     assert "line 7: unknown key 'mystery'" in msg
     assert "line 8: duplicate key 'n_steps'" in msg
+    assert "line 10: unknown key 'colour' in [experiment]" in msg
+    assert "line 11: expected 'key = value', got 'no equals sign'" in msg
 
 
 def test_unknown_experiment_is_fatal():
@@ -320,14 +325,18 @@ def test_python_dash_m_patchlab_runs_the_cli():
 
 @pytest.mark.parametrize(
     "argv",
-    [[], ["bogus", "--config", "run.cfg"], ["kp"]],
-    ids=["no-command", "unknown-command", "no-config"],
+    [[], ["bogus", "--config", "run.cfg"], ["kp"],
+     ["kp", "--config", "run.cfg", "--seed", str(2**64)]],
+    ids=["no-command", "unknown-command", "no-config", "seed-beyond-64-bits"],
 )
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: patchlab")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: patchlab")
+    if "--seed" in argv:
+        assert "seed must be an unsigned 64-bit integer" in err
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
@@ -370,8 +379,14 @@ PATCH_PARAMETERS = "[experiment]\nname = patch\n[parameters]\npde = heat\nliftin
         ("probe_steps = 3\n", "error: patch: need at least 4 probe steps"),
         ("n_points = 16\ngrids = 32, 32\n", "error: patch: grid sizes must be distinct"),
         ("expect_order = 2.0\n", "error: patch: expect_order needs grids"),
+        # a final time the study never reaches used to loop forever
+        ("grids = 16, 32\nfinal_time = inf\n",
+         "error: patch: final_time must be positive and finite\n"),
+        ("grids = 16, 32\nfinal_time = nan\n",
+         "error: patch: final_time must be positive and finite\n"),
     ],
-    ids=["probe_steps", "repeated-grids", "order-without-grids"],
+    ids=["probe_steps", "repeated-grids", "order-without-grids", "infinite-final-time",
+         "nan-final-time"],
 )
 def test_patch_config_errors_exit_two(tmp_path, capsys, extra, message):
     cfg = write(tmp_path, PATCH_PARAMETERS + extra)
@@ -446,10 +461,13 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
         ("deltas = 1.0, inf\n", "delta must be positive and finite"),
         ("deltas = 1.0\nfit_lag_hi = 0.5\n", "lag range must lie within [T/100, T/4]"),
         ("deltas = 1.0\nn_lags = 1\n", "need n_lags >= 2 to fit an exponent"),
+        ("deltas = 1.0\ntotal_time = inf\n", "total_time must be positive and finite"),
+        ("deltas = 1.0\ntotal_time = 0\n", "total_time must be positive and finite"),
     ],
-    ids=["negative-delta", "infinite-delta", "lag-window", "one-lag"],
+    ids=["negative-delta", "infinite-delta", "lag-window", "one-lag", "infinite-total-time",
+         "zero-total-time"],
 )
-def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys,
+def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys, recwarn,
                                                      extra, message):
     import patchlab.runner as runner
 
@@ -462,6 +480,7 @@ def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, cap
     assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: kp: {message}\n"
     assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_non_finite_kp_start_is_a_config_error(tmp_path, monkeypatch, capsys):

@@ -7,16 +7,35 @@ import numpy as np
 import pytest
 
 from patchlab import (
+    CENTRAL_D2,
+    BlackBoxFunction,
+    CoarseStepConfig,
     MacroState,
     MicroGrid,
+    PatchConfig,
     PdeSpec,
+    ProbeSpec,
     RngStreamSpec,
+    SdeModel,
     ToothConfig,
     average_weights,
+    convergence_order,
+    derivative_blackbox,
     ensemble_normals,
+    ensemble_velocities,
     evolve_fd_buffered,
     generator,
+    kp_integrate,
     normal_stream,
+    parse_config,
+    propagator_matrix,
+    replace,
+    run_coarse_trajectory,
+    run_experiment,
+    stable_dt_bound,
+    symbol_stepper,
+    synthesize_force_field,
+    tooth_average,
 )
 
 
@@ -330,3 +349,113 @@ def test_ensemble_normals_from_interleaved_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# ------------------------------------------ one check per kind of input
+
+_COARSE = CoarseStepConfig(10, 10, 1e-3, 0.1)
+_FIELD = synthesize_force_field(8, 0.0, RngStreamSpec(0))
+_KP = parse_config(
+    "[experiment]\nname = kp\n[parameters]\ndeltas = 1.0\nn_trajectories = 2\nn_modes = 8\n"
+    "calibrate = false\n"
+)
+
+
+def _kp_run(**changes):
+    return run_experiment(replace(_KP, parameters={**_KP.parameters, **changes}))
+
+
+def _never_built(n):
+    raise AssertionError("a problem was built before final_time was checked")
+
+
+# (call with the value under test, a bad finite value, the exact message)
+BAD_INPUTS = {
+    "MacroState-dx": (lambda v: MacroState(np.zeros(3), v), 0.0,
+                      "MacroState dx must be positive and finite"),
+    "ToothConfig-h": (lambda v: ToothConfig(v), -1.0, "tooth width h must be positive and finite"),
+    "average_weights-degree": (lambda v: average_weights(v, 0.1), -1, "degree must be >= 0"),
+    "average_weights-h": (lambda v: average_weights(2, v), 0.0,
+                          "tooth width h must be positive and finite"),
+    "normal_stream-n": (lambda v: normal_stream(RngStreamSpec(0), v), -1, "n must be >= 0"),
+    "MicroGrid-dx": (lambda v: MicroGrid(v, 1e-5), 0.0, "micro dx must be positive and finite"),
+    "MicroGrid-dt": (lambda v: MicroGrid(0.01, v), -1e-5, "micro dt must be positive and finite"),
+    "propagator_matrix-degree": (lambda v: propagator_matrix(PdeSpec.heat(), v, 0.1), -1,
+                                 "degree must be >= 0"),
+    "stable_dt_bound-dx": (lambda v: stable_dt_bound(PdeSpec.heat(), v), 0.0,
+                           "dx must be positive and finite"),
+    "tooth_average-h": (lambda v: tooth_average(np.zeros(5), 0.1, v), 0.0,
+                        "tooth width h must be positive and finite"),
+    "PatchConfig-dt_micro": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), v, 0.1), 0.0,
+                             "dt_micro must be positive and finite"),
+    "PatchConfig-dt_macro": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), 1e-3, v), 0.0,
+                             "dt_macro must be positive and finite"),
+    "CoarseStepConfig-ensemble_size": (lambda v: CoarseStepConfig(v, 10, 1e-3, 0.1), 0,
+                                       "ensemble_size must be >= 1"),
+    "CoarseStepConfig-micro_steps": (lambda v: CoarseStepConfig(10, v, 1e-3, 0.1), 0,
+                                     "micro_steps must be >= 1"),
+    "CoarseStepConfig-dt_micro": (lambda v: CoarseStepConfig(10, 10, v, 0.1), 0.0,
+                                  "dt_micro must be positive and finite"),
+    "CoarseStepConfig-dt_macro": (lambda v: CoarseStepConfig(10, 10, 1e-3, v), -0.1,
+                                  "dt_macro must be positive and finite"),
+    "run_coarse_trajectory-n_steps": (
+        lambda v: run_coarse_trajectory(0.0, SdeModel.pure_noise(), _COARSE, v, RngStreamSpec(0)),
+        -1, "n_steps must be >= 0"),
+    "BlackBoxFunction-arity": (lambda v: BlackBoxFunction(sum, v), 0, "arity must be >= 1"),
+    "BlackBoxFunction-first_index": (lambda v: BlackBoxFunction(sum, 3, first_index=v), -1,
+                                     "first_index must be >= 0"),
+    "ProbeSpec-n_base": (lambda v: ProbeSpec(n_base=v), 0, "n_base must be >= 1"),
+    "ProbeSpec-n_perturb": (lambda v: ProbeSpec(n_perturb=v), 1, "n_perturb must be >= 2"),
+    "ProbeSpec-halfwidth": (lambda v: ProbeSpec(halfwidth=v), 0.0,
+                            "halfwidth must be positive and finite"),
+    "derivative_blackbox-d_max": (lambda v: derivative_blackbox(PdeSpec.heat(), v, 1e-3, 0.1), -1,
+                                  "d_max must be >= 0"),
+    "derivative_blackbox-dt": (lambda v: derivative_blackbox(PdeSpec.heat(), 2, v, 0.1), 0.0,
+                               "dt must be positive and finite"),
+    "synthesize_force_field-n_modes": (lambda v: synthesize_force_field(v, 0.0, RngStreamSpec(0)),
+                                       0, "n_modes must be >= 1"),
+    "kp_integrate-delta": (lambda v: kp_integrate(_FIELD, v, 0.008, 1e-4), 0.0,
+                           "delta must be positive and finite"),
+    "kp_integrate-total_time": (lambda v: kp_integrate(_FIELD, 1.0, v, 1e-4), 0.0,
+                                "total_time must be positive and finite"),
+    "kp_integrate-dt": (lambda v: kp_integrate(_FIELD, 1.0, 0.008, v), -1e-4,
+                        "dt must be positive and finite"),
+    "kp_integrate-n_samples": (lambda v: kp_integrate(_FIELD, 1.0, 0.008, 1e-4, n_samples=v), 0,
+                               "n_samples must be >= 1"),
+    "ensemble_velocities-n_trajectories": (
+        lambda v: ensemble_velocities(v, 8, 0.0, 1.0, 0.008, 1e-4, RngStreamSpec(0)), 0,
+        "n_trajectories must be >= 1"),
+    "kp_runner-n_samples": (lambda v: _kp_run(n_samples=v), 0, "kp: n_samples must be >= 1"),
+    "kp_runner-delta": (lambda v: _kp_run(deltas=(1.0, v)), -0.05,
+                        "kp: delta must be positive and finite"),
+    "kp_runner-total_time": (lambda v: _kp_run(total_time=v), 0.0,
+                             "kp: total_time must be positive and finite"),
+    "convergence_order-final_time": (
+        lambda v: convergence_order(_never_built, (8, 16), v, None), 0.0,
+        "final_time must be positive and finite"),
+    "symbol_stepper-dt_macro": (lambda v: symbol_stepper(np.ones(4), v, 1.0), 0.0,
+                                "dt_macro must be positive and finite"),
+    "symbol_stepper-final_time": (lambda v: symbol_stepper(np.ones(4), 0.1, v), -1.0,
+                                  "final_time must be positive and finite"),
+}
+_STEPS_AND_WIDTHS = {
+    key: (call, message) for key, (call, _, message) in BAD_INPUTS.items()
+    if "positive" in message
+}
+
+
+@pytest.mark.parametrize("call, bad, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_a_bad_step_width_time_or_count_is_refused_in_one_wording(call, bad, message):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "call, message", _STEPS_AND_WIDTHS.values(), ids=_STEPS_AND_WIDTHS.keys()
+)
+def test_a_step_width_or_time_must_be_finite(call, message, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == message
