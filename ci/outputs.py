@@ -1,7 +1,7 @@
 """Write every output byte of the benchmark's items and the acceptance configs.
 
     python ci/outputs.py write DIR [--tree TREE]
-    python ci/outputs.py compare OLD NEW [--allow FILE]
+    python ci/outputs.py compare OLD NEW
 
 ``write`` imports ``patchlab`` from ``TREE/src`` and the benchmark from
 ``TREE/perfbench`` (``TREE`` defaults to the tree holding this script), so one
@@ -13,8 +13,8 @@ workload at seeds 0 and 7, and the ``ACCEPTANCE_CONFIGS`` of
 
 ``compare`` lists every file that differs between two such directories, or
 is in one only, and exits 1 if any of them is missing from the allow-list
-(default ``ci/outputs-allowed.txt``: one path relative to ``DIR`` per line,
-``#`` starts a comment).  A change that alters outputs on purpose lists the
+``ci/outputs-allowed.txt`` (one path relative to ``DIR`` per line, ``#``
+starts a comment).  A change that alters outputs on purpose lists the
 files there; the next change empties the list.
 """
 
@@ -152,11 +152,10 @@ def main(argv: list[str] | None = None) -> int:
     diff = sub.add_parser("compare", help="fail on differences missing from the allow-list")
     diff.add_argument("old")
     diff.add_argument("new")
-    diff.add_argument("--allow", default=os.path.join(HERE, "outputs-allowed.txt"))
     args = parser.parse_args(argv)
     if args.action == "write":
         return write(args.dir, args.tree)
-    return compare(args.old, args.new, args.allow)
+    return compare(args.old, args.new, os.path.join(HERE, "outputs-allowed.txt"))
 
 
 if __name__ == "__main__":
