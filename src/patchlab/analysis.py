@@ -34,6 +34,7 @@ _DISCARD_FRACTION = 0.25  # transient share of the growth ratios
 _BURN_IN_FRACTION = 0.1  # transient share of a trajectory
 _MIN_TAIL = 1000
 _REACHED = 1.0 - 1e-9  # a study stops at the first time >= _REACHED * final_time
+_MAX_MACRO_STEPS = 10**7  # a symbol stepper's step cap; the repository's configs need 519
 _OVERFLOWED_AT_ONCE = "stepper overflowed immediately; no growth ratios available"
 
 
@@ -246,7 +247,7 @@ def symbol_stepper(
     where ``convergence_order`` would stop iterating them.
     """
     dt_macro = positive(dt_macro, "dt_macro")
-    final_time = positive(final_time, "final_time")
+    final_time = reachable_time(final_time, dt_macro)
 
     def advance(u: MacroState) -> MacroState:
         steps, t = 0, u.time
@@ -257,6 +258,16 @@ def symbol_stepper(
         return MacroState(values=values, dx=u.dx, time=t)
 
     return advance
+
+
+def reachable_time(final_time, dt_macro: float) -> float:
+    """``final_time`` as a float; ``ValueError`` naming it unless it is positive,
+    finite and at most ``_MAX_MACRO_STEPS`` steps of the positive ``dt_macro``."""
+    final_time = positive(final_time, "final_time")
+    if final_time / dt_macro > _MAX_MACRO_STEPS:
+        raise ValueError(f"final_time {final_time:g} needs more than {_MAX_MACRO_STEPS} "
+                         f"macro steps of {dt_macro:g}")
+    return final_time
 
 
 def increment_moments(values: np.ndarray) -> IncrementMoments:

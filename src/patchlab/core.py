@@ -80,7 +80,8 @@ def _value_init(self, *args, **kwargs) -> None:
         _object_setattr(self, name, value)
     post_init = getattr(cls, "__post_init__", None)
     if post_init is not None:
-        post_init(self)
+        for name, value in (post_init(self) or {}).items():
+            _object_setattr(self, name, value)
 
 
 def _value_setattr(self, name, value) -> None:
@@ -121,11 +122,13 @@ def value_type(cls: type) -> type:
 
     The fields are the class's own annotations, in order, and a class
     attribute of the same name is the field's default.  Instances are built
-    by position or keyword, then ``__post_init__`` runs if the class has one;
-    they refuse assignment and deletion, compare and hash by the tuple of
-    their fields, and show the fields in their ``repr``.  A method the class
-    defines itself (``PdeSpec.__init__``) is kept.  Unlike ``dataclasses``
-    the decorator compiles no code, which keeps importing the package cheap.
+    by position or keyword, then ``__post_init__`` runs if the class has one:
+    it checks the fields and returns a mapping of those it normalised, stored
+    in place of the values given, or ``None`` to keep them.  Instances refuse
+    assignment and deletion, compare and hash by the tuple of their fields,
+    and show them in their ``repr``.  A method the class defines itself
+    (``PdeSpec.__init__``) is kept.  Unlike ``dataclasses`` the decorator
+    compiles no code, which keeps importing the package cheap.
     """
     names = tuple(cls.__annotations__)
     cls._value_fields = names
@@ -159,6 +162,13 @@ def at_least(value, minimum: int, name: str) -> int:
     return value
 
 
+def frozen_array(value) -> np.ndarray:
+    """``value`` as a read-only float64 copy, which no later write to ``value`` reaches."""
+    array = np.array(value, dtype=float)
+    array.setflags(write=False)
+    return array
+
+
 @value_type
 class MacroState:
     """Field values on a uniform periodic grid.
@@ -172,14 +182,12 @@ class MacroState:
     dx: float
     time: float = 0.0
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+    def __post_init__(self) -> dict:
+        values = frozen_array(self.values)
         if values.ndim != 1 or values.size < 3:
             raise ValueError("MacroState needs a 1-d array of at least 3 values")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dx", positive(self.dx, "MacroState dx"))
-        object.__setattr__(self, "time", float(self.time))
+        return {"values": values, "dx": positive(self.dx, "MacroState dx"),
+                "time": float(self.time)}
 
     @property
     def n_points(self) -> int:
@@ -210,7 +218,7 @@ class PdeSpec:
                 raise ValueError("coefficients must be finite")
             if a != 0.0:
                 items.append((order, a))
-        object.__setattr__(self, "terms", tuple(sorted(items)))
+        _object_setattr(self, "terms", tuple(sorted(items)))
 
     @classmethod
     def heat(cls, diffusivity: float = 1.0) -> "PdeSpec":
@@ -244,13 +252,12 @@ class ToothConfig:
     h: float
     H: float = math.inf
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> dict:
         h = positive(self.h, "tooth width h")
         H = float(self.H)
         if not H >= h:  # also rejects nan
             raise ValueError("patch width H must be >= tooth width h")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "H", H)
+        return {"h": h, "H": H}
 
     @property
     def buffer_width(self) -> float:
@@ -270,7 +277,7 @@ class RngStreamSpec:
     stream_id: int = 0
     step_id: int = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> dict:
         seed = int(self.master_seed)
         if not 0 <= seed < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
@@ -278,9 +285,7 @@ class RngStreamSpec:
         step = int(self.step_id)
         if stream < 0 or step < 0:
             raise ValueError("stream_id and step_id must be non-negative")
-        object.__setattr__(self, "master_seed", seed)
-        object.__setattr__(self, "stream_id", stream)
-        object.__setattr__(self, "step_id", step)
+        return {"master_seed": seed, "stream_id": stream, "step_id": step}
 
     def at(self, *, stream_id: int | None = None, step_id: int | None = None) -> "RngStreamSpec":
         """Same master seed, different stream/step address."""
@@ -322,8 +327,7 @@ def _average_weights(degree: int, h: float) -> np.ndarray:
             w[k] = h**k / (math.factorial(k) * (k + 1) * 2**k)
         except OverflowError:
             raise ValueError(f"average weights overflow at degree {degree}, h = {h!r}") from None
-    w.setflags(write=False)
-    return w
+    return frozen_array(w)
 
 
 def generator(spec: RngStreamSpec) -> np.random.Generator:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import RngStreamSpec, at_least, generator, positive, value_type
+from .core import RngStreamSpec, at_least, frozen_array, generator, positive, value_type
 
 __all__ = [
     "RandomForceField",
@@ -73,21 +73,17 @@ class RandomForceField:
     wavenumbers: np.ndarray
     phases: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = np.array(self.amplitudes, dtype=float)
-        k = np.array(self.wavenumbers, dtype=float)
-        p = np.array(self.phases, dtype=float)
+    def __post_init__(self) -> dict:
+        a = frozen_array(self.amplitudes)
+        k = frozen_array(self.wavenumbers)
+        p = frozen_array(self.phases)
         if a.ndim != 1 or a.shape != k.shape:
             raise ValueError("amplitudes and wavenumbers must be equal-length 1-d arrays")
         if p.ndim not in (1, 2) or p.shape[-1] != a.size:
             raise ValueError("phases must be (n_modes,) or (n_fields, n_modes)")
         if np.any(k == 0):
             raise ValueError("wavenumbers must be nonzero (zero mode has no bounded potential)")
-        for arr in (a, k, p):
-            arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "wavenumbers", k)
-        object.__setattr__(self, "phases", p)
+        return {"amplitudes": a, "wavenumbers": k, "phases": p}
 
     @property
     def n_modes(self) -> int:
@@ -131,13 +127,10 @@ class ScaledTrajectory:
     dt_used: float
     energy_error: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("times", "positions", "velocities", "energy_error"):
-            if getattr(self, name) is None:
-                continue
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __post_init__(self) -> dict:
+        names = ("times", "positions", "velocities", "energy_error")
+        return {name: frozen_array(getattr(self, name))
+                for name in names if getattr(self, name) is not None}
 
 
 class EnsembleVelocities(tuple):
@@ -157,11 +150,8 @@ class MsdFit:
     lags: np.ndarray
     msd: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("lags", "msd"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __post_init__(self) -> dict:
+        return {"lags": frozen_array(self.lags), "msd": frozen_array(self.msd)}
 
 
 def synthesize_force_field(n_modes: int, spectrum: float, rng: RngStreamSpec) -> RandomForceField:

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, ToothConfig, at_least, positive, value_type
+from .core import PdeSpec, ToothConfig, at_least, frozen_array, positive, value_type
 
 __all__ = [
     "SdeModel",
@@ -61,11 +61,11 @@ class SdeModel:
     drift: Callable[[np.ndarray], np.ndarray]
     noise_amplitude: float = 1.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> dict:
         amp = float(self.noise_amplitude)
         if not (math.isfinite(amp) and amp >= 0):
             raise ValueError("noise_amplitude must be finite and >= 0")
-        object.__setattr__(self, "noise_amplitude", amp)
+        return {"noise_amplitude": amp}
 
     @classmethod
     def pure_noise(cls, noise_amplitude: float = 1.0) -> "SdeModel":
@@ -83,9 +83,8 @@ class MicroGrid:
     dx: float
     dt: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dx", positive(self.dx, "micro dx"))
-        object.__setattr__(self, "dt", positive(self.dt, "micro dt"))
+    def __post_init__(self) -> dict:
+        return {"dx": positive(self.dx, "micro dx"), "dt": positive(self.dt, "micro dt")}
 
 
 def em_step(x, model: SdeModel, dt: float, xi):
@@ -145,8 +144,7 @@ def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
     if not np.isfinite(M).all():
         # raised, so not cached: a smaller dt gets its own entry
         raise ValueError(f"the propagator exp(dt L) is not finite at dt = {dt!r}")
-    M.setflags(write=False)
-    return M
+    return frozen_array(M)
 
 
 def stable_dt_bound(pde: PdeSpec, dx: float) -> float:
@@ -319,6 +317,4 @@ def _tooth_weights(n: int, dx: float, h: float) -> np.ndarray:
         return np.maximum(0.0, 1.0 - np.abs(x - s) / dx)
 
     node_rows = np.vstack((interpolation_row(lo), np.eye(n)[inside], interpolation_row(hi)))
-    weights = np.trapezoid(node_rows, nodes, axis=0) / h
-    weights.setflags(write=False)
-    return weights
+    return frozen_array(np.trapezoid(node_rows, nodes, axis=0) / h)

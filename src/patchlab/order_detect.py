@@ -92,11 +92,10 @@ class ProbeSpec:
     halfwidth: float = 1.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_base", at_least(self.n_base, 1, "n_base"))
-        object.__setattr__(self, "n_perturb", at_least(self.n_perturb, 2, "n_perturb"))
-        object.__setattr__(self, "halfwidth", positive(self.halfwidth, "halfwidth"))
-        object.__setattr__(self, "seed", int(self.seed))
+    def __post_init__(self) -> dict:
+        return {"n_base": at_least(self.n_base, 1, "n_base"),
+                "n_perturb": at_least(self.n_perturb, 2, "n_perturb"),
+                "halfwidth": positive(self.halfwidth, "halfwidth"), "seed": int(self.seed)}
 
 
 @value_type

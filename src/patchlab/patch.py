@@ -88,7 +88,7 @@ class PatchConfig:
     evolution: str = "exact"
     micro: MicroGrid | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> dict:
         dt_micro = positive(self.dt_micro, "dt_micro")
         dt_macro = positive(self.dt_macro, "dt_macro")
         if dt_micro > dt_macro * (1.0 + 1e-12):
@@ -102,9 +102,7 @@ class PatchConfig:
             raise ValueError("finite-difference evolution requires a MicroGrid")
         if self.evolution == "fd" and math.isinf(self.tooth.H):
             raise ValueError("finite-difference evolution requires a finite patch width H")
-        object.__setattr__(self, "dt_micro", dt_micro)
-        object.__setattr__(self, "dt_macro", dt_macro)
-        object.__setattr__(self, "alpha", alpha)
+        return {"dt_micro": dt_micro, "dt_macro": dt_macro, "alpha": alpha}
 
 
 def lift_coefficients(U: MacroState, scheme: LiftingScheme, h: float) -> np.ndarray:

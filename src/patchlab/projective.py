@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import RngStreamSpec, at_least, ensemble_normals, positive, value_type
+from .core import RngStreamSpec, at_least, ensemble_normals, frozen_array, positive, value_type
 from .micro import SdeModel, em_step
 
 __all__ = [
@@ -46,7 +46,7 @@ class CoarseStepConfig:
     dt_macro: float
     alpha: float = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> dict:
         n = at_least(self.ensemble_size, 1, "ensemble_size")
         k = at_least(self.micro_steps, 1, "micro_steps")
         dt_micro = positive(self.dt_micro, "dt_micro")
@@ -60,11 +60,8 @@ class CoarseStepConfig:
             i = alpha * k
             if abs(i - round(i)) > 1e-9:
                 raise ValueError("alpha*micro_steps must be an integer number of micro steps")
-        object.__setattr__(self, "ensemble_size", n)
-        object.__setattr__(self, "micro_steps", k)
-        object.__setattr__(self, "dt_micro", dt_micro)
-        object.__setattr__(self, "dt_macro", dt_macro)
-        object.__setattr__(self, "alpha", alpha)
+        return {"ensemble_size": n, "micro_steps": k, "dt_micro": dt_micro,
+                "dt_macro": dt_macro, "alpha": alpha}
 
     @property
     def micro_horizon(self) -> float:
@@ -101,10 +98,8 @@ class CoarseTrajectory:
     ledger: CostLedger
     diverged_at: int | None = None
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+    def __post_init__(self) -> dict:
+        return {"values": frozen_array(self.values)}
 
 
 def effective_noise_std(cfg: CoarseStepConfig, noise_amplitude: float = 1.0) -> float:

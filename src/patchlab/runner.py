@@ -17,6 +17,7 @@ from . import __version__
 from .analysis import (
     convergence_order,
     increment_moments,
+    reachable_time,
     seeded_noise_state,
     stationary_variance_test,
     symbol_growth_factor,
@@ -273,19 +274,19 @@ def _exact_solution(name: str, coefficient: float):
     return lambda xs, t: np.exp(-coefficient * t) * np.sin(xs)
 
 
-def _patch_setup(p: dict, n_points: int):
+def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
+    """The PDE, step config and spacing on ``n_points``, the value of config key ``key``."""
     pde = _make_pde(p["pde"], p["coefficient"])
-    dx = 2.0 * math.pi / n_points
-    ratio = p["dt_ratio"] or _DT_RATIO_DEFAULTS[p["pde"]]
-    dt_macro = ratio * dx ** pde.max_order
-    dt_micro = p["dt_micro_factor"] * dt_macro
     # upwind slopes come from where the transport comes from: velocity = -a_1
     a1 = dict(pde.terms).get(1, 0.0)
     scheme = LiftingScheme(p["lifting"], wind_sign=-1 if a1 > 0 else 1)
+    dx = 2.0 * math.pi / at_least(n_points, scheme.stencil_points, key)
+    ratio = positive(p["dt_ratio"] or _DT_RATIO_DEFAULTS[p["pde"]], "dt_ratio")
+    dt_macro = ratio * dx ** pde.max_order
     cfg = PatchConfig(
         lifting=scheme,
-        tooth=ToothConfig(h=p["h_fraction"] * dx),
-        dt_micro=dt_micro,
+        tooth=ToothConfig(h=positive(p["h_fraction"], "h_fraction") * dx),
+        dt_micro=positive(p["dt_micro_factor"], "dt_micro_factor") * dt_macro,
         dt_macro=dt_macro,
         alpha=p["alpha"],
     )
@@ -295,7 +296,12 @@ def _patch_setup(p: dict, n_points: int):
 def _run_patch(p: dict, seed: int):
     if not (p["grids"] or math.isnan(p["expect_order"])):
         raise ConfigError("expect_order needs grids to fit a convergence order on")
+    # every grid and the study's final time fail here, before any lift or probe
     pde, cfg, dx = _patch_setup(p, p["n_points"])
+    study_setups = {n: _patch_setup(p, n, "grids") for n in p["grids"]}
+    final_time = p["final_time"] or _FINAL_TIME_DEFAULTS[p["pde"]]
+    for _, cfg_n, _ in study_setups.values():
+        reachable_time(final_time, cfg_n.dt_macro)
     metrics: list[MetricResult] = []
     metrics.append(MetricResult("dt_macro", cfg.dt_macro))
     metrics.append(MetricResult("tooth_width", cfg.tooth.h))
@@ -324,11 +330,10 @@ def _run_patch(p: dict, seed: int):
 
     tables: list[Table] = []
     if p["grids"]:
-        final_time = p["final_time"] or _FINAL_TIME_DEFAULTS[p["pde"]]
         exact = _exact_solution(p["pde"], p["coefficient"])
 
         def make_problem(n: int):
-            pde_n, cfg_n, dx_n = _patch_setup(p, n)
+            pde_n, cfg_n, dx_n = study_setups[n]
             xs = dx_n * np.arange(n)
             u_init = MacroState(values=np.sin(xs), dx=dx_n)
             symbol_n = step_symbol(pde_n, cfg_n, n, dx_n)
@@ -435,11 +440,12 @@ def _run_kp(p: dict, seed: int):
         raise ConfigError(
             f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}"
         )
-    # every delta and the fit's lag window fail here, before the first
-    # integration; the fit checks a stand-in path on the run's sample grid,
-    # which needs a positive, finite total_time
+    # every delta, dt_scale and the fit's lag window fail here, before the
+    # first integration; the fit checks a stand-in path on the run's sample
+    # grid, which needs a positive, finite total_time
     for delta in p["deltas"]:
         positive(delta, "delta")
+    positive(p["dt_scale"], "dt_scale")
     positive(p["total_time"], "total_time")
     times = np.linspace(0.0, p["total_time"], p["n_samples"] + 1)
     msd_exponent(times, times[None, :], p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"])

@@ -198,6 +198,18 @@ def test_symbol_stepper_lands_where_iterated_steps_stop():
     np.testing.assert_allclose(jumped.values, iterated.values, rtol=0, atol=1e-12)
 
 
+def test_symbol_stepper_refuses_more_steps_than_its_cap_before_stepping():
+    symbol = np.ones(4)
+    # 1e7 steps of 0.1, the most it takes, are accepted (and not taken here)
+    symbol_stepper(symbol, 0.1, 1e6)
+    with pytest.raises(ValueError) as err:
+        symbol_stepper(symbol, 0.1, 1e15)
+    assert str(err.value) == "final_time 1e+15 needs more than 10000000 macro steps of 0.1"
+    # far past the last float step, where t + dt_macro == t
+    with pytest.raises(ValueError, match="^final_time 1e\\+300 needs more than"):
+        symbol_stepper(symbol, 1e-300, 1e300)
+
+
 def test_increment_moments_oracle():
     mom = increment_moments(np.array([0.0, 1.0, 3.0, 6.0]))
     assert mom.n == 3

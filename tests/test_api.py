@@ -75,3 +75,14 @@ def test_package_does_not_import_dataclasses(path):
     # each dataclass compiles its methods at import; core.value_type builds
     # the value types without that start-up cost
     assert "dataclasses" not in _imported_modules(path)
+
+
+def test_only_core_writes_past_a_frozen_field():
+    # a value type's __post_init__ returns the fields it normalises and
+    # core.frozen_array freezes arrays, so no other module needs either escape
+    offenders = [
+        f"{path.name}: {pattern}"
+        for path in sorted((ROOT / "src" / "patchlab").glob("*.py")) if path.name != "core.py"
+        for pattern in ("object.__setattr__", ".setflags(") if pattern in path.read_text()
+    ]
+    assert offenders == []

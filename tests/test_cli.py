@@ -384,9 +384,19 @@ PATCH_PARAMETERS = "[experiment]\nname = patch\n[parameters]\npde = heat\nliftin
          "error: patch: final_time must be positive and finite\n"),
         ("grids = 16, 32\nfinal_time = nan\n",
          "error: patch: final_time must be positive and finite\n"),
+        # 6.5e16 steps of the 32-point grid, which the study used to count out one by one
+        ("grids = 16, 32\nfinal_time = 1e15\n",
+         "error: patch: final_time 1e+15 needs more than 10000000 macro steps of 0.061685\n"),
+        ("grids = 16, 2\n", "error: patch: grids must be >= 3\n"),
+        ("n_points = 2\n", "error: patch: n_points must be >= 3\n"),
+        # each derived key is named as set, not by the library argument it becomes
+        ("dt_ratio = -1\n", "error: patch: dt_ratio must be positive and finite\n"),
+        ("dt_micro_factor = 0\n", "error: patch: dt_micro_factor must be positive and finite\n"),
+        ("h_fraction = -1\n", "error: patch: h_fraction must be positive and finite\n"),
     ],
     ids=["probe_steps", "repeated-grids", "order-without-grids", "infinite-final-time",
-         "nan-final-time"],
+         "nan-final-time", "unreachable-final-time", "small-grid", "small-n_points",
+         "dt_ratio", "dt_micro_factor", "h_fraction"],
 )
 def test_patch_config_errors_exit_two(tmp_path, capsys, extra, message):
     cfg = write(tmp_path, PATCH_PARAMETERS + extra)
@@ -405,6 +415,26 @@ def test_order_without_grids_fails_before_any_work(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_patch_setup", no_work)
     cfg = write(tmp_path, PATCH_PARAMETERS + "expect_order = 2.0\n")
     assert main(["patch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["grids = 16, 2\n", "grids = 16, 32\nfinal_time = 1e15\n", "grids = 16, 32\nfinal_time = -1\n"],
+    ids=["small-grid", "unreachable-final-time", "negative-final-time"],
+)
+def test_bad_patch_config_fails_before_any_work(tmp_path, monkeypatch, extra):
+    import patchlab.runner as runner
+
+    calls = []
+    for name in ("lift_coefficients", "step_symbol", "symbol_growth_factor"):
+        def no_work(*args, name=name, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran before the config was checked")
+
+        monkeypatch.setattr(runner, name, no_work)
+    cfg = write(tmp_path, PATCH_PARAMETERS + extra)
+    assert main(["patch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert calls == []
 
 
 def test_patch_reports_the_largest_amplification(tmp_path):
@@ -463,9 +493,10 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
         ("deltas = 1.0\nn_lags = 1\n", "need n_lags >= 2 to fit an exponent"),
         ("deltas = 1.0\ntotal_time = inf\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ntotal_time = 0\n", "total_time must be positive and finite"),
+        ("deltas = 1.0\ndt_scale = nan\n", "dt_scale must be positive and finite"),
     ],
     ids=["negative-delta", "infinite-delta", "lag-window", "one-lag", "infinite-total-time",
-         "zero-total-time"],
+         "zero-total-time", "nan-dt_scale"],
 )
 def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys, recwarn,
                                                      extra, message):

@@ -430,6 +430,8 @@ BAD_INPUTS = {
                         "kp: delta must be positive and finite"),
     "kp_runner-total_time": (lambda v: _kp_run(total_time=v), 0.0,
                              "kp: total_time must be positive and finite"),
+    "kp_runner-dt_scale": (lambda v: _kp_run(dt_scale=v), -1e-3,
+                           "kp: dt_scale must be positive and finite"),
     "convergence_order-final_time": (
         lambda v: convergence_order(_never_built, (8, 16), v, None), 0.0,
         "final_time must be positive and finite"),

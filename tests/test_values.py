@@ -28,6 +28,7 @@ from patchlab import (
     propagator_matrix,
     replace,
 )
+from patchlab.core import value_type
 
 
 def _drift(x):
@@ -256,3 +257,70 @@ def test_equal_pde_specs_share_the_cached_propagator():
     assert a is not b and a == b and hash(a) == hash(b)
     assert propagator_matrix(a, 4, 0.125) is propagator_matrix(b, 4, 0.125)
     assert propagator_matrix(PdeSpec.heat(2.0), 4, 0.125) is not propagator_matrix(a, 4, 0.125)
+
+
+@value_type
+class _Span:
+    lo: float
+    hi: float = 1.0
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError("need lo < hi")
+        return {"lo": float(self.lo)}
+
+
+@value_type
+class _Label:
+    text: str
+
+    def __post_init__(self):
+        if not self.text:
+            raise ValueError("empty label")
+
+
+def test_post_init_returns_the_fields_it_normalises():
+    span = _Span(0, 2)
+    # the returned field replaces the value given; the others stay as given
+    assert type(span.lo) is float and span.lo == 0.0
+    assert type(span.hi) is int and span.hi == 2
+    label = _Label("x")  # a None return keeps every field
+    assert label.text == "x"
+    for value, name in ((span, "lo"), (span, "hi"), (label, "text")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5.0)
+    with pytest.raises(ValueError, match="lo < hi"):
+        _Span(3)
+    with pytest.raises(ValueError, match="empty label"):
+        _Label("")
+
+
+# every array field of the value types, kept as a read-only float64 copy
+ARRAY_FIELDS = {
+    "MacroState": ("values",),
+    "RandomForceField": ("amplitudes", "wavenumbers", "phases"),
+    "ScaledTrajectory": ("times", "positions", "velocities", "energy_error"),
+    "MsdFit": ("lags", "msd"),
+    "CoarseTrajectory": ("values",),
+}
+
+
+def test_array_fields_are_listed():
+    holding = {cls.__name__ for cls in VALUE_CLASSES if _holds_arrays(_build(cls))}
+    assert holding == set(ARRAY_FIELDS)
+
+
+@pytest.mark.parametrize("name, fields", ARRAY_FIELDS.items(), ids=ARRAY_FIELDS.keys())
+def test_array_fields_are_read_only_copies(name, fields):
+    sample = SAMPLES[name]()
+    inputs = {field: np.array([1.0, 2.0] if sample[field] is None else sample[field])
+              for field in fields}
+    value = _build(getattr(patchlab, name), **inputs)
+    before = {field: np.array(getattr(value, field)) for field in fields}
+    for field, array in inputs.items():
+        array += 1
+        stored = getattr(value, field)
+        assert stored.dtype == np.float64 and not stored.flags.writeable, field
+        np.testing.assert_array_equal(stored, before[field])
+        with pytest.raises(ValueError):
+            stored[...] = 0.0
