@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MacroState, RngStreamSpec, normal_stream, positive, value_type
+from .core import MacroState, RngStreamSpec, normal_stream, positive, step_cap, value_type
 
 __all__ = [
     "StabilityReport",
@@ -34,7 +34,6 @@ _DISCARD_FRACTION = 0.25  # transient share of the growth ratios
 _BURN_IN_FRACTION = 0.1  # transient share of a trajectory
 _MIN_TAIL = 1000
 _REACHED = 1.0 - 1e-9  # a study stops at the first time >= _REACHED * final_time
-_MAX_MACRO_STEPS = 10**7  # a symbol stepper's step cap; the repository's configs need 519
 _OVERFLOWED_AT_ONCE = "stepper overflowed immediately; no growth ratios available"
 
 
@@ -196,20 +195,28 @@ def convergence_order(
     ``make_problem(n)`` returns a (stepper, initial state) pair whose macro
     step divides ``final_time``.  Errors are measured in the RMS norm
     against ``exact(x, t)`` at the reached time.  Errors at rounding level
-    (below 1e-12) are excluded from the fit with a warning.
+    (below 1e-12) are excluded from the fit with a warning.  A step that
+    does not advance ``u.time``, or one after which the steps taken and
+    those left at its size exceed the step cap, raises ``ValueError``.
     """
-    grid_sizes = tuple(int(n) for n in grid_sizes)
-    if len(grid_sizes) < 2:
-        raise ValueError("need at least two grid sizes")
-    if len(set(grid_sizes)) != len(grid_sizes):
-        raise ValueError(f"grid sizes must be distinct, got {grid_sizes}")
+    grid_sizes = study_grids(grid_sizes)
     final_time = positive(final_time, "final_time")
+    reached = final_time * _REACHED
     spacings = []
     errors = []
     for n in grid_sizes:
         step, u = make_problem(n)
-        while u.time < final_time * _REACHED:
+        steps = 0
+        while u.time < reached:
+            time = u.time
             u = step(u)
+            steps += 1
+            dt = u.time - time
+            if not dt > 0:
+                raise ValueError(f"a step on grid {n} stays at time {time:g}, "
+                                 f"short of final_time {final_time:g}")
+            step_cap(steps + (reached - u.time) / dt, "final_time", final_time,
+                     "macro steps of", dt)
         xs = u.grid()
         err = float(np.sqrt(np.mean((u.values - exact(xs, u.time)) ** 2)))
         spacings.append(u.dx)
@@ -234,6 +241,16 @@ def convergence_order(
         fitted_order=float(slope),
         excluded=excluded,
     )
+
+
+def study_grids(grid_sizes: Sequence[int]) -> tuple[int, ...]:
+    """``grid_sizes`` as a tuple of ints; ``ValueError`` unless two or more, all distinct."""
+    grid_sizes = tuple(int(n) for n in grid_sizes)
+    if len(grid_sizes) < 2:
+        raise ValueError("need at least two grid sizes")
+    if len(set(grid_sizes)) != len(grid_sizes):
+        raise ValueError(f"grid sizes must be distinct, got {grid_sizes}")
+    return grid_sizes
 
 
 def symbol_stepper(
@@ -262,11 +279,9 @@ def symbol_stepper(
 
 def reachable_time(final_time, dt_macro: float) -> float:
     """``final_time`` as a float; ``ValueError`` naming it unless it is positive,
-    finite and at most ``_MAX_MACRO_STEPS`` steps of the positive ``dt_macro``."""
+    finite and reached within the step cap by steps of the positive ``dt_macro``."""
     final_time = positive(final_time, "final_time")
-    if final_time / dt_macro > _MAX_MACRO_STEPS:
-        raise ValueError(f"final_time {final_time:g} needs more than {_MAX_MACRO_STEPS} "
-                         f"macro steps of {dt_macro:g}")
+    step_cap(final_time / dt_macro, "final_time", final_time, "macro steps of", dt_macro)
     return final_time
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import RngStreamSpec, at_least, frozen_array, generator, positive, value_type
+from .core import RngStreamSpec, at_least, frozen_array, generator, positive, step_cap, value_type
 
 __all__ = [
     "RandomForceField",
@@ -191,6 +191,17 @@ def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample):
     return xs, vs
 
 
+def sample_steps(sample_dt: float, dt: float, n_samples: int, name: str, value: float) -> int:
+    """Leapfrog steps per interval ``sample_dt`` under the step ceiling ``dt``;
+    ``ValueError`` naming ``name`` if ``n_samples`` intervals exceed the step cap."""
+    ratio = sample_dt / dt - 1e-12 if dt > 0 else math.inf
+    # the ratio first, so that an infinite one never reaches ceil()
+    step_cap(ratio, name, value, "leapfrog steps of", dt)
+    steps = max(1, int(math.ceil(ratio)))
+    step_cap(n_samples * steps, name, value, "leapfrog steps of", dt)
+    return steps
+
+
 def kp_integrate(
     field: RandomForceField,
     delta: float,
@@ -222,7 +233,7 @@ def kp_integrate(
     if not (math.isfinite(x0) and math.isfinite(v0)):
         raise ValueError("initial position and velocity must be finite")
     sample_dt = total_time / n_samples
-    steps_per_sample = max(1, int(math.ceil(sample_dt / dt - 1e-12)))
+    steps_per_sample = sample_steps(sample_dt, dt, n_samples, "total_time", total_time)
     dt_used = sample_dt / steps_per_sample
     xs, vs = _leapfrog(field, delta, x0, v0, dt_used, n_samples, steps_per_sample)
     energy_error = None

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PdeSpec, ToothConfig, at_least, frozen_array, positive, value_type
+from .core import PdeSpec, ToothConfig, at_least, frozen_array, positive, step_cap, value_type
 
 __all__ = [
     "SdeModel",
@@ -147,40 +147,39 @@ def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
     return frozen_array(M)
 
 
+# derivative order -> (stencil half-width, c of the stable step c dx**order / |a|,
+# boundary spread within dt as a function of s = |a| dt): transport moves s,
+# diffusion spreads six standard deviations of its kernel's width
+_FD_ORDERS = {
+    1: (1, 0.8, lambda s: s),
+    2: (1, 0.4, lambda s: 6.0 * math.sqrt(s)),
+    4: (2, 0.3 / 8.0, lambda s: 6.0 * s**0.25),
+}
+
+
+def _fd_order(order: int) -> tuple:
+    try:
+        return _FD_ORDERS[order]
+    except KeyError:
+        raise ValueError(f"no finite-difference stencil for derivative order {order}") from None
+
+
 def stable_dt_bound(pde: PdeSpec, dx: float) -> float:
     """Largest admissible explicit micro step on spacing ``dx``."""
     dx = positive(dx, "dx")
-    bounds = []
+    bound = math.inf
     for order, a in pde.terms:
-        if order == 1:
-            bounds.append(0.8 * dx / abs(a))
-        elif order == 2:
-            bounds.append(0.4 * dx**2 / abs(a))
-        elif order == 4:
-            bounds.append(0.3 * dx**4 / (8.0 * abs(a)))
-        else:
-            raise ValueError(f"no finite-difference stencil for derivative order {order}")
-    return min(bounds) if bounds else math.inf
+        bound = min(bound, _fd_order(order)[1] * dx**order / abs(a))
+    return bound
 
 
 def influence_radius(pde: PdeSpec, dt: float) -> float:
-    """Distance boundary data can contaminate the interior within ``dt``.
-
-    Advective transport moves |a| dt; diffusive spread is taken at six
-    standard deviations of the corresponding kernel width.
-    """
+    """Distance boundary data can contaminate the interior within ``dt``."""
     if dt < 0:
         raise ValueError("dt must be >= 0")
     radius = 0.0
     for order, a in pde.terms:
-        if order == 1:
-            radius = max(radius, abs(a) * dt)
-        elif order == 2:
-            radius = max(radius, 6.0 * math.sqrt(abs(a) * dt))
-        elif order == 4:
-            radius = max(radius, 6.0 * (abs(a) * dt) ** 0.25)
-        else:
-            raise ValueError(f"no influence estimate for derivative order {order}")
+        radius = max(radius, _fd_order(order)[2](abs(a) * dt))
     return radius
 
 
@@ -239,10 +238,12 @@ def evolve_fd_buffered(
     u = coeffs @ basis
 
     if dt > 0:
-        n_steps = max(1, int(math.ceil(dt / grid.dt - 1e-12)))
+        ratio = dt / grid.dt - 1e-12
+        step_cap(ratio, "dt", dt, "micro steps of", grid.dt)
+        n_steps = max(1, int(math.ceil(ratio)))
         step = dt / n_steps
-        # widest stencil arm decides how many boundary nodes stay frozen
-        frozen = 2 if pde.max_order >= 3 else 1
+        # widest stencil arm, the highest order's, decides how many boundary nodes stay frozen
+        frozen = _FD_ORDERS[pde.max_order][0] if pde.terms else 1
         # node-major, so each stencil arm is one contiguous block of rows:
         # at[s] holds node j + s of every tooth for the interior nodes j
         v = np.ascontiguousarray(u.T)
@@ -261,15 +262,13 @@ def evolve_fd_buffered(
                     np.subtract(at[1], term, out=term)
                     term += at[-1]
                     term /= dx**2
-                elif order == 4:
+                else:  # order 4; stable_dt_bound refused any other
                     term = 4.0 * at[1]
                     np.subtract(at[2], term, out=term)
                     term += 6.0 * at[0]
                     term -= 4.0 * at[-1]
                     term += at[-2]
                     term /= dx**4
-                else:  # pragma: no cover - rejected earlier by stable_dt_bound
-                    raise ValueError(f"no finite-difference stencil for derivative order {order}")
                 term *= a
                 rhs = np.add(rhs, term, out=term)
             rhs *= step

@@ -20,12 +20,13 @@ from .analysis import (
     reachable_time,
     seeded_noise_state,
     stationary_variance_test,
+    study_grids,
     symbol_growth_factor,
     symbol_stepper,
 )
 from .config import ConfigError, ExperimentConfig, render_config
 from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, at_least, positive, value_type
-from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent
+from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent, sample_steps
 from .micro import SdeModel
 from .order_detect import (
     BlackBoxFunction,
@@ -254,17 +255,13 @@ def _run_projective(p: dict, seed: int):
 
 # --------------------------------------------------------------------- patch
 
-_DT_RATIO_DEFAULTS = {"heat": 0.4, "advection": 0.5, "biharmonic": 0.0375}
-_FINAL_TIME_DEFAULTS = {"heat": 0.5, "advection": 0.5, "biharmonic": 0.005}
+# pde -> (PdeSpec factory, default dt_ratio, default final_time)
+_PATCH_PDES = {
+    "heat": (PdeSpec.heat, 0.4, 0.5),
+    "advection": (PdeSpec.advection, 0.5, 0.5),
+    "biharmonic": (PdeSpec.biharmonic, 0.0375, 0.005),
+}
 _STABILITY_CODES = {"stable": 0, "marginal": 1, "unstable": 2}
-
-
-def _make_pde(name: str, coefficient: float) -> PdeSpec:
-    if name == "heat":
-        return PdeSpec.heat(coefficient)
-    if name == "advection":
-        return PdeSpec.advection(coefficient)
-    return PdeSpec.biharmonic(coefficient)
 
 
 def _exact_solution(name: str, coefficient: float):
@@ -276,12 +273,13 @@ def _exact_solution(name: str, coefficient: float):
 
 def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
     """The PDE, step config and spacing on ``n_points``, the value of config key ``key``."""
-    pde = _make_pde(p["pde"], p["coefficient"])
+    factory, dt_ratio, _ = _PATCH_PDES[p["pde"]]
+    pde = factory(p["coefficient"])
     # upwind slopes come from where the transport comes from: velocity = -a_1
     a1 = dict(pde.terms).get(1, 0.0)
     scheme = LiftingScheme(p["lifting"], wind_sign=-1 if a1 > 0 else 1)
     dx = 2.0 * math.pi / at_least(n_points, scheme.stencil_points, key)
-    ratio = positive(p["dt_ratio"] or _DT_RATIO_DEFAULTS[p["pde"]], "dt_ratio")
+    ratio = positive(p["dt_ratio"] or dt_ratio, "dt_ratio")
     dt_macro = ratio * dx ** pde.max_order
     cfg = PatchConfig(
         lifting=scheme,
@@ -296,10 +294,13 @@ def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
 def _run_patch(p: dict, seed: int):
     if not (p["grids"] or math.isnan(p["expect_order"])):
         raise ConfigError("expect_order needs grids to fit a convergence order on")
-    # every grid and the study's final time fail here, before any lift or probe
+    # the grid list, every grid and the study's final time fail here, before
+    # any lift or probe
     pde, cfg, dx = _patch_setup(p, p["n_points"])
+    if p["grids"]:
+        study_grids(p["grids"])
     study_setups = {n: _patch_setup(p, n, "grids") for n in p["grids"]}
-    final_time = p["final_time"] or _FINAL_TIME_DEFAULTS[p["pde"]]
+    final_time = p["final_time"] or _PATCH_PDES[p["pde"]][2]
     for _, cfg_n, _ in study_setups.values():
         reachable_time(final_time, cfg_n.dt_macro)
     metrics: list[MetricResult] = []
@@ -440,20 +441,22 @@ def _run_kp(p: dict, seed: int):
         raise ConfigError(
             f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}"
         )
-    # every delta, dt_scale and the fit's lag window fail here, before the
-    # first integration; the fit checks a stand-in path on the run's sample
-    # grid, which needs a positive, finite total_time
+    # every delta, dt_scale, each delta's step count and the fit's lag window
+    # fail here, before the first integration; the fit checks a stand-in
+    # path on the run's sample grid, which needs a positive, finite total_time
     for delta in p["deltas"]:
         positive(delta, "delta")
     positive(p["dt_scale"], "dt_scale")
     positive(p["total_time"], "total_time")
+    sample_dt = p["total_time"] / p["n_samples"]
+    dts = [min(p["dt_scale"] * delta * delta, sample_dt) for delta in p["deltas"]]
+    for dt in dts:
+        sample_steps(sample_dt, dt, p["n_samples"], "dt_scale", p["dt_scale"])
     times = np.linspace(0.0, p["total_time"], p["n_samples"] + 1)
     msd_exponent(times, times[None, :], p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"])
     rng = RngStreamSpec(master_seed=seed)
     for i, delta in enumerate(p["deltas"]):
         slug = _slug(delta)
-        sample_dt = p["total_time"] / p["n_samples"]
-        dt = min(p["dt_scale"] * delta * delta, sample_dt)
         try:
             run = ensemble_velocities(
                 n_trajectories=p["n_trajectories"],
@@ -461,7 +464,7 @@ def _run_kp(p: dict, seed: int):
                 spectrum=p["spectrum"],
                 delta=delta,
                 total_time=p["total_time"],
-                dt=dt,
+                dt=dts[i],
                 rng=rng.at(step_id=i),
                 initial=(p["x0"], p["v0"]),
                 n_samples=p["n_samples"],

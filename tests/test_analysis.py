@@ -183,6 +183,51 @@ def test_convergence_order_needs_distinct_grid_sizes():
                           exact=lambda xs, t: math.exp(-t) * np.sin(xs))
 
 
+def constant_step_problem(dt):
+    """A stepper that only advances time by ``dt``, on an exact solution off by dx**2."""
+    def make(n):
+        dx = 2.0 * math.pi / n
+
+        def step(u):
+            return MacroState(values=u.values, dx=u.dx, time=u.time + dt)
+
+        return step, MacroState(values=np.sin(dx * np.arange(n)), dx=dx)
+    return make
+
+
+def off_by_dx2(xs, t):
+    return np.sin(xs) - (xs[1] - xs[0]) ** 2
+
+
+def test_convergence_order_refuses_more_steps_than_the_cap(monkeypatch):
+    import patchlab.core as core
+
+    monkeypatch.setattr(core, "_MAX_STEPS", 10)
+    # ten steps of 0.125 are accepted
+    report = convergence_order(constant_step_problem(0.125), (16, 32), 1.25, off_by_dx2)
+    assert report.fitted_order == pytest.approx(2.0)
+    calls = []
+
+    def counted(n):
+        step, u = constant_step_problem(0.125)(n)
+        return lambda u: calls.append(n) or step(u), u
+
+    with pytest.raises(ValueError) as err:
+        convergence_order(counted, (16, 32), 1.375, off_by_dx2)
+    assert str(err.value) == "final_time 1.375 needs more than 10 macro steps of 0.125"
+    assert calls == [16]  # refused after the first step
+    monkeypatch.undo()
+    # steps of 1e-300 would need 1e300 of them: refused after the first
+    with pytest.raises(ValueError, match="^final_time 1 needs more than 10000000 macro steps"):
+        convergence_order(constant_step_problem(1e-300), (16, 32), 1.0, off_by_dx2)
+
+
+def test_convergence_order_refuses_a_step_that_does_not_advance():
+    with pytest.raises(ValueError) as err:
+        convergence_order(constant_step_problem(0.0), (16, 32), 1.0, off_by_dx2)
+    assert str(err.value) == "a step on grid 16 stays at time 0, short of final_time 1"
+
+
 def test_symbol_stepper_lands_where_iterated_steps_stop():
     # the explicit heat scheme is circulant with symbol 1 - 4 lam sin^2(k dx / 2)
     n = 32

@@ -419,8 +419,10 @@ def test_order_without_grids_fails_before_any_work(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "extra",
-    ["grids = 16, 2\n", "grids = 16, 32\nfinal_time = 1e15\n", "grids = 16, 32\nfinal_time = -1\n"],
-    ids=["small-grid", "unreachable-final-time", "negative-final-time"],
+    ["grids = 16, 2\n", "grids = 16, 32\nfinal_time = 1e15\n", "grids = 16, 32\nfinal_time = -1\n",
+     "grids = 16\n", "n_points = 16\ngrids = 32, 32\n"],
+    ids=["small-grid", "unreachable-final-time", "negative-final-time", "one-grid",
+         "repeated-grid"],
 )
 def test_bad_patch_config_fails_before_any_work(tmp_path, monkeypatch, extra):
     import patchlab.runner as runner
@@ -494,9 +496,15 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
         ("deltas = 1.0\ntotal_time = inf\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ntotal_time = 0\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ndt_scale = nan\n", "dt_scale must be positive and finite"),
+        # too many leapfrog steps used to integrate without end
+        ("deltas = 1.0\ndt_scale = 1e-300\n",
+         "dt_scale 1e-300 needs more than 10000000 leapfrog steps of 1e-300"),
+        ("deltas = 1.0, 1e-4\n",
+         "dt_scale 0.001 needs more than 10000000 leapfrog steps of 1e-11"),
+        ("deltas = 1.0, 1e-200\n", "dt_scale 0.001 needs more than 10000000 leapfrog steps of 0"),
     ],
     ids=["negative-delta", "infinite-delta", "lag-window", "one-lag", "infinite-total-time",
-         "zero-total-time", "nan-dt_scale"],
+         "zero-total-time", "nan-dt_scale", "tiny-dt_scale", "small-delta", "underflowing-dt"],
 )
 def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys, recwarn,
                                                      extra, message):

@@ -206,6 +206,21 @@ def test_pde_spec_drops_zero_terms_and_sorts():
         PdeSpec({2: math.nan})
 
 
+def test_pde_spec_is_built_from_pairs_or_a_mapping_and_replaced_like_any_value():
+    pairs = PdeSpec(((4, 1.0), (2, 0.0), (1, -3)))
+    assert pairs == PdeSpec({1: -3.0, 4: 1.0}) == PdeSpec(terms={4: 1.0, 1: -3.0})
+    assert pairs.terms == ((1, -3.0), (4, 1.0))
+    assert replace(PdeSpec.heat(), terms=((2, 2.0),)) == PdeSpec.heat(2.0)
+    with pytest.raises(ValueError, match="derivative orders must be >= 1"):
+        replace(PdeSpec.heat(), terms=((0, 1.0),))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        PdeSpec(((2, math.inf),))
+    with pytest.raises(ValueError, match="derivative orders must be distinct"):
+        PdeSpec(((2, 1.0), (4, 1.0), (2, 3.0)))
+    with pytest.raises(ValueError, match="derivative orders must be distinct"):
+        PdeSpec({"2": 1.0, 2: 3.0})
+
+
 def test_tooth_config():
     t = ToothConfig(h=0.1, H=0.5)
     assert t.buffer_width == pytest.approx(0.2)

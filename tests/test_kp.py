@@ -253,6 +253,28 @@ def test_kp_integrate_rejects_a_delta_that_is_not_positive_and_finite(monkeypatc
         kp_integrate(small_field(0), delta, total_time=0.008, dt=1e-4)
 
 
+def test_kp_integrate_refuses_more_steps_than_the_cap_before_integrating(monkeypatch):
+    field = small_field(0)
+    with monkeypatch.context() as patch:
+        patch.setattr(patchlab.core, "_MAX_STEPS", 400)
+        # one step per sample interval of 2e-5: 400 steps are accepted
+        traj = kp_integrate(field, 1.0, total_time=0.008, dt=2e-5, validate=False)
+        assert traj.dt_used == pytest.approx(2e-5)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("kp integrated past the step cap")
+
+        patch.setattr(patchlab.kp, "_leapfrog", no_run)
+        with pytest.raises(ValueError) as err:
+            kp_integrate(field, 1.0, total_time=0.008, dt=1.9e-5)
+        assert str(err.value) == "total_time 0.008 needs more than 400 leapfrog steps of 1.9e-05"
+        with pytest.raises(ValueError, match="needs more than 400 leapfrog steps of 1e-300$"):
+            kp_integrate(field, 1.0, total_time=0.008, dt=1e-300)
+        # the smallest positive dt makes an infinite ratio, refused the same way
+        with pytest.raises(ValueError, match="needs more than 400 leapfrog steps of 4.94066e-324$"):
+            kp_integrate(field, 1.0, total_time=1e300, dt=5e-324, n_samples=1)
+
+
 def test_ensemble_self_consistency_error_names_trajectory():
     # trajectory 0 draws its field from the same stream as the test above
     with pytest.raises(DtSelfConsistencyError, match="^trajectory 0: energy drifted"):

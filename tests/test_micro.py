@@ -228,6 +228,35 @@ def test_influence_radius_formulas():
     assert influence_radius(PdeSpec.heat(1.0), 0.0) == 0.0
 
 
+def test_an_order_without_a_stencil_gets_one_message_everywhere():
+    pde = PdeSpec({2: 1.0, 3: 1.0})
+    tooth, grid = ToothConfig(h=0.05, H=1.0), MicroGrid(dx=0.01, dt=1e-6)
+    for call in (
+        lambda: stable_dt_bound(pde, 0.01),
+        lambda: influence_radius(pde, 1e-4),
+        lambda: evolve_fd_buffered([1.0, 0.0, 0.0], pde, 1e-4, tooth, grid),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "no finite-difference stencil for derivative order 3"
+
+
+def test_fd_refuses_more_micro_steps_than_the_cap_before_stepping(monkeypatch):
+    import patchlab.core as core
+
+    monkeypatch.setattr(core, "_MAX_STEPS", 10)
+    pde, tooth = PdeSpec.heat(1.0), ToothConfig(h=0.05, H=0.5)
+    grid = MicroGrid(dx=0.01, dt=1e-5)
+    evolve_fd_buffered([1.0, 0.0, 0.0], pde, 1e-4, tooth, grid)  # ten steps
+    with pytest.raises(ValueError) as err:
+        evolve_fd_buffered([1.0, 0.0, 0.0], pde, 1.05e-4, tooth, grid)
+    assert str(err.value) == "dt 0.000105 needs more than 10 micro steps of 1e-05"
+    # a micro step of 1e-300 is refused at once, not stepped 1e296 times
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="needs more than 10000000 micro steps of 1e-300"):
+        evolve_fd_buffered([1.0, 0.0, 0.0], pde, 1e-4, tooth, MicroGrid(dx=0.01, dt=1e-300))
+
+
 def test_fd_rejects_unstable_micro_step():
     pde = PdeSpec.heat(1.0)
     grid = MicroGrid(dx=0.01, dt=1.0)  # far above 0.4 dx^2

@@ -194,6 +194,30 @@ def ref_evolve_fd_buffered(coeffs, pde, dt, tooth, grid):
     return u
 
 
+def ref_stable_dt_bound(pde, dx):
+    bounds = []
+    for order, a in pde.terms:
+        if order == 1:
+            bounds.append(0.8 * dx / abs(a))
+        elif order == 2:
+            bounds.append(0.4 * dx**2 / abs(a))
+        else:
+            bounds.append(0.3 * dx**4 / (8.0 * abs(a)))
+    return min(bounds) if bounds else math.inf
+
+
+def ref_influence_radius(pde, dt):
+    radius = 0.0
+    for order, a in pde.terms:
+        if order == 1:
+            radius = max(radius, abs(a) * dt)
+        elif order == 2:
+            radius = max(radius, 6.0 * math.sqrt(abs(a) * dt))
+        else:
+            radius = max(radius, 6.0 * (abs(a) * dt) ** 0.25)
+    return radius
+
+
 def ref_coordinate_variance(box, index, probe):
     position = int(index) - box.first_index
     rng = generator(RngStreamSpec(master_seed=probe.seed, stream_id=position, step_id=0))
@@ -357,6 +381,18 @@ def test_evolve_fd_buffered_matches_reference(pde):
                 assert got.flags.c_contiguous
                 ref = ref_evolve_fd_buffered(coeffs.copy(), pde, dt, tooth, grid)
                 assert same_bits(got, ref), (dt, degree, coeffs.shape)
+
+
+def test_fd_step_bound_and_influence_radius_match_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(5000):
+        orders = [order for order in (1, 2, 4) if rng.random() < 0.6]
+        signs = rng.choice([-1.0, 1.0], len(orders))
+        pde = PdeSpec({o: s * 10.0 ** rng.uniform(-4, 4) for o, s in zip(orders, signs)})
+        dx = 10.0 ** rng.uniform(-5, 1)
+        dt = 0.0 if rng.random() < 0.05 else 10.0 ** rng.uniform(-10, 1)
+        assert same_bits(stable_dt_bound(pde, dx), ref_stable_dt_bound(pde, dx)), (pde, dx)
+        assert same_bits(influence_radius(pde, dt), ref_influence_radius(pde, dt)), (pde, dt)
 
 
 # ---------------------------------------------------------------- probe
