@@ -11,17 +11,17 @@ import argparse
 import sys
 
 from .config import EXPERIMENTS, ConfigError, parse_config
-from .core import replace
+from .core import replace, unsigned_seed
 from .runner import OverwriteError, render_summary, run_experiment, write_results
 
 __all__ = ["main"]
 
 
 def _seed_type(raw: str) -> int:
-    value = int(raw)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
+    try:
+        return unsigned_seed(raw, "seed")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 _COMMAND_HELPS = {

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import value_type
+from .core import PdeSpec, unsigned_seed, value_type
+from .patch import LIFTING_VARIANTS
 
 __all__ = [
     "ConfigError",
@@ -29,10 +30,26 @@ class ConfigError(ValueError):
 @value_type
 class _Param:
     name: str
-    kind: str            # int | float | bool | str | int_list | float_list | band_list
+    kind: str            # a key of _KINDS
     default: Any = _REQUIRED
     choices: tuple[str, ...] | None = None
 
+
+# the tables behind the schema's choices, in its order
+# pde -> (PdeSpec factory, default dt_ratio, default final_time)
+PATCH_PDES = {
+    "heat": (PdeSpec.heat, 0.4, 0.5),
+    "advection": (PdeSpec.advection, 0.5, 0.5),
+    "biharmonic": (PdeSpec.biharmonic, 0.0375, 0.005),
+}
+STABILITY_CODES = {"stable": 0, "marginal": 1, "unstable": 2}
+# order-detect target other than "adversarial" -> (default d_max, PDE factory)
+TARGET_PDES = {
+    "heat": (2, PdeSpec.heat),
+    "advection": (2, PdeSpec.advection),
+    "biharmonic_d4": (4, PdeSpec.biharmonic),
+    "biharmonic_d2": (2, PdeSpec.biharmonic),
+}
 
 _SCHEMAS: dict[str, tuple[_Param, ...]] = {
     "projective": (
@@ -49,9 +66,9 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("tolerance_fraction", "float", 0.1),
     ),
     "patch": (
-        _Param("pde", "str", choices=("heat", "advection", "biharmonic")),
+        _Param("pde", "str", choices=tuple(PATCH_PDES)),
         _Param("coefficient", "float", 1.0),
-        _Param("lifting", "str", choices=("central_d2", "upwind_d2", "central_d4")),
+        _Param("lifting", "str", choices=tuple(LIFTING_VARIANTS)),
         _Param("n_points", "int", 64),
         _Param("h_fraction", "float", 0.2),
         _Param("dt_ratio", "float", 0.0),
@@ -60,13 +77,12 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("probe_steps", "int", 400),
         _Param("grids", "int_list", ()),
         _Param("final_time", "float", 0.0),
-        _Param("expect_stability", "str", "", choices=("", "stable", "marginal", "unstable")),
+        _Param("expect_stability", "str", "", choices=("", *STABILITY_CODES)),
         _Param("expect_order", "float", math.nan),
         _Param("order_tolerance", "float", 0.3),
     ),
     "order-detect": (
-        _Param("target", "str",
-               choices=("heat", "advection", "biharmonic_d4", "biharmonic_d2", "adversarial")),
+        _Param("target", "str", choices=(*TARGET_PDES, "adversarial")),
         _Param("dt_micro", "float", 1e-3),
         _Param("h", "float", 0.1),
         _Param("d_max", "int", 0),
@@ -110,50 +126,34 @@ class ExperimentConfig:
         return self.output or f"{self.experiment.replace('-', '_')}_out"
 
 
-def _parse_value(raw: str, kind: str):
-    raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "str":
-        return raw
-    if kind == "int_list":
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
-    if kind == "float_list":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip()) if raw else ()
-    if kind == "band_list":
-        bands = []
-        for tok in raw.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            lo, _, hi = tok.partition(":")
-            lo_f, hi_f = float(lo), float(hi)
-            if not lo_f < hi_f:
-                raise ValueError(f"band {tok!r} needs lo < hi")
-            bands.append((lo_f, hi_f))
-        return tuple(bands)
-    raise ValueError(f"unknown kind {kind!r}")  # pragma: no cover
+    return raw.lower() in ("true", "yes", "1")
 
 
-def _render_value(value, kind: str) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("int_list", "float_list"):
-        return ", ".join(repr(v) if kind == "float_list" else str(v) for v in value)
-    if kind == "band_list":
-        return ", ".join(f"{repr(lo)}:{repr(hi)}" for lo, hi in value)
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
+def _band(tok: str) -> tuple[float, float]:
+    lo, _, hi = tok.strip().partition(":")
+    if not float(lo) < float(hi):
+        raise ValueError(f"band {tok.strip()!r} needs lo < hi")
+    return float(lo), float(hi)
+
+
+def _items(parse):
+    """Parser of a comma-separated list, each non-blank item read by ``parse``."""
+    return lambda raw: tuple(parse(tok) for tok in raw.split(",") if tok.strip())
+
+
+# kind -> (parse a value's stripped text, render a value as text that parses back)
+_KINDS = {
+    "int": (int, str),
+    "float": (float, lambda value: repr(float(value))),
+    "bool": (_boolean, lambda value: "true" if value else "false"),
+    "str": (str, str),
+    "int_list": (_items(int), lambda values: ", ".join(map(str, values))),
+    "float_list": (_items(float), lambda values: ", ".join(map(repr, values))),
+    "band_list": (_items(_band), lambda values: ", ".join(f"{lo!r}:{hi!r}" for lo, hi in values)),
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -201,11 +201,9 @@ def parse_config(text: str) -> ExperimentConfig:
             name = raw
         elif key == "seed":
             try:
-                seed = int(raw)
-                if not 0 <= seed < 2**64:
-                    raise ValueError
-            except ValueError:
-                errors.append(f"line {lineno}: seed must be an unsigned 64-bit integer")
+                seed = unsigned_seed(raw, "seed")
+            except ValueError as err:
+                errors.append(f"line {lineno}: {err}")
         elif key == "output":
             output = raw
         else:
@@ -226,7 +224,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {lineno}: unknown key {key!r} for experiment {name!r}")
             continue
         try:
-            value = _parse_value(raw, param.kind)
+            value = _KINDS[param.kind][0](raw)
         except ValueError as err:
             errors.append(f"line {lineno}: bad value for {key!r}: {err}")
             continue
@@ -262,5 +260,5 @@ def render_config(config: ExperimentConfig) -> str:
         "[parameters]",
     ]
     for param in _SCHEMAS[config.experiment]:
-        lines.append(f"{param.name} = {_render_value(config.parameters[param.name], param.kind)}")
+        lines.append(f"{param.name} = {_KINDS[param.kind][1](config.parameters[param.name])}")
     return "\n".join(lines) + "\n"

@@ -160,6 +160,18 @@ def at_least(value, minimum: int, name: str) -> int:
     return value
 
 
+def unsigned_seed(value, name: str) -> int:
+    """``value``, or its decimal text, as an int; ``ValueError`` naming ``name`` unless it
+    is in ``[0, 2**64)``, the seeds a ``SeedSequence`` takes."""
+    try:
+        seed = int(value)
+    except ValueError:  # text that is no integer
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer")
+    return seed
+
+
 # the most steps one stepping loop may take; the repository's configs need at
 # most 519 macro, 3,200 leapfrog and 5,120 finite-difference steps
 _MAX_STEPS = 10**7
@@ -293,11 +305,8 @@ class RngStreamSpec:
     step_id: int = 0
 
     def __post_init__(self) -> dict:
-        seed = int(self.master_seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-        stream = int(self.stream_id)
-        step = int(self.step_id)
+        seed = unsigned_seed(self.master_seed, "master_seed")
+        stream, step = int(self.stream_id), int(self.step_id)
         if stream < 0 or step < 0:
             raise ValueError("stream_id and step_id must be non-negative")
         return {"master_seed": seed, "stream_id": stream, "step_id": step}

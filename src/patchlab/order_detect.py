@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    PdeSpec, RngStreamSpec, at_least, average_weights, generator, positive, value_type,
+    PdeSpec, RngStreamSpec, at_least, average_weights, generator, positive, unsigned_seed,
+    value_type,
 )
 from .micro import propagator_matrix
 
@@ -95,7 +96,8 @@ class ProbeSpec:
     def __post_init__(self) -> dict:
         return {"n_base": at_least(self.n_base, 1, "n_base"),
                 "n_perturb": at_least(self.n_perturb, 2, "n_perturb"),
-                "halfwidth": positive(self.halfwidth, "halfwidth"), "seed": int(self.seed)}
+                "halfwidth": positive(self.halfwidth, "halfwidth"),
+                "seed": unsigned_seed(self.seed, "seed")}
 
 
 @value_type

@@ -36,7 +36,8 @@ __all__ = [
     "step_symbol",
 ]
 
-_VARIANTS = ("central_d2", "upwind_d2", "central_d4")
+# lifting variant -> (polynomial degree, stencil points)
+LIFTING_VARIANTS = {"central_d2": (2, 3), "upwind_d2": (2, 3), "central_d4": (4, 5)}
 
 
 class GapToothError(ValueError):
@@ -57,18 +58,19 @@ class LiftingScheme:
     wind_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown lifting variant {self.variant!r}; expected one of {_VARIANTS}")
+        if self.variant not in LIFTING_VARIANTS:
+            raise ValueError(f"unknown lifting variant {self.variant!r}; "
+                             f"expected one of {tuple(LIFTING_VARIANTS)}")
         if self.wind_sign not in (-1, 1):
             raise ValueError("wind_sign must be -1 or +1")
 
     @property
     def degree(self) -> int:
-        return 4 if self.variant == "central_d4" else 2
+        return LIFTING_VARIANTS[self.variant][0]
 
     @property
     def stencil_points(self) -> int:
-        return 5 if self.variant == "central_d4" else 3
+        return LIFTING_VARIANTS[self.variant][1]
 
 
 CENTRAL_D2 = LiftingScheme("central_d2")

@@ -24,8 +24,10 @@ from .analysis import (
     symbol_growth_factor,
     symbol_stepper,
 )
-from .config import ConfigError, ExperimentConfig, render_config
-from .core import MacroState, PdeSpec, RngStreamSpec, ToothConfig, at_least, positive, value_type
+from .config import (
+    PATCH_PDES, STABILITY_CODES, TARGET_PDES, ConfigError, ExperimentConfig, render_config,
+)
+from .core import MacroState, RngStreamSpec, ToothConfig, at_least, generator, positive, value_type
 from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent, sample_steps
 from .micro import SdeModel
 from .order_detect import (
@@ -255,14 +257,6 @@ def _run_projective(p: dict, seed: int):
 
 # --------------------------------------------------------------------- patch
 
-# pde -> (PdeSpec factory, default dt_ratio, default final_time)
-_PATCH_PDES = {
-    "heat": (PdeSpec.heat, 0.4, 0.5),
-    "advection": (PdeSpec.advection, 0.5, 0.5),
-    "biharmonic": (PdeSpec.biharmonic, 0.0375, 0.005),
-}
-_STABILITY_CODES = {"stable": 0, "marginal": 1, "unstable": 2}
-
 
 def _exact_solution(name: str, coefficient: float):
     # single harmonic on [0, 2*pi): sin(x) shifts (advection) or decays (heat, biharmonic)
@@ -273,7 +267,7 @@ def _exact_solution(name: str, coefficient: float):
 
 def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
     """The PDE, step config and spacing on ``n_points``, the value of config key ``key``."""
-    factory, dt_ratio, _ = _PATCH_PDES[p["pde"]]
+    factory, dt_ratio, _ = PATCH_PDES[p["pde"]]
     pde = factory(p["coefficient"])
     # upwind slopes come from where the transport comes from: velocity = -a_1
     a1 = dict(pde.terms).get(1, 0.0)
@@ -300,7 +294,7 @@ def _run_patch(p: dict, seed: int):
     if p["grids"]:
         study_grids(p["grids"])
     study_setups = {n: _patch_setup(p, n, "grids") for n in p["grids"]}
-    final_time = p["final_time"] or _PATCH_PDES[p["pde"]][2]
+    final_time = p["final_time"] or PATCH_PDES[p["pde"]][2]
     for _, cfg_n, _ in study_setups.values():
         reachable_time(final_time, cfg_n.dt_macro)
     metrics: list[MetricResult] = []
@@ -326,7 +320,7 @@ def _run_patch(p: dict, seed: int):
     expect = p["expect_stability"]
     name = f"stability_is_{expect}" if expect else f"stability_code_{report.classification}"
     metrics.append(
-        _checked(name, _STABILITY_CODES[report.classification], _STABILITY_CODES.get(expect), 0)
+        _checked(name, STABILITY_CODES[report.classification], STABILITY_CODES.get(expect), 0)
     )
 
     tables: list[Table] = []
@@ -360,36 +354,21 @@ def _run_patch(p: dict, seed: int):
 
 # -------------------------------------------------------------- order-detect
 
-# target -> (default d_max, PDE factory)
-_TARGET_PDES = {
-    "heat": (2, PdeSpec.heat),
-    "advection": (2, PdeSpec.advection),
-    "biharmonic_d4": (4, PdeSpec.biharmonic),
-    "biharmonic_d2": (2, PdeSpec.biharmonic),
-}
+
+def _order_detect_box(p: dict) -> BlackBoxFunction:
+    """The black box that the config's ``target`` names."""
+    budget = p["budget"] or None
+    if p["target"] == "adversarial":
+        return BlackBoxFunction(lambda pt: pt[0] + pt[99], arity=100, evaluation_budget=budget)
+    d_default, factory = TARGET_PDES[p["target"]]
+    return derivative_blackbox(factory(1.0), d_max=p["d_max"] or d_default, dt=p["dt_micro"],
+                               h=p["h"], evaluation_budget=budget)
 
 
 def _run_order_detect(p: dict, seed: int):
-    budget = p["budget"] or None
-    if p["target"] == "adversarial":
-        box = BlackBoxFunction(
-            evaluator=lambda pt: pt[0] + pt[99],
-            arity=100,
-            evaluation_budget=budget,
-        )
-    else:
-        d_default, factory = _TARGET_PDES[p["target"]]
-        d_max = p["d_max"] or d_default
-        box = derivative_blackbox(
-            factory(1.0), d_max=d_max, dt=p["dt_micro"], h=p["h"],
-            evaluation_budget=budget,
-        )
-    probe = ProbeSpec(
-        n_base=p["n_base"],
-        n_perturb=p["n_perturb"],
-        halfwidth=p["halfwidth"],
-        seed=seed,
-    )
+    box = _order_detect_box(p)
+    probe = ProbeSpec(n_base=p["n_base"], n_perturb=p["n_perturb"], halfwidth=p["halfwidth"],
+                      seed=seed)
     report = detect_order(box, probe, stop_after=p["stop_after"] or None)
 
     metrics: list[MetricResult] = []
@@ -416,8 +395,6 @@ def _run_order_detect(p: dict, seed: int):
 
 
 def _synthetic_paths(kind: str, n_traj: int, n_samples: int, rng: RngStreamSpec):
-    from .core import generator
-
     times = np.linspace(0.0, 1.0, n_samples + 1)
     gen = generator(rng)
     if kind == "brownian":

@@ -185,7 +185,7 @@ def test_readme_config_example_parses():
 
 
 def test_readme_config_key_tables_match_the_schemas():
-    from patchlab.config import _REQUIRED, _SCHEMAS, _parse_value
+    from patchlab.config import _KINDS, _REQUIRED, _SCHEMAS
 
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
@@ -200,7 +200,7 @@ def test_readme_config_key_tables_match_the_schemas():
                 assert default == "*required*", param.name
                 continue
             raw = "" if default == "*empty*" else default.strip("`")
-            value = _parse_value(raw, param.kind)
+            value = _KINDS[param.kind][0](raw)
             assert value == param.default or (
                 math.isnan(value) and math.isnan(param.default)
             ), param.name

@@ -37,7 +37,8 @@ from patchlab import (
     symbol_growth_factor,
     symbol_stepper,
 )
-from patchlab.runner import _PATCH_PDES, _exact_solution, _patch_setup
+from patchlab.config import PATCH_PDES
+from patchlab.runner import _exact_solution, _patch_setup
 
 
 def make_config(lifting, dx, dt_ratio, order, dt_micro_factor=1e-3, h_frac=0.2):
@@ -402,7 +403,7 @@ def test_symbol_growth_factor_matches_the_iterated_probe(parameters):
 )
 def test_symbol_convergence_study_matches_the_iterated_one(parameters):
     p = _patch_parameters(parameters)
-    final_time = p["final_time"] or _PATCH_PDES[p["pde"]][2]
+    final_time = p["final_time"] or PATCH_PDES[p["pde"]][2]
 
     def problem(n, exact_steps):
         pde, cfg, dx = _patch_setup(p, n)
