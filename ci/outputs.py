@@ -7,9 +7,11 @@
 ``TREE/perfbench`` (``TREE`` defaults to the tree holding this script), so one
 copy of the script can run an older tree as well.  It runs every ``CliItem``
 of ``perfbench.workloads.WORKLOADS`` and the final state of the ``patch-fd``
-workload at seeds 0 and 7, and the ``ACCEPTANCE_CONFIGS`` of
-``TREE/tests/test_acceptance.py``.  Each run gets its own directory under
-``DIR`` with the files it wrote, its exit code and its stderr.
+workload at seeds 0 and 7, the ``ACCEPTANCE_CONFIGS`` of
+``TREE/tests/test_acceptance.py``, ``patchlab --help`` (its stdout is kept)
+and ``BAD_CONFIGS``, one config error per named choice and per value kind.
+Each run gets its own directory under ``DIR`` with the files it wrote, its
+exit code and its stderr.
 
 ``compare`` lists every file that differs between two such directories, or
 is in one only, and exits 1 if any of them is missing from the allow-list
@@ -31,6 +33,28 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 7)
 
 
+def _config(command: str, parameters: str) -> tuple[str, str]:
+    return command, f"[experiment]\nname = {command}\n[parameters]\n{parameters}"
+
+
+# label -> (command, config): the message of a bad choice lists the choices of
+# its table, and a bad value's message comes from the parser of its kind
+BAD_CONFIGS = {
+    "pde": _config("patch", "pde = wave\nlifting = central_d2\n"),
+    "lifting": _config("patch", "pde = heat\nlifting = spline\n"),
+    "expect_stability": _config(
+        "patch", "pde = heat\nlifting = central_d2\nexpect_stability = maybe\n"),
+    "target": _config("order-detect", "target = wave\n"),
+    "drift": _config("projective", "drift = brownian\n"),
+    "int": _config("projective", "ensemble_size = ten\n"),
+    "float": _config("projective", "dt_micro = fast\n"),
+    "bool": _config("kp", "deltas = 1.0\ncalibrate = maybe\n"),
+    "int_list": _config("patch", "pde = heat\nlifting = central_d2\ngrids = 16, x\n"),
+    "float_list": _config("kp", "deltas = 1.0, fast\n"),
+    "band_list": _config("kp", "deltas = 1.0\ngamma_bands = 2.1:1.7\n"),
+}
+
+
 def _load_tree(tree: str):
     """The tree's ``perfbench.workloads`` and acceptance configs, its ``patchlab`` first on the path."""
     sys.path[:0] = [os.path.join(tree, "src"), tree]
@@ -48,26 +72,33 @@ def _load_tree(tree: str):
     return workloads, acceptance.ACCEPTANCE_CONFIGS
 
 
-def _run_cli(command: str, text: str, run_dir: str) -> None:
+def _record(argv: list[str], run_dir: str, keep_stdout: bool = False) -> None:
+    """Run ``patchlab argv``; write its exit code, its stderr and, if kept, its stdout."""
     from patchlab import cli
 
-    os.makedirs(run_dir)
-    cfg = os.path.join(run_dir, "run.cfg")
-    with open(cfg, "w") as fh:
-        fh.write(text)
-    stderr = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     try:
-        # stdout carries the wall time, which no two runs share
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, "--config", cfg, "--out", os.path.join(run_dir, "out")])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     except Exception as exc:  # a crash is an output too; its traceback names this tree's paths
         code = f"{type(exc).__name__}: {exc}"
-    with open(os.path.join(run_dir, "exit_code"), "w") as fh:
-        fh.write(f"{code}\n")
-    with open(os.path.join(run_dir, "stderr"), "w") as fh:
-        fh.write(stderr.getvalue())
+    files = {"exit_code": f"{code}\n", "stderr": stderr.getvalue()}
+    if keep_stdout:
+        files["stdout"] = stdout.getvalue()
+    for name, text in files.items():
+        with open(os.path.join(run_dir, name), "w") as fh:
+            fh.write(text)
+
+
+def _run_cli(command: str, text: str, run_dir: str) -> None:
+    os.makedirs(run_dir)
+    cfg = os.path.join(run_dir, "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    # stdout carries the wall time, which no two runs share
+    _record([command, "--config", cfg, "--out", os.path.join(run_dir, "out")], run_dir)
 
 
 def write(out: str, tree: str) -> int:
@@ -100,6 +131,10 @@ def write(out: str, tree: str) -> int:
                 fh.write(stderr.getvalue())
     for command, text in acceptance_configs.items():
         _run_cli(command, text, os.path.join(out, "acceptance", command))
+    os.makedirs(os.path.join(out, "help"))
+    _record(["--help"], os.path.join(out, "help"), keep_stdout=True)
+    for label, (command, text) in BAD_CONFIGS.items():
+        _run_cli(command, text, os.path.join(out, "bad-config", label))
     return 0
 
 

@@ -152,24 +152,32 @@ def positive(value, name: str) -> float:
     return value
 
 
+def _whole(value) -> int | None:
+    """``int(value)`` if that drops nothing from ``value``, else None; text is read as decimal."""
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):  # text that is no integer, nan, inf
+        return None
+    return whole if isinstance(value, str) or whole == value else None
+
+
 def at_least(value, minimum: int, name: str) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` if it is below ``minimum``."""
-    value = int(value)
-    if value < minimum:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is whole and >= ``minimum``."""
+    whole = _whole(value)
+    if whole is None:
+        raise ValueError(f"{name} must be an integer")
+    if whole < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
-    return value
+    return whole
 
 
 def unsigned_seed(value, name: str) -> int:
     """``value``, or its decimal text, as an int; ``ValueError`` naming ``name`` unless it
-    is in ``[0, 2**64)``, the seeds a ``SeedSequence`` takes."""
-    try:
-        seed = int(value)
-    except ValueError:  # text that is no integer
-        seed = -1
-    if not 0 <= seed < 2**64:
+    is a whole number in ``[0, 2**64)``, the seeds a ``SeedSequence`` takes."""
+    whole = _whole(value)
+    if whole is None or not 0 <= whole < 2**64:
         raise ValueError(f"{name} must be an unsigned 64-bit integer")
-    return seed
+    return whole
 
 
 # the most steps one stepping loop may take; the repository's configs need at
@@ -233,11 +241,13 @@ class PdeSpec:
 
     def __post_init__(self) -> dict:
         coefficients = dict(self.terms)
-        if len({int(order) for order in coefficients}) != len(self.terms):
+        orders = [_whole(order) for order in coefficients]
+        if None in orders:
+            raise ValueError("derivative orders must be integers")
+        if len(set(orders)) != len(self.terms):
             raise ValueError("derivative orders must be distinct")
         items = []
-        for order, a in coefficients.items():
-            order = int(order)
+        for order, a in zip(orders, coefficients.values()):
             a = float(a)
             if order < 1:
                 raise ValueError("derivative orders must be >= 1")
@@ -305,11 +315,9 @@ class RngStreamSpec:
     step_id: int = 0
 
     def __post_init__(self) -> dict:
-        seed = unsigned_seed(self.master_seed, "master_seed")
-        stream, step = int(self.stream_id), int(self.step_id)
-        if stream < 0 or step < 0:
-            raise ValueError("stream_id and step_id must be non-negative")
-        return {"master_seed": seed, "stream_id": stream, "step_id": step}
+        return {"master_seed": unsigned_seed(self.master_seed, "master_seed"),
+                "stream_id": at_least(self.stream_id, 0, "stream_id"),
+                "step_id": at_least(self.step_id, 0, "step_id")}
 
     def at(self, *, stream_id: int | None = None, step_id: int | None = None) -> "RngStreamSpec":
         """Same master seed, different stream/step address."""

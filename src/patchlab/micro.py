@@ -92,7 +92,7 @@ def em_step(x, model: SdeModel, dt: float, xi):
 
     Works elementwise on arrays; ``xi`` holds the standard-normal draws.
     """
-    if dt < 0:
+    if not dt >= 0:  # also rejects nan
         raise ValueError("dt must be >= 0")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -175,7 +175,7 @@ def stable_dt_bound(pde: PdeSpec, dx: float) -> float:
 
 def influence_radius(pde: PdeSpec, dt: float) -> float:
     """Distance boundary data can contaminate the interior within ``dt``."""
-    if dt < 0:
+    if not dt >= 0:  # also rejects nan
         raise ValueError("dt must be >= 0")
     radius = 0.0
     for order, a in pde.terms:
@@ -210,7 +210,7 @@ def evolve_fd_buffered(
     ``MicroStabilityError`` if ``grid.dt`` violates the explicit bound and
     ``BufferTooSmallError`` if boundary influence could reach the tooth.
     """
-    if dt < 0:
+    if not dt >= 0:  # also rejects nan
         raise ValueError("dt must be >= 0")
     if math.isinf(tooth.H):
         raise ValueError("finite patch width H required for the buffered solver")

@@ -47,3 +47,14 @@ def test_a_run_records_its_exit_code_and_stderr(outputs, tmp_path):
         "error: kp: total_time must be positive and finite\n"
     )
     assert not (tmp_path / "run" / "out").exists()
+
+
+def test_help_keeps_its_stdout_and_every_bad_config_is_a_config_error(outputs, tmp_path):
+    (tmp_path / "help").mkdir()
+    outputs._record(["--help"], str(tmp_path / "help"), keep_stdout=True)
+    assert (tmp_path / "help" / "exit_code").read_text() == "0\n"
+    assert (tmp_path / "help" / "stdout").read_text().startswith("usage: patchlab")
+    for label, (command, text) in outputs.BAD_CONFIGS.items():
+        outputs._run_cli(command, text, str(tmp_path / label))
+        assert (tmp_path / label / "exit_code").read_text() == "2\n", label
+        assert (tmp_path / label / "stderr").read_text().startswith("error: line "), label

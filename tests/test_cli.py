@@ -1,5 +1,6 @@
 """Config parsing and the four command-line subcommands."""
 
+import itertools
 import math
 import os
 import pathlib
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import patchlab
-from patchlab import ConfigError, main, parse_config, render_config
+from patchlab import BlackBoxFunction, ConfigError, PdeSpec, main, parse_config, render_config
 
 MINIMAL_PROJECTIVE = """
 [experiment]
@@ -185,17 +186,19 @@ def test_readme_config_example_parses():
 
 
 def test_readme_config_key_tables_match_the_schemas():
-    from patchlab.config import _KINDS, _REQUIRED, _SCHEMAS
+    from patchlab.config import _KINDS, _REQUIRED, _SCHEMAS, PATCH_PDES, TARGET_PDES
 
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
     tables = dict(re.findall(r"^`([a-z-]+)`:\n\n((?:\|.*\n)+)", section, re.M))
     assert list(tables) == list(_SCHEMAS)
+    meanings = {}
     for experiment, table in tables.items():
         rows = [[cell.strip() for cell in line.strip("|").split("|")]
                 for line in table.splitlines()[2:]]
         assert [row[0] for row in rows] == [f"`{p.name}`" for p in _SCHEMAS[experiment]]
-        for param, (_, default, _meaning) in zip(_SCHEMAS[experiment], rows):
+        for param, (_, default, meaning) in zip(_SCHEMAS[experiment], rows):
+            meanings[experiment, param.name] = meaning
             if param.default is _REQUIRED:
                 assert default == "*required*", param.name
                 continue
@@ -204,6 +207,35 @@ def test_readme_config_key_tables_match_the_schemas():
             assert value == param.default or (
                 math.isnan(value) and math.isnan(param.default)
             ), param.name
+    # "...; 0: <choice> <default>, <choice> <default>, ..." quotes a table column
+    for experiment, key, table, column in [
+        ("patch", "dt_ratio", PATCH_PDES, 1),
+        ("patch", "final_time", PATCH_PDES, 2),
+        ("order-detect", "d_max", TARGET_PDES, 0),
+    ]:
+        quoted = re.findall(r"(\w+) ([\d.]+)", meanings[experiment, key].split("; 0: ", 1)[1])
+        assert {choice: float(default) for choice, default in quoted} == {
+            choice: row[column] for choice, row in table.items()
+        }, key
+
+
+def test_every_choice_the_schema_offers_resolves_through_its_table():
+    from patchlab.config import _SCHEMAS
+    from patchlab.runner import _order_detect_box, _patch_setup
+
+    choices = {p.name: p.choices for params in _SCHEMAS.values() for p in params if p.choices}
+    for pde, lifting in itertools.product(choices["pde"], choices["lifting"]):
+        p = parse_config(
+            f"[experiment]\nname = patch\n[parameters]\npde = {pde}\nlifting = {lifting}\n"
+        ).parameters
+        spec, cfg, _ = _patch_setup(p, p["n_points"])
+        assert spec == getattr(PdeSpec, pde)(1.0)
+        assert cfg.lifting.variant == lifting
+    for target in choices["target"]:
+        p = parse_config(
+            f"[experiment]\nname = order-detect\n[parameters]\ntarget = {target}\n"
+        ).parameters
+        assert isinstance(_order_detect_box(p), BlackBoxFunction), target
 
 
 def test_readme_quickstart_runs():
@@ -326,8 +358,10 @@ def test_python_dash_m_patchlab_runs_the_cli():
 @pytest.mark.parametrize(
     "argv",
     [[], ["bogus", "--config", "run.cfg"], ["kp"],
-     ["kp", "--config", "run.cfg", "--seed", str(2**64)]],
-    ids=["no-command", "unknown-command", "no-config", "seed-beyond-64-bits"],
+     ["kp", "--config", "run.cfg", "--seed", str(2**64)],
+     ["kp", "--config", "run.cfg", "--seed", "abc"]],
+    ids=["no-command", "unknown-command", "no-config", "seed-beyond-64-bits",
+         "seed-not-an-integer"],
 )
 def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -336,7 +370,8 @@ def test_usage_errors_exit_two(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: patchlab")
     if "--seed" in argv:
-        assert "seed must be an unsigned 64-bit integer" in err
+        assert err.endswith("\npatchlab: error: argument --seed: "
+                            "seed must be an unsigned 64-bit integer\n")
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

@@ -21,10 +21,12 @@ from patchlab import (
     average_weights,
     convergence_order,
     derivative_blackbox,
+    em_step,
     ensemble_normals,
     ensemble_velocities,
     evolve_fd_buffered,
     generator,
+    influence_radius,
     kp_integrate,
     normal_stream,
     parse_config,
@@ -384,7 +386,11 @@ def _never_built(n):
     raise AssertionError("a problem was built before final_time was checked")
 
 
-# (call with the value under test, a bad finite value, the exact message)
+_FD_TOOTH = ToothConfig(h=0.1, H=1.0)
+_FD_GRID = MicroGrid(dx=0.0125, dt=1e-5)
+
+
+# (call with the value under test, a bad value, the exact message)
 BAD_INPUTS = {
     "MacroState-dx": (lambda v: MacroState(np.zeros(3), v), 0.0,
                       "MacroState dx must be positive and finite"),
@@ -454,10 +460,38 @@ BAD_INPUTS = {
                                 "dt_macro must be positive and finite"),
     "symbol_stepper-final_time": (lambda v: symbol_stepper(np.ones(4), 0.1, v), -1.0,
                                   "final_time must be positive and finite"),
+    "RngStreamSpec-stream_id": (lambda v: RngStreamSpec(0, v), -1, "stream_id must be >= 0"),
+    "RngStreamSpec-step_id": (lambda v: RngStreamSpec(0, 0, v), -1, "step_id must be >= 0"),
+    # a micro step may be 0 but not NaN, which would leave the state unevolved
+    "em_step-dt": (lambda v: em_step(0.0, SdeModel.pure_noise(), v, 0.0), math.nan,
+                   "dt must be >= 0"),
+    "influence_radius-dt": (lambda v: influence_radius(PdeSpec.heat(), v), math.nan,
+                            "dt must be >= 0"),
+    "evolve_fd_buffered-dt": (
+        lambda v: evolve_fd_buffered([1.0, 0.0, 1.0], PdeSpec.heat(), v, _FD_TOOTH, _FD_GRID),
+        math.nan, "dt must be >= 0"),
+    "PdeSpec-order": (lambda v: PdeSpec({v: 1.0}), 2.5, "derivative orders must be integers"),
+    # a seed must be a whole number in [0, 2**64)
+    "RngStreamSpec-master_seed": (lambda v: RngStreamSpec(v), 2.7,
+                                  "master_seed must be an unsigned 64-bit integer"),
+    "ProbeSpec-seed": (lambda v: ProbeSpec(seed=v), -1, "seed must be an unsigned 64-bit integer"),
 }
 _STEPS_AND_WIDTHS = {
     key: (call, message) for key, (call, _, message) in BAD_INPUTS.items()
     if "positive" in message
+}
+
+
+# a count that is refused as "<name> must be >= <minimum>" (a micro step dt
+# is no count) is refused as "<name> must be an integer" unless it is whole
+_COUNTS = {
+    key: (call, message.split(" >= ")[0] + " an integer")
+    for key, (call, _, message) in BAD_INPUTS.items()
+    if " must be >= " in message and not message.startswith("dt ")
+}
+_SEEDS = {
+    key: (call, message) for key, (call, _, message) in BAD_INPUTS.items()
+    if "64-bit" in message
 }
 
 
@@ -476,3 +510,34 @@ def test_a_step_width_or_time_must_be_finite(call, message, bad):
     with pytest.raises(ValueError) as err:
         call(bad)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [2.5, math.inf, math.nan, "ten"], ids=["2.5", "inf", "nan", "text"])
+@pytest.mark.parametrize("call, message", _COUNTS.values(), ids=_COUNTS.keys())
+def test_a_count_must_be_whole_not_truncated(call, message, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad", [2.7, -1, 2**64, math.inf, math.nan, "abc", "7.0"],
+    ids=["2.7", "-1", "2**64", "inf", "nan", "text", "decimal-point-text"],
+)
+@pytest.mark.parametrize("call, message", _SEEDS.values(), ids=_SEEDS.keys())
+def test_a_seed_must_be_a_whole_unsigned_64_bit_number(call, message, bad):
+    with pytest.raises(ValueError) as err:
+        call(bad)
+    assert str(err.value) == message
+
+
+def test_whole_floats_numpy_ints_and_decimal_text_are_still_accepted():
+    cfg = CoarseStepConfig(np.int64(10), 10.0, 1e-3, 0.1)
+    assert (cfg.ensemble_size, cfg.micro_steps) == (10, 10)
+    assert type(cfg.ensemble_size) is int and type(cfg.micro_steps) is int
+    spec = RngStreamSpec(np.uint64(2**64 - 1), 2.0, np.int64(3))
+    assert spec == RngStreamSpec(2**64 - 1, 2, 3)
+    assert type(spec.master_seed) is int
+    assert RngStreamSpec(7.0) == RngStreamSpec(" 7 ") == RngStreamSpec(7)
+    assert ProbeSpec(seed=np.int32(5)).seed == 5
+    assert PdeSpec({2.0: 1.0, np.int64(4): -1.0}).terms == ((2, 1.0), (4, -1.0))
