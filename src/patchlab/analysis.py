@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MacroState, RngStreamSpec, normal_stream, positive, step_cap, value_type
+from .core import MacroState, RngStreamSpec, at_least, normal_stream, positive, step_cap, value_type
 
 __all__ = [
     "StabilityReport",
@@ -81,7 +81,7 @@ def seeded_noise_state(n_points: int, dx: float, rng: RngStreamSpec) -> MacroSta
     dissipative scheme shows up as strict decay rather than being masked
     by the neutral mode.
     """
-    values = normal_stream(rng, int(n_points))
+    values = normal_stream(rng, at_least(n_points, 3, "n_points"))
     values = values - values.mean()
     return MacroState(values=values, dx=float(dx), time=0.0)
 
@@ -104,9 +104,11 @@ def growth_factor_probe(
     The first quarter of the per-step ratios is dropped as
     transient, so the estimate reflects the dominant mode.  Overflow or a
     non-finite state terminates the probe early; the factor is then
-    computed from the ratios gathered so far.
+    computed from the ratios gathered so far.  More steps than the step cap
+    raise ``ValueError`` before the first.
     """
-    n_steps = _probe_steps(n_steps)
+    n_steps = at_least(n_steps, 4, "probe_steps")
+    step_cap(n_steps, "probe_steps", n_steps, "macro steps")
     u = initial
     norm = _initial_norm(initial)
     log_ratios: list[float] = []
@@ -132,13 +134,6 @@ def growth_factor_probe(
     )
 
 
-def _probe_steps(n_steps) -> int:
-    n_steps = int(n_steps)
-    if n_steps < 4:
-        raise ValueError("need at least 4 probe steps")
-    return n_steps
-
-
 def _initial_norm(initial: MacroState) -> float:
     norm = float(np.sqrt(np.mean(initial.values**2)))
     if not (math.isfinite(norm) and norm > 0):
@@ -161,7 +156,7 @@ def symbol_growth_factor(
     norm; only a zero or non-finite state after a step leaves no growth to
     read.  Time is O(n log n) and memory O(n).
     """
-    n_steps = _probe_steps(n_steps)
+    n_steps = at_least(n_steps, 4, "probe_steps")
     _initial_norm(initial)
     n = initial.n_points
     with np.errstate(divide="ignore"):
@@ -244,8 +239,8 @@ def convergence_order(
 
 
 def study_grids(grid_sizes: Sequence[int]) -> tuple[int, ...]:
-    """``grid_sizes`` as a tuple of ints; ``ValueError`` unless two or more, all distinct."""
-    grid_sizes = tuple(int(n) for n in grid_sizes)
+    """``grid_sizes`` as a tuple of ints; ``ValueError`` unless two or more, distinct, >= 3."""
+    grid_sizes = tuple(at_least(n, 3, "grids") for n in grid_sizes)
     if len(grid_sizes) < 2:
         raise ValueError("need at least two grid sizes")
     if len(set(grid_sizes)) != len(grid_sizes):

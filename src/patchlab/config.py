@@ -238,7 +238,7 @@ def parse_config(text: str) -> ExperimentConfig:
         parameters[key] = value
 
     for param in _SCHEMAS[name]:
-        if param.name not in parameters:
+        if param.name not in parameter_entries:
             if param.default is _REQUIRED:
                 errors.append(f"missing required key {param.name!r} in [parameters]")
             else:

@@ -185,13 +185,14 @@ def unsigned_seed(value, name: str) -> int:
 _MAX_STEPS = 10**7
 
 
-def step_cap(n_steps, name: str, value: float, unit: str, step: float) -> None:
-    """``ValueError: <name> <value> needs more than <cap> <unit> <step>`` past the step cap.
+def step_cap(n_steps, name: str, value: float, unit: str, step: float | None = None) -> None:
+    """``ValueError: <name> <value> needs more than <cap> <unit> [<step>]`` past the step cap.
 
     ``n_steps`` may be a float estimate, so an infinite or NaN count is refused.
     """
     if not n_steps <= _MAX_STEPS:
-        raise ValueError(f"{name} {value:g} needs more than {_MAX_STEPS} {unit} {step:g}")
+        of = "" if step is None else f" {step:g}"
+        raise ValueError(f"{name} {value:g} needs more than {_MAX_STEPS} {unit}{of}")
 
 
 def frozen_array(value) -> np.ndarray:
@@ -334,7 +335,7 @@ class RngStreamSpec:
         they are built without validating each one again.
         """
         fields = {"master_seed": self.master_seed, "stream_id": self.stream_id}
-        for step_id in range(self.step_id, self.step_id + int(n)):
+        for step_id in range(self.step_id, self.step_id + at_least(n, 0, "n")):
             spec = object.__new__(RngStreamSpec)
             spec.__dict__.update(fields, step_id=step_id)
             yield spec
@@ -477,10 +478,8 @@ def ensemble_normals(spec: RngStreamSpec, n_members: int, n_draws: int) -> np.nd
     the stream's key, taken from a cached block of keys, with counter 0 and
     an empty buffer, as a fresh ``Philox`` starts.
     """
-    n_members = int(n_members)
-    n_draws = int(n_draws)
-    if n_members < 1 or n_draws < 0:
-        raise ValueError("need n_members >= 1 and n_draws >= 0")
+    n_members = at_least(n_members, 1, "n_members")
+    n_draws = at_least(n_draws, 0, "n_draws")
     step = spec.step_id
     keys = _key_block(spec.master_seed, spec.stream_id, step // _KEY_BLOCK)
     try:

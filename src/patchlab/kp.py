@@ -326,9 +326,8 @@ def msd_exponent(
         raise ValueError("lag range must lie within [T/100, T/4]")
     if not 0 < lag_lo < lag_hi:
         raise ValueError("need 0 < lag_lo < lag_hi")
-    if int(n_lags) < 2:
-        raise ValueError("need n_lags >= 2 to fit an exponent")
-    raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), int(n_lags))
+    n_lags = at_least(n_lags, 2, "n_lags")
+    raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), n_lags)
     steps = np.maximum(1, np.round(raw / sample_dt).astype(int))
     # nondecreasing, so the first of each run of equal steps is np.unique's
     # result without the numpy.ma import that np.unique costs

@@ -61,11 +61,10 @@ class BlackBoxFunction:
         first_index: int = 1,
     ):
         arity = at_least(arity, 1, "arity")
-        if evaluation_budget is not None and int(evaluation_budget) < 0:
-            raise ValueError("evaluation_budget must be >= 0 or None")
         self._evaluator = evaluator
         self.arity = arity
-        self.evaluation_budget = None if evaluation_budget is None else int(evaluation_budget)
+        self.evaluation_budget = (None if evaluation_budget is None
+                                  else at_least(evaluation_budget, 0, "evaluation_budget"))
         self.first_index = at_least(first_index, 0, "first_index")
         self.calls_used = 0
         self._shape = (arity,)
@@ -127,8 +126,8 @@ def coordinate_variance(box: BlackBoxFunction, index: int, probe: ProbeSpec = Pr
     coordinate is swept over ``n_perturb`` uniform values, and the sample
     variances are averaged.  Deterministic in ``probe.seed``.
     """
-    position = int(index) - box.first_index
-    if not 0 <= position < box.arity:
+    position = at_least(index, box.first_index, "index") - box.first_index
+    if position >= box.arity:
         raise ValueError(f"coordinate {index} outside the box's labels")
     rng = generator(RngStreamSpec(master_seed=probe.seed, stream_id=position, step_id=0))
     hw = probe.halfwidth
@@ -164,8 +163,8 @@ def detect_order(
     ``f(x_1, x_100)`` defeats.  Budget exhaustion ends the scan early and
     is reported rather than raised.
     """
-    if stop_after is not None and int(stop_after) < 1:
-        raise ValueError("stop_after must be >= 1 or None")
+    if stop_after is not None:
+        stop_after = at_least(stop_after, 1, "stop_after")
     variances: list[float] = []
     labels: list[int] = []
     stopped_early = False
@@ -184,7 +183,7 @@ def detect_order(
             quiet_run = 0
         else:
             quiet_run += 1
-            if stop_after is not None and quiet_run >= int(stop_after):
+            if stop_after is not None and quiet_run >= stop_after:
                 stopped_early = True
                 break
     final_threshold = _threshold(variances)

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import MacroState, PdeSpec, ToothConfig, average_weights, positive, value_type
+from .core import MacroState, PdeSpec, ToothConfig, at_least, average_weights, positive, value_type
 from .micro import MicroGrid, evolve_fd_buffered, propagator_matrix, tooth_average
 
 __all__ = [
@@ -154,8 +154,8 @@ def _teeth_rows(*columns: np.ndarray) -> np.ndarray:
 
 def lift(U: MacroState, j: int, scheme: LiftingScheme, h: float) -> np.ndarray:
     """Coefficient row of tooth ``j`` (about ``x_j = j*dx``): row ``j`` of ``lift_coefficients``."""
-    j = int(j)
-    if not 0 <= j < U.n_points:
+    j = at_least(j, 0, "j")
+    if j >= U.n_points:
         raise ValueError(f"tooth index {j} outside grid of {U.n_points} points")
     return lift_coefficients(U, scheme, h)[j]
 
@@ -227,7 +227,7 @@ def step_symbol(pde: PdeSpec, cfg: PatchConfig, n_points: int, dx: float) -> np.
     fixes it: ``fft(step(u)) = G * fft(u)`` for every state ``u``, and
     ``np.fft.ifft(G).real`` gives the stencil back.
     """
-    impulse = np.zeros(int(n_points))
+    impulse = np.zeros(at_least(n_points, 3, "n_points"))
     impulse[0] = 1.0
     stencil = gap_tooth_step(MacroState(impulse, dx), pde, cfg).values
     return np.fft.fft(stencil)

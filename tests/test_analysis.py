@@ -101,7 +101,7 @@ def test_symbol_growth_factor_follows_the_dominant_mode():
 
 def test_symbol_growth_factor_validation():
     u0 = seeded_noise_state(8, 1.0, RngStreamSpec(0))
-    with pytest.raises(ValueError, match="need at least 4 probe steps"):
+    with pytest.raises(ValueError, match="probe_steps must be >= 4"):
         symbol_growth_factor(np.ones(8, dtype=complex), u0, 3)
     with pytest.raises(ValueError, match="finite and nonzero"):
         symbol_growth_factor(np.ones(8, dtype=complex), MacroState(np.zeros(8), 1.0), 10)
@@ -220,6 +220,23 @@ def test_convergence_order_refuses_more_steps_than_the_cap(monkeypatch):
     # steps of 1e-300 would need 1e300 of them: refused after the first
     with pytest.raises(ValueError, match="^final_time 1 needs more than 10000000 macro steps"):
         convergence_order(constant_step_problem(1e-300), (16, 32), 1.0, off_by_dx2)
+
+
+def test_growth_factor_probe_refuses_more_steps_than_the_cap_before_stepping(monkeypatch):
+    import patchlab.core as core
+
+    def never(u):
+        raise AssertionError("the probe stepped before checking its step count")
+
+    u0 = seeded_noise_state(8, 1.0, RngStreamSpec(0))
+    # used to loop until killed
+    with pytest.raises(ValueError) as err:
+        growth_factor_probe(never, u0, 10**12)
+    assert str(err.value) == "probe_steps 1e+12 needs more than 10000000 macro steps"
+    monkeypatch.setattr(core, "_MAX_STEPS", 10)
+    assert growth_factor_probe(scale_stepper(0.5), u0, 10).steps_used == 10
+    with pytest.raises(ValueError, match="^probe_steps 11 needs more than 10 macro steps$"):
+        growth_factor_probe(never, u0, 11)
 
 
 def test_convergence_order_refuses_a_step_that_does_not_advance():

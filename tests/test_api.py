@@ -86,3 +86,29 @@ def test_only_core_writes_past_a_frozen_field():
         for pattern in ("object.__setattr__", ".setflags(") if pattern in path.read_text()
     ]
     assert offenders == []
+
+
+# the rule itself, and the writer that renders an int it was given
+_BARE_INT_ALLOWED = {"core.py": {"_whole"}, "runner.py": {"_fmt"}}
+
+
+def test_no_function_passes_a_parameter_to_a_bare_int():
+    # int() truncates 2.5 to 2 and raises OverflowError on inf; a count or
+    # index goes through core.at_least, which refuses both
+    offenders = []
+    for path in sorted((ROOT / "src" / "patchlab").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if func.name in _BARE_INT_ALLOWED.get(path.name, ()):
+                continue
+            a = func.args
+            params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            offenders += [
+                f"{path.name}:{node.lineno} {func.name}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "int" and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id in params
+            ]
+    assert offenders == []

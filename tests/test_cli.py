@@ -385,6 +385,25 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, parameters, message",
+    [
+        ("patch", "pde = wave\nlifting = central_d2\n",
+         "line 4: 'pde' must be one of 'heat', 'advection', 'biharmonic'"),
+        ("kp", "deltas = 1.0, fast\n",
+         "line 4: bad value for 'deltas': could not convert string to float: ' fast'"),
+        ("patch", "lifting = central_d2\n", "missing required key 'pde' in [parameters]"),
+    ],
+    ids=["bad-choice", "bad-value", "missing"],
+)
+def test_a_required_key_is_reported_once(tmp_path, capsys, command, parameters, message):
+    # a bad value for a required key used to be reported as missing too
+    cfg = write(tmp_path, f"[experiment]\nname = {command}\n[parameters]\n{parameters}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_command_experiment_mismatch_exits_two(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL_PROJECTIVE)
     assert main(["kp", "--config", cfg]) == 2
@@ -411,7 +430,7 @@ PATCH_PARAMETERS = "[experiment]\nname = patch\n[parameters]\npde = heat\nliftin
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ("probe_steps = 3\n", "error: patch: need at least 4 probe steps"),
+        ("probe_steps = 3\n", "error: patch: probe_steps must be >= 4"),
         ("n_points = 16\ngrids = 32, 32\n", "error: patch: grid sizes must be distinct"),
         ("expect_order = 2.0\n", "error: patch: expect_order needs grids"),
         # a final time the study never reaches used to loop forever
@@ -527,7 +546,7 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
         ("deltas = 1.0, 0.05, -0.05\n", "delta must be positive and finite"),
         ("deltas = 1.0, inf\n", "delta must be positive and finite"),
         ("deltas = 1.0\nfit_lag_hi = 0.5\n", "lag range must lie within [T/100, T/4]"),
-        ("deltas = 1.0\nn_lags = 1\n", "need n_lags >= 2 to fit an exponent"),
+        ("deltas = 1.0\nn_lags = 1\n", "n_lags must be >= 2"),
         ("deltas = 1.0\ntotal_time = inf\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ntotal_time = 0\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ndt_scale = nan\n", "dt_scale must be positive and finite"),

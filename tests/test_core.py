@@ -20,21 +20,29 @@ from patchlab import (
     ToothConfig,
     average_weights,
     convergence_order,
+    coordinate_variance,
     derivative_blackbox,
+    detect_order,
     em_step,
     ensemble_normals,
     ensemble_velocities,
     evolve_fd_buffered,
     generator,
+    growth_factor_probe,
     influence_radius,
     kp_integrate,
+    lift,
+    msd_exponent,
     normal_stream,
     parse_config,
     propagator_matrix,
     replace,
     run_coarse_trajectory,
     run_experiment,
+    seeded_noise_state,
     stable_dt_bound,
+    step_symbol,
+    symbol_growth_factor,
     symbol_stepper,
     synthesize_force_field,
     tooth_average,
@@ -388,6 +396,9 @@ def _never_built(n):
 
 _FD_TOOTH = ToothConfig(h=0.1, H=1.0)
 _FD_GRID = MicroGrid(dx=0.0125, dt=1e-5)
+_NOISE = seeded_noise_state(8, 0.1, RngStreamSpec(0))
+_PATCH = PatchConfig(CENTRAL_D2, ToothConfig(0.01), 1e-5, 1e-3)
+_TIMES = np.linspace(0.0, 1.0, 401)
 
 
 # (call with the value under test, a bad value, the exact message)
@@ -475,6 +486,32 @@ BAD_INPUTS = {
     "RngStreamSpec-master_seed": (lambda v: RngStreamSpec(v), 2.7,
                                   "master_seed must be an unsigned 64-bit integer"),
     "ProbeSpec-seed": (lambda v: ProbeSpec(seed=v), -1, "seed must be an unsigned 64-bit integer"),
+    # counts and indices that a bare int() used to truncate
+    "RngStreamSpec.steps-n": (lambda v: list(RngStreamSpec(0).steps(v)), -1, "n must be >= 0"),
+    "ensemble_normals-n_members": (lambda v: ensemble_normals(RngStreamSpec(0), v, 3), 0,
+                                   "n_members must be >= 1"),
+    "ensemble_normals-n_draws": (lambda v: ensemble_normals(RngStreamSpec(0), 2, v), -1,
+                                 "n_draws must be >= 0"),
+    "seeded_noise_state-n_points": (lambda v: seeded_noise_state(v, 0.1, RngStreamSpec(0)), 2,
+                                    "n_points must be >= 3"),
+    "growth_factor_probe-n_steps": (lambda v: growth_factor_probe(lambda u: u, _NOISE, v), 3,
+                                    "probe_steps must be >= 4"),
+    "symbol_growth_factor-n_steps": (lambda v: symbol_growth_factor(np.ones(8), _NOISE, v), 3,
+                                     "probe_steps must be >= 4"),
+    "convergence_order-grid_sizes": (lambda v: convergence_order(_never_built, (8, v), 1.0, None),
+                                     2, "grids must be >= 3"),
+    "msd_exponent-n_lags": (lambda v: msd_exponent(_TIMES, np.zeros((2, 401)), 0.02, 0.2, v), 1,
+                            "n_lags must be >= 2"),
+    "BlackBoxFunction-evaluation_budget": (
+        lambda v: BlackBoxFunction(sum, 3, evaluation_budget=v), -1,
+        "evaluation_budget must be >= 0"),
+    "coordinate_variance-index": (lambda v: coordinate_variance(BlackBoxFunction(sum, 3), v), 0,
+                                  "index must be >= 1"),
+    "detect_order-stop_after": (lambda v: detect_order(BlackBoxFunction(sum, 3), stop_after=v), 0,
+                                "stop_after must be >= 1"),
+    "lift-j": (lambda v: lift(_NOISE, v, CENTRAL_D2, 0.01), -1, "j must be >= 0"),
+    "step_symbol-n_points": (lambda v: step_symbol(PdeSpec.heat(), _PATCH, v, 0.1), 2,
+                             "n_points must be >= 3"),
 }
 _STEPS_AND_WIDTHS = {
     key: (call, message) for key, (call, _, message) in BAD_INPUTS.items()
@@ -541,3 +578,6 @@ def test_whole_floats_numpy_ints_and_decimal_text_are_still_accepted():
     assert RngStreamSpec(7.0) == RngStreamSpec(" 7 ") == RngStreamSpec(7)
     assert ProbeSpec(seed=np.int32(5)).seed == 5
     assert PdeSpec({2.0: 1.0, np.int64(4): -1.0}).terms == ((2, 1.0), (4, -1.0))
+    row = lift(_NOISE, 1.0, CENTRAL_D2, 0.01)
+    assert row.tobytes() == lift(_NOISE, 1, CENTRAL_D2, 0.01).tobytes()
+    assert ensemble_normals(RngStreamSpec(0), np.int64(2), 3.0).shape == (2, 3)

@@ -400,7 +400,7 @@ def test_msd_lags_are_the_unique_rounded_lags(n_samples):
 def test_msd_exponent_needs_two_lags(n_lags):
     times = np.linspace(0.0, 1.0, 401)
     vels = np.random.default_rng(3).standard_normal((2, 401))
-    with pytest.raises(ValueError, match="n_lags >= 2"):
+    with pytest.raises(ValueError, match="n_lags must be >= 2"):
         msd_exponent(times, vels, 0.02, 0.2, n_lags)
 
 
