@@ -301,6 +301,17 @@ def increment_moments(values: np.ndarray) -> IncrementMoments:
     )
 
 
+def tail_points(n_values: int, expected: float) -> int:
+    """Points of an ``n_values`` trajectory left after its burn-in; ``ValueError`` unless
+    ``expected`` is positive and at least 1000 points are left to test against it."""
+    if not expected > 0:
+        raise ValueError("expected variance must be positive")
+    n_tail = n_values - int(n_values * _BURN_IN_FRACTION)
+    if n_tail < _MIN_TAIL:
+        raise ValueError(f"only {n_tail} tail points; need at least {_MIN_TAIL}")
+    return n_tail
+
+
 def stationary_variance_test(
     values: np.ndarray,
     expected: float,
@@ -315,11 +326,7 @@ def stationary_variance_test(
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise ValueError("trajectory must be 1-d")
-    if not expected > 0:
-        raise ValueError("expected variance must be positive")
-    tail = values[int(values.size * _BURN_IN_FRACTION):]
-    if tail.size < _MIN_TAIL:
-        raise ValueError(f"only {tail.size} tail points; need at least {_MIN_TAIL}")
+    tail = values[values.size - tail_points(values.size, expected):]
     measured = float(tail.var(ddof=1))
     passed = abs(measured - expected) <= tolerance_fraction * expected
     return VarianceCheck(

@@ -1,8 +1,14 @@
 """``patchlab`` command line entry point.
 
-Exit codes: 0 all checks passed (or nothing to check), 1 at least one check
-failed (a failed numerical precondition included), 2 configuration or usage
-error, or results that cannot be written.
+Exit codes: 0 all checks passed (or nothing to check); 1 at least one check
+failed, a numerical outcome the run expects included (a diverged trajectory,
+an unresolved kp step, a kp velocity whose mean-square displacement vanished,
+a study whose errors are all at rounding level); 2 a configuration or usage
+error, found before any work (a kp delta whose square overflows, a drift-free
+projective run of fewer than 2 steps), or results that cannot be written;
+3 an internal error: an exception no check expects, reported on one line
+naming the experiment, the stage (plan or execute) and the exception, with
+no output written.
 """
 
 from __future__ import annotations
@@ -24,15 +30,7 @@ def _seed_type(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-_COMMAND_HELPS = {
-    "projective": "coarse projective integration of a scalar SDE",
-    "patch": "gap-tooth stability probe and grid convergence study",
-    "order-detect": "black-box spatial order detection",
-    "kp": "particle-in-random-field displacement exponents",
-}
-_EPILOG = "experiments:\n" + "\n".join(
-    f"  {name:<14}{_COMMAND_HELPS[name]}" for name in EXPERIMENTS
-)
+_EPILOG = "experiments:\n" + "\n".join(f"  {name:<14}{line}" for name, line in EXPERIMENTS.items())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,23 +52,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            text = fh.read()
+            config = parse_config(fh.read())
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
-
-    try:
-        config = parse_config(text)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     if config.experiment != args.command:
-        print(
-            f"error: config names experiment {config.experiment!r} "
-            f"but the {args.command!r} command was invoked",
-            file=sys.stderr,
-        )
+        print(f"error: config names experiment {config.experiment!r} "
+              f"but the {args.command!r} command was invoked", file=sys.stderr)
         return 2
 
     if args.seed is not None:
@@ -82,6 +74,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # neither a config error nor a verdict: a defect
+        import traceback  # only on this path, so a run never pays for it
+
+        # each experiment's execute step is a function named execute
+        frames = [frame.f_code.co_name for frame, _ in traceback.walk_tb(err.__traceback__)]
+        stage = "execute" if "execute" in frames else "plan"
+        print(f"error: {config.experiment}: internal error in {stage}: {err!r}", file=sys.stderr)
+        return 3
 
     try:
         paths = write_results(record, out_dir, force=args.force)

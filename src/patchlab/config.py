@@ -10,6 +10,7 @@ import math
 from typing import Any
 
 from .core import PdeSpec, unsigned_seed, value_type
+from .micro import SdeModel
 from .patch import LIFTING_VARIANTS
 
 __all__ = [
@@ -36,6 +37,11 @@ class _Param:
 
 
 # the tables behind the schema's choices, in its order
+# drift -> SdeModel factory of (ou_rate, noise_amplitude)
+DRIFTS = {
+    "zero": lambda rate, noise_amplitude: SdeModel.pure_noise(noise_amplitude),
+    "ou": SdeModel.ornstein_uhlenbeck,
+}
 # pde -> (PdeSpec factory, default dt_ratio, default final_time)
 PATCH_PDES = {
     "heat": (PdeSpec.heat, 0.4, 0.5),
@@ -51,21 +57,22 @@ TARGET_PDES = {
     "biharmonic_d2": (2, PdeSpec.biharmonic),
 }
 
-_SCHEMAS: dict[str, tuple[_Param, ...]] = {
-    "projective": (
+# experiment -> (help line, parameters)
+_SCHEMAS: dict[str, tuple[str, tuple[_Param, ...]]] = {
+    "projective": ("coarse projective integration of a scalar SDE", (
         _Param("ensemble_size", "int", 10),
         _Param("micro_steps", "int", 10),
         _Param("dt_micro", "float", 1e-3),
         _Param("dt_macro", "float", 0.1),
         _Param("alpha", "float", 0.0),
         _Param("n_steps", "int", 10000),
-        _Param("drift", "str", "zero", choices=("zero", "ou")),
+        _Param("drift", "str", "zero", choices=tuple(DRIFTS)),
         _Param("ou_rate", "float", 1.0),
         _Param("noise_amplitude", "float", 1.0),
         _Param("x0", "float", 0.0),
         _Param("tolerance_fraction", "float", 0.1),
-    ),
-    "patch": (
+    )),
+    "patch": ("gap-tooth stability probe and grid convergence study", (
         _Param("pde", "str", choices=tuple(PATCH_PDES)),
         _Param("coefficient", "float", 1.0),
         _Param("lifting", "str", choices=tuple(LIFTING_VARIANTS)),
@@ -80,8 +87,8 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("expect_stability", "str", "", choices=("", *STABILITY_CODES)),
         _Param("expect_order", "float", math.nan),
         _Param("order_tolerance", "float", 0.3),
-    ),
-    "order-detect": (
+    )),
+    "order-detect": ("black-box spatial order detection", (
         _Param("target", "str", choices=(*TARGET_PDES, "adversarial")),
         _Param("dt_micro", "float", 1e-3),
         _Param("h", "float", 0.1),
@@ -92,8 +99,8 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("stop_after", "int", 0),
         _Param("budget", "int", 0),
         _Param("expected_order", "int", -1),
-    ),
-    "kp": (
+    )),
+    "kp": ("particle-in-random-field displacement exponents", (
         _Param("deltas", "float_list"),
         _Param("gamma_bands", "band_list", ()),
         _Param("n_trajectories", "int", 24),
@@ -109,10 +116,11 @@ _SCHEMAS: dict[str, tuple[_Param, ...]] = {
         _Param("n_lags", "int", 10),
         _Param("calibrate", "bool", True),
         _Param("validate_dt", "bool", True),
-    ),
+    )),
 }
 
-EXPERIMENTS = tuple(_SCHEMAS)
+# experiment -> its help line
+EXPERIMENTS = {name: help_line for name, (help_line, _) in _SCHEMAS.items()}
 
 
 @value_type
@@ -160,9 +168,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document; collect all violations before raising."""
     errors: list[str] = []
     section = None
-    seen: dict[tuple[str, str], int] = {}
-    experiment_entries: dict[str, tuple[int, str]] = {}
-    parameter_entries: dict[str, tuple[int, str]] = {}
+    # section -> key -> (line number, raw value)
+    entries: dict[str, dict[str, tuple[int, str]]] = {"experiment": {}, "parameters": {}}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -170,7 +177,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in ("experiment", "parameters"):
+            if section not in entries:
                 errors.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
@@ -182,21 +189,16 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if (section, key) in seen:
-            errors.append(
-                f"line {lineno}: duplicate key {key!r} (first seen on line {seen[(section, key)]})"
-            )
+        if key in entries[section]:
+            first = entries[section][key][0]
+            errors.append(f"line {lineno}: duplicate key {key!r} (first seen on line {first})")
             continue
-        seen[(section, key)] = lineno
-        if section == "experiment":
-            experiment_entries[key] = (lineno, raw.strip())
-        else:
-            parameter_entries[key] = (lineno, raw.strip())
+        entries[section][key] = (lineno, raw.strip())
 
     name = None
     seed = 0
     output = ""
-    for key, (lineno, raw) in experiment_entries.items():
+    for key, (lineno, raw) in entries["experiment"].items():
         if key == "name":
             name = raw
         elif key == "seed":
@@ -216,9 +218,10 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}")
         raise ConfigError("; ".join(errors))
 
-    schema = {p.name: p for p in _SCHEMAS[name]}
+    params = _SCHEMAS[name][1]
+    schema = {p.name: p for p in params}
     parameters: dict[str, Any] = {}
-    for key, (lineno, raw) in parameter_entries.items():
+    for key, (lineno, raw) in entries["parameters"].items():
         param = schema.get(key)
         if param is None:
             errors.append(f"line {lineno}: unknown key {key!r} for experiment {name!r}")
@@ -237,8 +240,8 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {lineno}: {key!r} needs at least one value")
         parameters[key] = value
 
-    for param in _SCHEMAS[name]:
-        if param.name not in parameter_entries:
+    for param in params:
+        if param.name not in entries["parameters"]:
             if param.default is _REQUIRED:
                 errors.append(f"missing required key {param.name!r} in [parameters]")
             else:
@@ -259,6 +262,6 @@ def render_config(config: ExperimentConfig) -> str:
         "",
         "[parameters]",
     ]
-    for param in _SCHEMAS[config.experiment]:
+    for param in _SCHEMAS[config.experiment][1]:
         lines.append(f"{param.name} = {_KINDS[param.kind][1](config.parameters[param.name])}")
     return "\n".join(lines) + "\n"

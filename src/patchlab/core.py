@@ -185,14 +185,16 @@ def unsigned_seed(value, name: str) -> int:
 _MAX_STEPS = 10**7
 
 
-def step_cap(n_steps, name: str, value: float, unit: str, step: float | None = None) -> None:
+def step_cap(n_steps, name: str, value: int | float, unit: str, step: float | None = None) -> None:
     """``ValueError: <name> <value> needs more than <cap> <unit> [<step>]`` past the step cap.
 
     ``n_steps`` may be a float estimate, so an infinite or NaN count is refused.
+    An int ``value`` is printed in full, a float one with ``:g``.
     """
     if not n_steps <= _MAX_STEPS:
         of = "" if step is None else f" {step:g}"
-        raise ValueError(f"{name} {value:g} needs more than {_MAX_STEPS} {unit}{of}")
+        shown = value if isinstance(value, int) else f"{value:g}"
+        raise ValueError(f"{name} {shown} needs more than {_MAX_STEPS} {unit}{of}")
 
 
 def frozen_array(value) -> np.ndarray:

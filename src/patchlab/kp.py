@@ -154,12 +154,17 @@ class MsdFit:
         return {"lags": frozen_array(self.lags), "msd": frozen_array(self.msd)}
 
 
-def synthesize_force_field(n_modes: int, spectrum: float, rng: RngStreamSpec) -> RandomForceField:
-    """Random field with ``k_m = m``, ``a_m = m**-spectrum``, seeded phases."""
-    n_modes = at_least(n_modes, 1, "n_modes")
-    spectrum = float(spectrum)
+def field_modes(n_modes: int, spectrum: float) -> tuple[int, float]:
+    """``(n_modes, spectrum)``; ``ValueError`` unless n_modes >= 1 and spectrum is finite."""
+    n_modes, spectrum = at_least(n_modes, 1, "n_modes"), float(spectrum)
     if not math.isfinite(spectrum):
         raise ValueError("spectrum exponent must be finite")
+    return n_modes, spectrum
+
+
+def synthesize_force_field(n_modes: int, spectrum: float, rng: RngStreamSpec) -> RandomForceField:
+    """Random field with ``k_m = m``, ``a_m = m**-spectrum``, seeded phases."""
+    n_modes, spectrum = field_modes(n_modes, spectrum)
     m = np.arange(1, n_modes + 1, dtype=float)
     phases = generator(rng).uniform(0.0, 2.0 * math.pi, size=n_modes)
     return RandomForceField(amplitudes=m**-spectrum, wavenumbers=m, phases=phases)
@@ -193,13 +198,32 @@ def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample):
 
 def sample_steps(sample_dt: float, dt: float, n_samples: int, name: str, value: float) -> int:
     """Leapfrog steps per interval ``sample_dt`` under the step ceiling ``dt``;
-    ``ValueError`` naming ``name`` if ``n_samples`` intervals exceed the step cap."""
+    ``ValueError`` if ``n_samples`` intervals exceed the step cap, naming ``name``,
+    or ``n_samples`` when each interval takes one step."""
     ratio = sample_dt / dt - 1e-12 if dt > 0 else math.inf
     # the ratio first, so that an infinite one never reaches ceil()
     step_cap(ratio, name, value, "leapfrog steps of", dt)
     steps = max(1, int(math.ceil(ratio)))
+    if steps == 1:
+        name, value = "n_samples", n_samples
     step_cap(n_samples * steps, name, value, "leapfrog steps of", dt)
     return steps
+
+
+def checked_delta(delta) -> float:
+    """``delta`` as a float; ``ValueError`` unless it is > 0 and it and its square are finite."""
+    delta = positive(delta, "delta")
+    if not math.isfinite(delta * delta):
+        raise ValueError(f"delta {delta:g} is too large: delta**2 overflows")
+    return delta
+
+
+def finite_start(initial: tuple[float, float]) -> tuple[float, float]:
+    """``initial`` as ``(x0, v0)`` floats; ``ValueError`` unless both are finite."""
+    x0, v0 = (float(initial[0]), float(initial[1]))
+    if not (math.isfinite(x0) and math.isfinite(v0)):
+        raise ValueError("initial position and velocity must be finite")
+    return x0, v0
 
 
 def kp_integrate(
@@ -225,13 +249,11 @@ def kp_integrate(
     (``DtSelfConsistencyError``, naming the lowest failing row of a stack).
     The relative errors are kept as ``energy_error``.
     """
-    delta = positive(delta, "delta")
+    delta = checked_delta(delta)
     total_time = positive(total_time, "total_time")
     dt = positive(dt, "dt")
     n_samples = at_least(n_samples, 1, "n_samples")
-    x0, v0 = (float(initial[0]), float(initial[1]))
-    if not (math.isfinite(x0) and math.isfinite(v0)):
-        raise ValueError("initial position and velocity must be finite")
+    x0, v0 = finite_start(initial)
     sample_dt = total_time / n_samples
     steps_per_sample = sample_steps(sample_dt, dt, n_samples, "total_time", total_time)
     dt_used = sample_dt / steps_per_sample
@@ -299,6 +321,34 @@ def ensemble_velocities(
     return EnsembleVelocities(traj.times, traj.velocities, traj.energy_error)
 
 
+def fit_lag_steps(times: np.ndarray, lag_lo: float, lag_hi: float, n_lags: int) -> np.ndarray:
+    """The distinct sample steps of ``n_lags`` lags log-spaced in ``[lag_lo, lag_hi]``;
+    ``ValueError`` unless ``times`` is a uniform 1-d grid of at least 3 samples, the
+    lags lie within [T/100, T/4] of it, and they round to two or more steps."""
+    if times.ndim != 1 or times.size < 3:
+        raise ValueError("times must be a 1-d array of at least 3 samples")
+    sample_dt = times[1] - times[0]
+    if not np.allclose(np.diff(times), sample_dt, rtol=1e-9, atol=0.0):
+        raise ValueError("time samples must be uniform")
+    span = times[-1] - times[0]
+    if lag_lo < span / 100.0 * (1.0 - 1e-9) or lag_hi > span / 4.0 * (1.0 + 1e-9):
+        raise ValueError("lag range must lie within [T/100, T/4]")
+    if not 0 < lag_lo < lag_hi:
+        raise ValueError("need 0 < lag_lo < lag_hi")
+    n_lags = at_least(n_lags, 2, "n_lags")
+    raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), n_lags)
+    steps = np.maximum(1, np.round(raw / sample_dt).astype(int))
+    # nondecreasing, so the first of each run of equal steps is np.unique's
+    # result without the numpy.ma import that np.unique costs
+    steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
+    if steps.size < 2:
+        raise ValueError(
+            f"lags in [{lag_lo}, {lag_hi}] round to one sample step; "
+            "need at least two distinct lag steps to fit an exponent"
+        )
+    return steps
+
+
 def msd_exponent(
     times: np.ndarray,
     velocities: np.ndarray,
@@ -314,32 +364,12 @@ def msd_exponent(
     """
     times = np.asarray(times, dtype=float)
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
-    if times.ndim != 1 or times.size < 3:
-        raise ValueError("times must be a 1-d array of at least 3 samples")
+    steps = fit_lag_steps(times, lag_lo, lag_hi, n_lags)
     if velocities.shape[1] != times.size:
         raise ValueError("velocity rows must match the time grid")
-    sample_dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), sample_dt, rtol=1e-9, atol=0.0):
-        raise ValueError("time samples must be uniform")
-    span = times[-1] - times[0]
-    if lag_lo < span / 100.0 * (1.0 - 1e-9) or lag_hi > span / 4.0 * (1.0 + 1e-9):
-        raise ValueError("lag range must lie within [T/100, T/4]")
-    if not 0 < lag_lo < lag_hi:
-        raise ValueError("need 0 < lag_lo < lag_hi")
-    n_lags = at_least(n_lags, 2, "n_lags")
-    raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), n_lags)
-    steps = np.maximum(1, np.round(raw / sample_dt).astype(int))
-    # nondecreasing, so the first of each run of equal steps is np.unique's
-    # result without the numpy.ma import that np.unique costs
-    lag_steps = steps[np.concatenate(([True], steps[1:] != steps[:-1]))]
-    if lag_steps.size < 2:
-        raise ValueError(
-            f"lags in [{lag_lo}, {lag_hi}] round to one sample step; "
-            "need at least two distinct lag steps to fit an exponent"
-        )
-    lags = lag_steps * sample_dt
-    msd = np.empty(lag_steps.size)
-    for i, L in enumerate(lag_steps):
+    lags = steps * (times[1] - times[0])
+    msd = np.empty(steps.size)
+    for i, L in enumerate(steps):
         diffs = velocities[:, L:] - velocities[:, :-L]
         msd[i] = float(np.mean(diffs**2))
     if np.any(msd <= 0):

@@ -225,9 +225,12 @@ def step_symbol(pde: PdeSpec, cfg: PatchConfig, n_points: int, dx: float) -> np.
     On a periodic grid the step is a linear circulant map, so its response
     to a unit impulse at node 0 (column 0 of the step matrix, the stencil)
     fixes it: ``fft(step(u)) = G * fft(u)`` for every state ``u``, and
-    ``np.fft.ifft(G).real`` gives the stencil back.
+    ``np.fft.ifft(G).real`` gives the stencil back.  A step that overflows,
+    so that the stencil is not finite, raises ``ValueError``.
     """
     impulse = np.zeros(at_least(n_points, 3, "n_points"))
     impulse[0] = 1.0
     stencil = gap_tooth_step(MacroState(impulse, dx), pde, cfg).values
+    if not np.isfinite(stencil).all():
+        raise ValueError(f"the gap-tooth step is not finite at dt_macro = {cfg.dt_macro!r}")
     return np.fft.fft(stencil)

@@ -15,33 +15,21 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    convergence_order,
-    increment_moments,
-    reachable_time,
-    seeded_noise_state,
-    stationary_variance_test,
-    study_grids,
-    symbol_growth_factor,
-    symbol_stepper,
+    convergence_order, increment_moments, reachable_time, seeded_noise_state,
+    stationary_variance_test, study_grids, symbol_growth_factor, symbol_stepper, tail_points,
 )
 from .config import (
-    PATCH_PDES, STABILITY_CODES, TARGET_PDES, ConfigError, ExperimentConfig, render_config,
+    DRIFTS, PATCH_PDES, STABILITY_CODES, TARGET_PDES, ConfigError, ExperimentConfig, render_config,
 )
 from .core import MacroState, RngStreamSpec, ToothConfig, at_least, generator, positive, value_type
-from .kp import DtSelfConsistencyError, ensemble_velocities, msd_exponent, sample_steps
-from .micro import SdeModel
-from .order_detect import (
-    BlackBoxFunction,
-    ProbeSpec,
-    derivative_blackbox,
-    detect_order,
+from .kp import (
+    DtSelfConsistencyError, checked_delta, ensemble_velocities, field_modes, finite_start,
+    fit_lag_steps, msd_exponent, sample_steps,
 )
+from .order_detect import BlackBoxFunction, ProbeSpec, derivative_blackbox, detect_order
 from .patch import LiftingScheme, PatchConfig, lift_coefficients, restrict, step_symbol
 from .projective import (
-    CoarseStepConfig,
-    effective_noise_std,
-    predicted_ou_tail_variance,
-    run_coarse_trajectory,
+    CoarseStepConfig, effective_noise_std, predicted_ou_tail_variance, run_coarse_trajectory,
 )
 
 __all__ = [
@@ -123,10 +111,8 @@ def render_summary(record: RunRecord) -> str:
         f"# seed = {record.config.seed}",
         "# name value expected tolerance verdict",
     ]
-    for m in record.metrics:
-        lines.append(
-            f"{m.name} {_fmt(m.value)} {_fmt(m.expected)} {_fmt(m.tolerance)} {m.verdict}"
-        )
+    lines += [f"{m.name} {_fmt(m.value)} {_fmt(m.expected)} {_fmt(m.tolerance)} {m.verdict}"
+              for m in record.metrics]
     return "\n".join(lines) + "\n"
 
 
@@ -138,18 +124,12 @@ def write_results(record: RunRecord, out_dir: str, force: bool = False) -> list[
     the temporary files, and the files this call already moved into place,
     are removed, so an interrupted write leaves nothing that blocks a rerun.
     """
-    paths = {
-        "summary": os.path.join(out_dir, "summary"),
-        "config": os.path.join(out_dir, "config"),
-    }
+    paths = {name: os.path.join(out_dir, name) for name in ("summary", "config")}
     for table in record.tables:
         paths[table.name] = os.path.join(out_dir, f"{table.name}.csv")
-    if not force:
-        existing = [p for p in paths.values() if os.path.exists(p)]
-        if existing:
-            raise OverwriteError(
-                f"refusing to overwrite {', '.join(sorted(existing))} (use --force)"
-            )
+    existing = [] if force else sorted(p for p in paths.values() if os.path.exists(p))
+    if existing:
+        raise OverwriteError(f"refusing to overwrite {', '.join(existing)} (use --force)")
     os.makedirs(out_dir, exist_ok=True)
     staged: list[tuple[str, str]] = []
     placed: list[str] = []
@@ -181,78 +161,71 @@ def write_results(record: RunRecord, out_dir: str, force: bool = False) -> list[
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
-    runner = _RUNNERS[config.experiment]
+    """Plan the run, then execute it.
+
+    The plan checks the whole config and builds every value the run needs
+    before any work; a ``ValueError`` there becomes a ``ConfigError`` naming
+    the experiment.  Executing does the work and writes the numerical outcomes
+    it expects as failing rows; any exception it raises propagates unchanged.
+    """
     start = time.perf_counter()
     try:
-        metrics, tables = runner(config.parameters, config.seed)
+        execute = _PLANS[config.experiment](config.parameters, config.seed)
     except ValueError as err:
         raise ConfigError(f"{config.experiment}: {err}") from err
-    return RunRecord(
-        config=config,
-        metrics=tuple(metrics),
-        tables=tuple(tables),
-        wall_time_s=time.perf_counter() - start,
-    )
+    metrics, tables = execute()
+    return RunRecord(config, tuple(metrics), tuple(tables), time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------- projective
 
 
-def _run_projective(p: dict, seed: int):
-    cfg = CoarseStepConfig(
-        ensemble_size=p["ensemble_size"],
-        micro_steps=p["micro_steps"],
-        dt_micro=p["dt_micro"],
-        dt_macro=p["dt_macro"],
-        alpha=p["alpha"],
-    )
-    if p["drift"] == "zero":
-        model = SdeModel.pure_noise(p["noise_amplitude"])
-    else:
-        model = SdeModel.ornstein_uhlenbeck(p["ou_rate"], p["noise_amplitude"])
-        # a coarse chain that does not mean-revert, or a run too short or too
-        # quiet for the tail test, fails here, before any step: the test's own
-        # checks run on a stand-in trajectory of the run's length
-        expected = predicted_ou_tail_variance(cfg, p["ou_rate"], p["noise_amplitude"])
-        stationary_variance_test(np.zeros(max(p["n_steps"] + 1, 0)), expected,
-                                 p["tolerance_fraction"])
-    rng = RngStreamSpec(master_seed=seed)
-    traj = run_coarse_trajectory(p["x0"], model, cfg, p["n_steps"], rng)
-
-    metrics: list[MetricResult] = []
+def _plan_projective(p: dict, seed: int):
+    cfg = CoarseStepConfig(p["ensemble_size"], p["micro_steps"], p["dt_micro"], p["dt_macro"],
+                           p["alpha"])
+    model = DRIFTS[p["drift"]](p["ou_rate"], p["noise_amplitude"])
     sigma = effective_noise_std(cfg, p["noise_amplitude"])
-    metrics.append(MetricResult("effective_noise_std", sigma))
+    if p["drift"] == "zero":
+        # the increment moments need three values
+        n_steps = at_least(p["n_steps"], 2, "n_steps")
 
-    if traj.diverged_at is not None:
-        # a truncated, exploding trajectory has no moments or tail to test
-        metrics.append(MetricResult("diverged_at_step", int(traj.diverged_at), verdict="fail"))
-    elif p["drift"] == "zero":
-        mom = increment_moments(traj.values)
-        metrics.append(_checked("increment_mean", mom.mean, 0.0, 3.0 * mom.se_mean))
-        metrics.append(_checked("increment_std", mom.std, sigma, 3.0 * mom.se_std))
+        def check(values):
+            mom = increment_moments(values)
+            return [_checked("increment_mean", mom.mean, 0.0, 3.0 * mom.se_mean),
+                    _checked("increment_std", mom.std, sigma, 3.0 * mom.se_std)]
     else:
-        check = stationary_variance_test(traj.values, expected, p["tolerance_fraction"])
-        metrics.append(
-            _checked("tail_variance", check.measured, check.expected,
-                     check.tolerance_fraction * check.expected)
-        )
+        # a coarse chain that does not mean-revert, or a run too short or too
+        # quiet for the tail test, fails here
+        expected = predicted_ou_tail_variance(cfg, p["ou_rate"], p["noise_amplitude"])
+        n_steps = at_least(p["n_steps"], 0, "n_steps")
+        tail_points(n_steps + 1, expected)
 
-    ledger = traj.ledger
-    metrics.append(MetricResult("macro_steps", int(ledger.macro_steps)))
-    metrics.append(MetricResult("micro_steps_total", int(ledger.micro_steps_total)))
-    horizon = cfg.ensemble_size * cfg.micro_steps * cfg.dt_micro
-    if abs(horizon - cfg.dt_macro) <= 1e-12 * cfg.dt_macro:
-        brute = round(ledger.macro_steps * cfg.dt_macro / cfg.dt_micro)
-        metrics.append(
-            _checked("cost_parity_vs_brute_force", int(ledger.micro_steps_total - brute), 0, 0)
-        )
+        def check(values):
+            test = stationary_variance_test(values, expected, p["tolerance_fraction"])
+            return [_checked("tail_variance", test.measured, test.expected,
+                             test.tolerance_fraction * test.expected)]
 
-    table = Table(
-        name="trajectory",
-        columns=("step", "value"),
-        rows=tuple((i, v) for i, v in enumerate(traj.values.tolist())),
-    )
-    return metrics, [table]
+    def execute():
+        traj = run_coarse_trajectory(p["x0"], model, cfg, n_steps, RngStreamSpec(master_seed=seed))
+        metrics = [MetricResult("effective_noise_std", sigma)]
+        if traj.diverged_at is not None:
+            # a truncated, exploding trajectory has no moments or tail to test
+            metrics.append(MetricResult("diverged_at_step", int(traj.diverged_at), verdict="fail"))
+        else:
+            metrics += check(traj.values)
+        ledger = traj.ledger
+        metrics.append(MetricResult("macro_steps", int(ledger.macro_steps)))
+        metrics.append(MetricResult("micro_steps_total", int(ledger.micro_steps_total)))
+        horizon = cfg.ensemble_size * cfg.micro_steps * cfg.dt_micro
+        if abs(horizon - cfg.dt_macro) <= 1e-12 * cfg.dt_macro:
+            brute = round(ledger.macro_steps * cfg.dt_macro / cfg.dt_micro)
+            metrics.append(
+                _checked("cost_parity_vs_brute_force", int(ledger.micro_steps_total - brute), 0, 0)
+            )
+        rows = tuple(enumerate(traj.values.tolist()))
+        return metrics, [Table(name="trajectory", columns=("step", "value"), rows=rows)]
+
+    return execute
 
 
 # --------------------------------------------------------------------- patch
@@ -285,71 +258,64 @@ def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
     return pde, cfg, dx
 
 
-def _run_patch(p: dict, seed: int):
+def _plan_patch(p: dict, seed: int):
     if not (p["grids"] or math.isnan(p["expect_order"])):
         raise ConfigError("expect_order needs grids to fit a convergence order on")
     # the grid list, every grid and the study's final time fail here, before
-    # any lift or probe
+    # the first step
     pde, cfg, dx = _patch_setup(p, p["n_points"])
     if p["grids"]:
         study_grids(p["grids"])
-    study_setups = {n: _patch_setup(p, n, "grids") for n in p["grids"]}
+    setups = {n: _patch_setup(p, n, "grids") for n in p["grids"]}
     final_time = p["final_time"] or PATCH_PDES[p["pde"]][2]
-    for _, cfg_n, _ in study_setups.values():
+    for _, cfg_n, _ in setups.values():
         reachable_time(final_time, cfg_n.dt_macro)
-    metrics: list[MetricResult] = []
-    metrics.append(MetricResult("dt_macro", cfg.dt_macro))
-    metrics.append(MetricResult("tooth_width", cfg.tooth.h))
-
-    u0 = seeded_noise_state(p["n_points"], dx, RngStreamSpec(master_seed=seed))
-    # one restrict per row, as a library caller averages a single lifted
-    # tooth; a matrix-vector product may round the last bit differently
-    round_trip = max(
-        abs(restrict(row, cfg.tooth.h) - value)
-        for row, value in zip(lift_coefficients(u0, cfg.lifting, cfg.tooth.h), u0.values)
-    )
-    metrics.append(_checked("lift_restrict_round_trip", round_trip, 0.0, 1e-12))
-
+    at_least(p["probe_steps"], 4, "probe_steps")
     # the step is a linear circulant map: its symbol G(k) gives the growth of
-    # the iterated noise state and every grid's state at final_time exactly
+    # the iterated noise state and every grid's state at final_time exactly;
+    # a step that does not fit in a float fails here
     symbol = step_symbol(pde, cfg, p["n_points"], dx)
-    report = symbol_growth_factor(symbol, u0, p["probe_steps"])
-    metrics.append(MetricResult("growth_factor", report.growth_factor))
-    # |G(0)| = 1 up to rounding, so the constant mode is left out
-    metrics.append(MetricResult("amplification_max", float(np.max(np.abs(symbol[1:])))))
-    expect = p["expect_stability"]
-    name = f"stability_is_{expect}" if expect else f"stability_code_{report.classification}"
-    metrics.append(
-        _checked(name, STABILITY_CODES[report.classification], STABILITY_CODES.get(expect), 0)
-    )
+    # grid -> the study's (stepper, initial state) on it
+    problems = {n: (symbol_stepper(step_symbol(pde_n, cfg_n, n, dx_n), cfg_n.dt_macro, final_time),
+                    MacroState(values=np.sin(dx_n * np.arange(n)), dx=dx_n))
+                for n, (pde_n, cfg_n, dx_n) in setups.items()}
 
-    tables: list[Table] = []
-    if p["grids"]:
-        exact = _exact_solution(p["pde"], p["coefficient"])
-
-        def make_problem(n: int):
-            pde_n, cfg_n, dx_n = study_setups[n]
-            xs = dx_n * np.arange(n)
-            u_init = MacroState(values=np.sin(xs), dx=dx_n)
-            symbol_n = step_symbol(pde_n, cfg_n, n, dx_n)
-            return symbol_stepper(symbol_n, cfg_n.dt_macro, final_time), u_init
-
-        study = convergence_order(make_problem, p["grids"], final_time, exact)
+    def execute():
+        metrics = [MetricResult("dt_macro", cfg.dt_macro), MetricResult("tooth_width", cfg.tooth.h)]
+        u0 = seeded_noise_state(p["n_points"], dx, RngStreamSpec(master_seed=seed))
+        # one restrict per row, as a library caller averages a single lifted
+        # tooth; a matrix-vector product may round the last bit differently
+        round_trip = max(
+            abs(restrict(row, cfg.tooth.h) - value)
+            for row, value in zip(lift_coefficients(u0, cfg.lifting, cfg.tooth.h), u0.values)
+        )
+        metrics.append(_checked("lift_restrict_round_trip", round_trip, 0.0, 1e-12))
+        report = symbol_growth_factor(symbol, u0, p["probe_steps"])
+        metrics.append(MetricResult("growth_factor", report.growth_factor))
+        # |G(0)| = 1 up to rounding, so the constant mode is left out
+        metrics.append(MetricResult("amplification_max", float(np.max(np.abs(symbol[1:])))))
+        expect = p["expect_stability"]
+        name = f"stability_is_{expect}" if expect else f"stability_code_{report.classification}"
+        code = STABILITY_CODES[report.classification]
+        metrics.append(_checked(name, code, STABILITY_CODES.get(expect), 0))
+        if not problems:
+            return metrics, []
+        try:
+            study = convergence_order(lambda n: problems[n], p["grids"], final_time,
+                                      _exact_solution(p["pde"], p["coefficient"]))
+        except ValueError:
+            # the plan checked the grids and the final time, so what is left is a
+            # study whose errors are all at rounding level: no order to fit
+            metrics.append(MetricResult("convergence_errors_above_rounding", False,
+                                        verdict="fail"))
+            return metrics, []
         expected = None if math.isnan(p["expect_order"]) else p["expect_order"]
-        metrics.append(
-            _checked("convergence_order", study.fitted_order, expected, p["order_tolerance"])
-        )
-        tables.append(
-            Table(
-                name="convergence",
-                columns=("n_points", "dx", "error"),
-                rows=tuple(
-                    (n, dx_n, err)
-                    for n, dx_n, err in zip(study.grid_sizes, study.spacings, study.errors)
-                ),
-            )
-        )
-    return metrics, tables
+        metrics.append(_checked("convergence_order", study.fitted_order, expected,
+                                p["order_tolerance"]))
+        rows = tuple(zip(study.grid_sizes, study.spacings, study.errors))
+        return metrics, [Table(name="convergence", columns=("n_points", "dx", "error"), rows=rows)]
+
+    return execute
 
 
 # -------------------------------------------------------------- order-detect
@@ -365,30 +331,28 @@ def _order_detect_box(p: dict) -> BlackBoxFunction:
                                h=p["h"], evaluation_budget=budget)
 
 
-def _run_order_detect(p: dict, seed: int):
+def _plan_order_detect(p: dict, seed: int):
     box = _order_detect_box(p)
     probe = ProbeSpec(n_base=p["n_base"], n_perturb=p["n_perturb"], halfwidth=p["halfwidth"],
                       seed=seed)
-    report = detect_order(box, probe, stop_after=p["stop_after"] or None)
+    stop_after = at_least(p["stop_after"], 1, "stop_after") if p["stop_after"] else None
+    expected = p["expected_order"] if p["expected_order"] >= 0 else None
 
-    metrics: list[MetricResult] = []
-    expected = int(p["expected_order"]) if p["expected_order"] >= 0 else None
-    metrics.append(_checked("detected_order", int(report.detected_order), expected, 0))
-    metrics.append(MetricResult("coordinates_probed", len(report.indices)))
-    metrics.append(MetricResult("stopped_early", report.stopped_early))
-    metrics.append(MetricResult("budget_exhausted", report.budget_exhausted))
-    metrics.append(MetricResult("evaluations_used", int(report.budget_used)))
-    metrics.append(MetricResult("threshold", report.threshold))
+    def execute():
+        report = detect_order(box, probe, stop_after=stop_after)
+        metrics = [
+            _checked("detected_order", int(report.detected_order), expected, 0),
+            MetricResult("coordinates_probed", len(report.indices)),
+            MetricResult("stopped_early", report.stopped_early),
+            MetricResult("budget_exhausted", report.budget_exhausted),
+            MetricResult("evaluations_used", int(report.budget_used)),
+            MetricResult("threshold", report.threshold),
+        ]
+        rows = tuple(zip(report.indices, report.variances, report.dependent))
+        return metrics, [Table(name="variances", columns=("index", "variance", "dependent"),
+                               rows=rows)]
 
-    table = Table(
-        name="variances",
-        columns=("index", "variance", "dependent"),
-        rows=tuple(
-            (idx, var, dep)
-            for idx, var, dep in zip(report.indices, report.variances, report.dependent)
-        ),
-    )
-    return metrics, [table]
+    return execute
 
 
 # ------------------------------------------------------------------------ kp
@@ -398,101 +362,90 @@ def _synthetic_paths(kind: str, n_traj: int, n_samples: int, rng: RngStreamSpec)
     times = np.linspace(0.0, 1.0, n_samples + 1)
     gen = generator(rng)
     if kind == "brownian":
-        dt = times[1] - times[0]
-        steps = gen.standard_normal((n_traj, n_samples)) * math.sqrt(dt)
-        values = np.concatenate(
-            [np.zeros((n_traj, 1)), np.cumsum(steps, axis=1)], axis=1
-        )
-    else:  # ballistic: linear ramps with random slopes
-        slopes = gen.standard_normal((n_traj, 1)) + 2.0
-        values = slopes * times[None, :]
-    return times, values
+        steps = gen.standard_normal((n_traj, n_samples)) * math.sqrt(times[1] - times[0])
+        return times, np.concatenate([np.zeros((n_traj, 1)), np.cumsum(steps, axis=1)], axis=1)
+    # ballistic: linear ramps with random slopes
+    return times, (gen.standard_normal((n_traj, 1)) + 2.0) * times[None, :]
 
 
-def _run_kp(p: dict, seed: int):
-    metrics: list[MetricResult] = []
-    tables: list[Table] = []
-    at_least(p["n_samples"], 1, "n_samples")
+def _plan_kp(p: dict, seed: int):
+    n_samples = at_least(p["n_samples"], 1, "n_samples")
     bands = p["gamma_bands"]
     if bands and len(bands) != len(p["deltas"]):
-        raise ConfigError(
-            f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}"
-        )
-    # every delta, dt_scale, each delta's step count and the fit's lag window
-    # fail here, before the first integration; the fit checks a stand-in
-    # path on the run's sample grid, which needs a positive, finite total_time
-    for delta in p["deltas"]:
-        positive(delta, "delta")
-    positive(p["dt_scale"], "dt_scale")
-    positive(p["total_time"], "total_time")
-    sample_dt = p["total_time"] / p["n_samples"]
-    dts = [min(p["dt_scale"] * delta * delta, sample_dt) for delta in p["deltas"]]
+        raise ConfigError(f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}")
+    # each delta's exponent is checked against the middle of its band, if it has one
+    targets = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in bands] or [()] * len(p["deltas"])
+    # every delta, dt_scale, each delta's step count, the fit's lag steps, the
+    # field and the start fail here, before the first integration
+    deltas = [checked_delta(delta) for delta in p["deltas"]]
+    dt_scale = positive(p["dt_scale"], "dt_scale")
+    total_time = positive(p["total_time"], "total_time")
+    sample_dt = total_time / n_samples
+    dts = [min(dt_scale * delta * delta, sample_dt) for delta in deltas]
     for dt in dts:
-        sample_steps(sample_dt, dt, p["n_samples"], "dt_scale", p["dt_scale"])
-    times = np.linspace(0.0, p["total_time"], p["n_samples"] + 1)
-    msd_exponent(times, times[None, :], p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"])
-    rng = RngStreamSpec(master_seed=seed)
-    for i, delta in enumerate(p["deltas"]):
-        slug = _slug(delta)
-        try:
-            run = ensemble_velocities(
-                n_trajectories=p["n_trajectories"],
-                n_modes=p["n_modes"],
-                spectrum=p["spectrum"],
-                delta=delta,
-                total_time=p["total_time"],
-                dt=dts[i],
-                rng=rng.at(step_id=i),
-                initial=(p["x0"], p["v0"]),
-                n_samples=p["n_samples"],
-                validate=p["validate_dt"],
-            )
-        except DtSelfConsistencyError as err:
-            # an unresolved step leaves no trajectory worth fitting at this delta
-            metrics += [
-                MetricResult(f"dt_self_consistent_delta_{slug}", False, verdict="fail"),
-                MetricResult(f"dt_check_trajectory_delta_{slug}", err.trajectory),
-                MetricResult(f"energy_error_delta_{slug}", err.deviation / err.scale),
-            ]
-            continue
-        if run.energy_error is not None:
-            metrics.append(
-                MetricResult(f"energy_error_delta_{slug}", float(np.max(run.energy_error)))
-            )
-        times, velocities = run
-        fit = msd_exponent(
-            times, velocities, p["fit_lag_lo"], p["fit_lag_hi"], n_lags=p["n_lags"]
-        )
-        mid = half = None
-        if bands:
-            lo, hi = bands[i]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        metrics.append(_checked(f"gamma_delta_{slug}", fit.gamma, mid, half))
-        tables.append(
-            Table(
-                name=f"msd_{slug}",
-                columns=("lag", "msd"),
-                rows=tuple(zip(fit.lags.tolist(), fit.msd.tolist())),
-            )
-        )
+        sample_steps(sample_dt, dt, n_samples, "dt_scale", dt_scale)
+    fit_lag_steps(np.linspace(0.0, total_time, n_samples + 1), p["fit_lag_lo"], p["fit_lag_hi"],
+                  p["n_lags"])
+    at_least(p["n_trajectories"], 1, "n_trajectories")
+    field_modes(p["n_modes"], p["spectrum"])
+    finite_start((p["x0"], p["v0"]))
     if p["calibrate"]:
-        cal_rng = rng.at(stream_id=2**32)
-        for kind, target in (("brownian", 1.0), ("ballistic", 2.0)):
-            times, values = _synthetic_paths(
-                kind, p["n_trajectories"], p["n_samples"], cal_rng.at(step_id=int(target))
-            )
-            fit = msd_exponent(times, values, 0.012, 0.24, n_lags=p["n_lags"])
-            metrics.append(_checked(f"calibration_{kind}", fit.gamma, target, 0.1))
-    return metrics, tables
+        # the calibration paths span [0, 1] on the same sample count
+        fit_lag_steps(np.linspace(0.0, 1.0, n_samples + 1), 0.012, 0.24, p["n_lags"])
+    rng = RngStreamSpec(master_seed=seed)
+
+    def execute():
+        metrics: list[MetricResult] = []
+        tables: list[Table] = []
+        for i, delta in enumerate(deltas):
+            slug = _slug(delta)
+            try:
+                run = ensemble_velocities(
+                    n_trajectories=p["n_trajectories"], n_modes=p["n_modes"],
+                    spectrum=p["spectrum"], delta=delta, total_time=total_time, dt=dts[i],
+                    rng=rng.at(step_id=i), initial=(p["x0"], p["v0"]), n_samples=n_samples,
+                    validate=p["validate_dt"],
+                )
+            except DtSelfConsistencyError as err:
+                # an unresolved step leaves no trajectory worth fitting at this delta
+                metrics += [
+                    MetricResult(f"dt_self_consistent_delta_{slug}", False, verdict="fail"),
+                    MetricResult(f"dt_check_trajectory_delta_{slug}", err.trajectory),
+                    MetricResult(f"energy_error_delta_{slug}", err.deviation / err.scale),
+                ]
+                continue
+            if run.energy_error is not None:
+                metrics.append(MetricResult(f"energy_error_delta_{slug}",
+                                            float(np.max(run.energy_error))))
+            times, velocities = run
+            try:
+                fit = msd_exponent(times, velocities, p["fit_lag_lo"], p["fit_lag_hi"],
+                                   n_lags=p["n_lags"])
+            except ValueError:
+                # the plan checked the lag steps on this grid, so what is left is an
+                # MSD that vanished: the velocity did not move at this scale
+                metrics.append(MetricResult(f"msd_nonzero_delta_{slug}", False, verdict="fail"))
+                continue
+            metrics.append(_checked(f"gamma_delta_{slug}", fit.gamma, *targets[i]))
+            rows = tuple(zip(fit.lags.tolist(), fit.msd.tolist()))
+            tables.append(Table(name=f"msd_{slug}", columns=("lag", "msd"), rows=rows))
+        if p["calibrate"]:
+            cal_rng = rng.at(stream_id=2**32)
+            for kind, target in (("brownian", 1.0), ("ballistic", 2.0)):
+                times, values = _synthetic_paths(kind, p["n_trajectories"], n_samples,
+                                                 cal_rng.at(step_id=int(target)))
+                fit = msd_exponent(times, values, 0.012, 0.24, n_lags=p["n_lags"])
+                metrics.append(_checked(f"calibration_{kind}", fit.gamma, target, 0.1))
+        return metrics, tables
+
+    return execute
 
 
 def _slug(value: float) -> str:
     return repr(float(value)).replace(".", "p").replace("-", "m")
 
 
-_RUNNERS = {
-    "projective": _run_projective,
-    "patch": _run_patch,
-    "order-detect": _run_order_detect,
-    "kp": _run_kp,
-}
+# experiment -> its plan: check the config, build the run's values, and return
+# the zero-argument step that executes the run
+_PLANS = {"projective": _plan_projective, "patch": _plan_patch,
+          "order-detect": _plan_order_detect, "kp": _plan_kp}

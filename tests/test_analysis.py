@@ -232,11 +232,19 @@ def test_growth_factor_probe_refuses_more_steps_than_the_cap_before_stepping(mon
     # used to loop until killed
     with pytest.raises(ValueError) as err:
         growth_factor_probe(never, u0, 10**12)
-    assert str(err.value) == "probe_steps 1e+12 needs more than 10000000 macro steps"
+    assert str(err.value) == "probe_steps 1000000000000 needs more than 10000000 macro steps"
     monkeypatch.setattr(core, "_MAX_STEPS", 10)
     assert growth_factor_probe(scale_stepper(0.5), u0, 10).steps_used == 10
     with pytest.raises(ValueError, match="^probe_steps 11 needs more than 10 macro steps$"):
         growth_factor_probe(never, u0, 11)
+
+
+def test_a_count_past_the_step_cap_is_printed_in_full():
+    # ":g" printed one step past the cap as 1e+07, which reads as within it
+    u0 = seeded_noise_state(8, 1.0, RngStreamSpec(0))
+    with pytest.raises(ValueError) as err:
+        growth_factor_probe(lambda u: u, u0, 10**7 + 1)
+    assert str(err.value) == "probe_steps 10000001 needs more than 10000000 macro steps"
 
 
 def test_convergence_order_refuses_a_step_that_does_not_advance():

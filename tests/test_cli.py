@@ -196,8 +196,9 @@ def test_readme_config_key_tables_match_the_schemas():
     for experiment, table in tables.items():
         rows = [[cell.strip() for cell in line.strip("|").split("|")]
                 for line in table.splitlines()[2:]]
-        assert [row[0] for row in rows] == [f"`{p.name}`" for p in _SCHEMAS[experiment]]
-        for param, (_, default, meaning) in zip(_SCHEMAS[experiment], rows):
+        params = _SCHEMAS[experiment][1]
+        assert [row[0] for row in rows] == [f"`{p.name}`" for p in params]
+        for param, (_, default, meaning) in zip(params, rows):
             meanings[experiment, param.name] = meaning
             if param.default is _REQUIRED:
                 assert default == "*required*", param.name
@@ -223,7 +224,7 @@ def test_every_choice_the_schema_offers_resolves_through_its_table():
     from patchlab.config import _SCHEMAS
     from patchlab.runner import _order_detect_box, _patch_setup
 
-    choices = {p.name: p.choices for params in _SCHEMAS.values() for p in params if p.choices}
+    choices = {p.name: p.choices for _, params in _SCHEMAS.values() for p in params if p.choices}
     for pde, lifting in itertools.product(choices["pde"], choices["lifting"]):
         p = parse_config(
             f"[experiment]\nname = patch\n[parameters]\npde = {pde}\nlifting = {lifting}\n"
@@ -625,6 +626,74 @@ def test_one_lag_step_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_velocity_that_does_not_move_is_a_failed_check(tmp_path, capsys):
+    # at delta = 1e100 a step changes v by about 1e-100, which rounds to v0
+    # exactly: the MSD vanishes, a result at that scale, not a config error
+    cfg = write(tmp_path, "[experiment]\nname = kp\nseed = 3\n[parameters]\n"
+                          "deltas = 1.0, 1e100\nn_trajectories = 2\nn_modes = 8\n")
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rows = summary_lines(out)
+    assert rows["msd_nonzero_delta_1e+100"] == "msd_nonzero_delta_1e+100 false - - fail"
+    assert [name for name in rows if name.endswith("_1p0")] == [
+        "energy_error_delta_1p0", "gamma_delta_1p0"]
+    assert "gamma_delta_1e+100" not in rows and "calibration_ballistic" in rows
+    assert sorted(path.name for path in out.glob("*.csv")) == ["msd_1p0.csv"]
+
+
+def test_a_delta_whose_square_overflows_fails_before_any_integration(tmp_path, monkeypatch,
+                                                                     capsys):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated before delta was checked")
+
+    monkeypatch.setattr(runner, "ensemble_velocities", no_run)
+    cfg = write(tmp_path, FAST_KP.replace("deltas = 1.0\n", "deltas = 1.0, 1e160\n"))
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: kp: delta 1e+160 is too large: delta**2 overflows\n"
+    assert not out.exists()
+
+
+def test_too_many_one_step_samples_name_n_samples(tmp_path, monkeypatch, capsys):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated before its step count was checked")
+
+    # each sample interval is already a single step, so no dt_scale helps
+    monkeypatch.setattr(runner, "ensemble_velocities", no_run)
+    cfg = write(tmp_path, FAST_KP.replace("deltas = 1.0\n", "deltas = 0.5\nn_samples = 10000001\n"))
+    assert main(["kp", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: kp: n_samples 10000001 needs more than 10000000 leapfrog steps of 8e-10\n")
+
+
+@pytest.mark.parametrize(
+    "binding, error, stage",
+    [("ensemble_velocities", RuntimeError("boom"), "execute"),
+     ("ensemble_velocities", ValueError("boom"), "execute"),
+     ("checked_delta", RuntimeError("boom"), "plan")],
+    ids=["execute-RuntimeError", "execute-ValueError", "plan-RuntimeError"],
+)
+def test_an_unexpected_error_is_an_internal_error(tmp_path, monkeypatch, capsys, binding, error,
+                                                  stage):
+    import patchlab.runner as runner
+
+    def broken(*args, **kwargs):
+        raise error
+
+    # neither a config error (2) nor a failed check (1), and no traceback
+    monkeypatch.setattr(runner, binding, broken)
+    out = tmp_path / "o"
+    assert main(["kp", "--config", write(tmp_path, FAST_KP), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: kp: internal error in {stage}: {type(error).__name__}('boom')\n")
+    assert not out.exists()
+
+
 def summary_lines(out_dir) -> dict[str, str]:
     """Rendered summary rows by metric name."""
     text = (out_dir / "summary").read_text()
@@ -678,6 +747,53 @@ def test_untestable_tail_fails_before_the_run(tmp_path, monkeypatch, capsys, par
     assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: projective: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_steps", [0, 1])
+def test_drift_free_run_too_short_for_its_moments_fails_before_the_run(tmp_path, monkeypatch,
+                                                                       capsys, n_steps):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the trajectory ran before its length was checked")
+
+    # the increment moments need three values, so two steps
+    monkeypatch.setattr(runner, "run_coarse_trajectory", no_run)
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE.replace("n_steps = 200", f"n_steps = {n_steps}"))
+    out = tmp_path / "o"
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: projective: n_steps must be >= 2\n"
+    assert not out.exists()
+
+
+def test_a_step_that_overflows_fails_before_any_probe(tmp_path, monkeypatch, capsys):
+    import patchlab.runner as runner
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the probe ran before the step was checked")
+
+    # the propagator stays finite, but one step of about 1.5e159 overflows
+    monkeypatch.setattr(runner, "symbol_growth_factor", no_work)
+    cfg = write(tmp_path, PATCH_PARAMETERS + "n_points = 16\ndt_ratio = 1e160\n")
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["patch", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: patch: the gap-tooth step is not finite at dt_macro = 1.5421256876702122e+159\n")
+    assert not out.exists()
+
+
+def test_a_study_with_nothing_to_fit_is_a_failed_check(tmp_path, recwarn):
+    # u_t = 0: the scheme is exact, so every error is at rounding level
+    cfg = write(tmp_path, PATCH_PARAMETERS + "n_points = 16\ncoefficient = 0\ngrids = 8, 16\n")
+    out = tmp_path / "o"
+    assert main(["patch", "--config", cfg, "--out", str(out)]) == 1
+    rows = summary_lines(out)
+    assert rows["convergence_errors_above_rounding"] == (
+        "convergence_errors_above_rounding false - - fail")
+    assert "convergence_order" not in rows and not (out / "convergence.csv").exists()
+    assert [str(w.message) for w in recwarn] == [
+        "excluding rounding-dominated errors at grid indices (0, 1)"]
 
 
 def test_violently_unstable_scheme_is_a_verdict(tmp_path, capsys):

@@ -253,6 +253,17 @@ def test_kp_integrate_rejects_a_delta_that_is_not_positive_and_finite(monkeypatc
         kp_integrate(small_field(0), delta, total_time=0.008, dt=1e-4)
 
 
+@pytest.mark.parametrize("delta", [1e160, 1e300])
+def test_kp_integrate_refuses_a_delta_whose_square_overflows(monkeypatch, delta):
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated at a delta whose square overflows")
+
+    monkeypatch.setattr(patchlab.kp, "_leapfrog", no_run)
+    with pytest.raises(ValueError) as err:
+        kp_integrate(small_field(0), delta, total_time=0.008, dt=1e-4)
+    assert str(err.value) == f"delta {delta:g} is too large: delta**2 overflows"
+
+
 def test_kp_integrate_refuses_more_steps_than_the_cap_before_integrating(monkeypatch):
     field = small_field(0)
     with monkeypatch.context() as patch:
