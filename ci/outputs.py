@@ -8,10 +8,12 @@
 copy of the script can run an older tree as well.  It runs every ``CliItem``
 of ``perfbench.workloads.WORKLOADS`` and the final state of the ``patch-fd``
 workload at seeds 0 and 7, the ``ACCEPTANCE_CONFIGS`` of
-``TREE/tests/test_acceptance.py``, ``patchlab --help`` (its stdout is kept)
-and ``BAD_CONFIGS``, one config error per named choice and per value kind.
-Each run gets its own directory under ``DIR`` with the files it wrote, its
-exit code and its stderr.
+``TREE/tests/test_acceptance.py``, ``patchlab --help`` (its stdout is kept),
+``BAD_CONFIGS``, one config error per named choice and per value kind, and
+``EDGE_CONFIGS``, one run per numerical outcome the program expects.  Each
+run gets its own directory under ``DIR`` with the files it wrote, its exit
+code and its stderr; a warning is recorded in the stderr as its category and
+message, without the source path, which names the tree.
 
 ``compare`` lists every file that differs between two such directories, or
 is in one only, and exits 1 if any of them is missing from the allow-list
@@ -28,13 +30,15 @@ import importlib.util
 import io
 import os
 import sys
+import warnings
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEEDS = (0, 7)
 
 
-def _config(command: str, parameters: str) -> tuple[str, str]:
-    return command, f"[experiment]\nname = {command}\n[parameters]\n{parameters}"
+def _config(command: str, parameters: str, seed: int | None = None) -> tuple[str, str]:
+    head = "" if seed is None else f"seed = {seed}\n"
+    return command, f"[experiment]\nname = {command}\n{head}[parameters]\n{parameters}"
 
 
 # label -> (command, config): the message of a bad choice lists the choices of
@@ -52,6 +56,24 @@ BAD_CONFIGS = {
     "int_list": _config("patch", "pde = heat\nlifting = central_d2\ngrids = 16, x\n"),
     "float_list": _config("kp", "deltas = 1.0, fast\n"),
     "band_list": _config("kp", "deltas = 1.0\ngamma_bands = 2.1:1.7\n"),
+}
+
+# label -> (command, config): each numerical outcome a run expects, a failing
+# row (exit 1), and each value that would overflow inside the run (exit 2)
+EDGE_CONFIGS = {
+    "diverged-projective": _config("projective", "n_steps = 200\nnoise_amplitude = 1e15\n"),
+    "unresolved-kp-step": _config(
+        "kp", "deltas = 0.02\ndt_scale = 0.05\nn_trajectories = 1\ncalibrate = false\n", seed=9),
+    "vanished-msd": _config("kp", "deltas = 1.0, 1e100\nn_trajectories = 2\nn_modes = 8\n", seed=3),
+    "nothing-to-fit": _config(
+        "patch", "pde = heat\nlifting = central_d2\nn_points = 16\ncoefficient = 0\n"
+        "grids = 8, 16\n"),
+    "diverging-study": _config(
+        "patch", "pde = advection\nlifting = central_d2\ngrids = 16, 32\nfinal_time = 1000\n"),
+    "tail-variance-overflow": _config("projective", "drift = ou\nnoise_amplitude = 1e160\n"),
+    "box-width-overflow": _config("order-detect", "target = heat\nhalfwidth = 1e308\n"),
+    "infinite-band": _config(
+        "kp", "deltas = 1.0\ngamma_bands = 5:inf\nn_trajectories = 2\nn_modes = 8\n"),
 }
 
 
@@ -77,13 +99,16 @@ def _record(argv: list[str], run_dir: str, keep_stdout: bool = False) -> None:
     from patchlab import cli
 
     stdout, stderr = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    except Exception as exc:  # a crash is an output too; its traceback names this tree's paths
-        code = f"{type(exc).__name__}: {exc}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # each run records its own, whatever ran before
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is an output too; its traceback names this tree's paths
+            code = f"{type(exc).__name__}: {exc}"
+    stderr.writelines(f"{w.category.__name__}: {w.message}\n" for w in caught)
     files = {"exit_code": f"{code}\n", "stderr": stderr.getvalue()}
     if keep_stdout:
         files["stdout"] = stdout.getvalue()
@@ -135,6 +160,8 @@ def write(out: str, tree: str) -> int:
     _record(["--help"], os.path.join(out, "help"), keep_stdout=True)
     for label, (command, text) in BAD_CONFIGS.items():
         _run_cli(command, text, os.path.join(out, "bad-config", label))
+    for label, (command, text) in EDGE_CONFIGS.items():
+        _run_cli(command, text, os.path.join(out, "edge", label))
     return 0
 
 

@@ -189,10 +189,12 @@ def convergence_order(
 
     ``make_problem(n)`` returns a (stepper, initial state) pair whose macro
     step divides ``final_time``.  Errors are measured in the RMS norm
-    against ``exact(x, t)`` at the reached time.  Errors at rounding level
-    (below 1e-12) are excluded from the fit with a warning.  A step that
-    does not advance ``u.time``, or one after which the steps taken and
-    those left at its size exceed the step cap, raises ``ValueError``.
+    against ``exact(x, t)`` at the reached time.  Errors that are not finite
+    or are at rounding level (below 1e-12) are left out of the fit, listed
+    in ``excluded``, with one warning; with fewer than two errors left,
+    ``fitted_order`` is nan.  A step that does not advance ``u.time``, or
+    one after which the steps taken and those left at its size exceed the
+    step cap, raises ``ValueError``.
     """
     grid_sizes = study_grids(grid_sizes)
     final_time = positive(final_time, "final_time")
@@ -216,26 +218,18 @@ def convergence_order(
         err = float(np.sqrt(np.mean((u.values - exact(xs, u.time)) ** 2)))
         spacings.append(u.dx)
         errors.append(err)
-    excluded = tuple(i for i, e in enumerate(errors) if e < _ROUNDING_FLOOR)
+    excluded = tuple(i for i, e in enumerate(errors) if not _ROUNDING_FLOOR <= e < math.inf)
     if excluded:
-        warnings.warn(
-            f"excluding rounding-dominated errors at grid indices {excluded}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"excluding non-finite or rounding-dominated errors at grid indices "
+                      f"{excluded}", RuntimeWarning, stacklevel=2)
     keep = [i for i in range(len(errors)) if i not in excluded]
-    if len(keep) < 2:
-        raise ValueError("fewer than two usable error points; cannot fit an order")
-    slope = np.polyfit(
-        np.log([spacings[i] for i in keep]), np.log([errors[i] for i in keep]), 1
-    )[0]
-    return ConvergenceReport(
-        grid_sizes=grid_sizes,
-        spacings=tuple(spacings),
-        errors=tuple(errors),
-        fitted_order=float(slope),
-        excluded=excluded,
-    )
+    slope = math.nan
+    if len(keep) >= 2:
+        slope = float(np.polyfit(
+            np.log([spacings[i] for i in keep]), np.log([errors[i] for i in keep]), 1
+        )[0])
+    return ConvergenceReport(grid_sizes=grid_sizes, spacings=tuple(spacings), errors=tuple(errors),
+                             fitted_order=slope, excluded=excluded)
 
 
 def study_grids(grid_sizes: Sequence[int]) -> tuple[int, ...]:

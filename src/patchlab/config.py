@@ -142,9 +142,12 @@ def _boolean(raw: str) -> bool:
 
 def _band(tok: str) -> tuple[float, float]:
     lo, _, hi = tok.strip().partition(":")
-    if not float(lo) < float(hi):
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"band {tok.strip()!r} needs finite ends")
+    if not lo < hi:
         raise ValueError(f"band {tok.strip()!r} needs lo < hi")
-    return float(lo), float(hi)
+    return lo, hi
 
 
 def _items(parse):

@@ -360,7 +360,8 @@ def msd_exponent(
 
     Lags are log-spaced in ``[lag_lo, lag_hi]``, which must lie within
     [T/100, T/4] of the sampled window; averaging runs over all time
-    origins and all trajectories.
+    origins and all trajectories.  When the MSD is not positive at some
+    lag, nothing is fitted and ``gamma`` is nan.
     """
     times = np.asarray(times, dtype=float)
     velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
@@ -372,7 +373,6 @@ def msd_exponent(
     for i, L in enumerate(steps):
         diffs = velocities[:, L:] - velocities[:, :-L]
         msd[i] = float(np.mean(diffs**2))
-    if np.any(msd <= 0):
-        raise ValueError("mean-square displacement vanished at some lag; nothing to fit")
-    gamma = float(np.polyfit(np.log(lags), np.log(msd), 1)[0])
+    # an MSD that vanished at some lag leaves no exponent to fit
+    gamma = float(np.polyfit(np.log(lags), np.log(msd), 1)[0]) if np.all(msd > 0) else math.nan
     return MsdFit(gamma=gamma, lags=lags, msd=msd)

@@ -93,10 +93,14 @@ class ProbeSpec:
     seed: int = 0
 
     def __post_init__(self) -> dict:
-        return {"n_base": at_least(self.n_base, 1, "n_base"),
-                "n_perturb": at_least(self.n_perturb, 2, "n_perturb"),
-                "halfwidth": positive(self.halfwidth, "halfwidth"),
-                "seed": unsigned_seed(self.seed, "seed")}
+        checked = {"n_base": at_least(self.n_base, 1, "n_base"),
+                   "n_perturb": at_least(self.n_perturb, 2, "n_perturb"),
+                   "halfwidth": positive(self.halfwidth, "halfwidth"),
+                   "seed": unsigned_seed(self.seed, "seed")}
+        if not np.isfinite(2.0 * checked["halfwidth"]):
+            raise ValueError(f"halfwidth {checked['halfwidth']:g} is too large: "
+                             "the box width overflows")
+        return checked
 
 
 @value_type

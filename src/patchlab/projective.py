@@ -113,12 +113,16 @@ def predicted_ou_tail_variance(cfg: CoarseStepConfig, rate: float = 1.0, noise_a
     """Stationary variance of the coarse chain for drift ``-rate*x``.
 
     Treats the coarse update as the AR(1) ``x' = (1 - rate dt_macro) x + s xi``
-    with ``s = effective_noise_std``; requires ``rate * dt_macro < 2``.
+    with ``s = effective_noise_std``; requires ``rate * dt_macro < 2`` and a
+    finite variance.
     """
     phi = 1.0 - rate * cfg.dt_macro
     if abs(phi) >= 1.0:
         raise ValueError("coarse chain is not mean-reverting: need rate*dt_macro in (0, 2)")
     s = effective_noise_std(cfg, noise_amplitude)
+    if not math.isfinite(s * s / (1.0 - phi**2)):
+        raise ValueError(f"noise_amplitude {noise_amplitude:g} is too large: "
+                         "the tail variance overflows")
     return s**2 / (1.0 - phi**2)
 
 

@@ -171,10 +171,31 @@ def test_convergence_order_needs_two_usable_points():
         xs = dx * np.arange(n)
         return scale_stepper(1.0), MacroState(values=np.sin(xs), dx=dx)
 
+    # every error is at rounding level: nothing is left to fit
     with pytest.warns(RuntimeWarning):
-        with pytest.raises(ValueError):
-            convergence_order(make, (16, 32), final_time=1.0,
-                              exact=lambda xs, t: np.sin(xs))
+        report = convergence_order(make, (16, 32), final_time=1.0,
+                                   exact=lambda xs, t: np.sin(xs))
+    assert report.excluded == (0, 1)
+    assert math.isnan(report.fitted_order)
+    assert report.errors[0] < 1e-12 and report.errors[1] < 1e-12
+
+
+def test_convergence_order_leaves_out_errors_that_are_not_finite(recwarn):
+    def make(n):
+        dx = 2.0 * math.pi / n
+        return scale_stepper(1.0), MacroState(values=np.sin(dx * np.arange(n)), dx=dx)
+
+    def exact(xs, t):
+        # off by dx**2, except an error of inf on 16 points and nan on 32
+        spoiled = {16: math.inf, 32: math.nan}.get(xs.size, (xs[1] - xs[0]) ** 2)
+        return np.sin(xs) + spoiled
+
+    report = convergence_order(make, (16, 32, 64, 128), final_time=1.0, exact=exact)
+    assert report.excluded == (0, 1)
+    assert math.isinf(report.errors[0]) and math.isnan(report.errors[1])
+    assert report.fitted_order == pytest.approx(2.0, abs=1e-6)
+    assert [str(w.message) for w in recwarn] == [
+        "excluding non-finite or rounding-dominated errors at grid indices (0, 1)"]
 
 
 def test_convergence_order_needs_distinct_grid_sizes():

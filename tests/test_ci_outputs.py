@@ -58,3 +58,32 @@ def test_help_keeps_its_stdout_and_every_bad_config_is_a_config_error(outputs, t
         outputs._run_cli(command, text, str(tmp_path / label))
         assert (tmp_path / label / "exit_code").read_text() == "2\n", label
         assert (tmp_path / label / "stderr").read_text().startswith("error: line "), label
+
+
+# edge label -> exit code: a numerical outcome is a failing row, a value that
+# would overflow inside the run is a config error
+EDGE_EXITS = {"diverged-projective": 1, "unresolved-kp-step": 1, "vanished-msd": 1,
+              "nothing-to-fit": 1, "diverging-study": 1, "tail-variance-overflow": 2,
+              "box-width-overflow": 2, "infinite-band": 2}
+
+
+def test_every_edge_config_exits_with_its_code(outputs, tmp_path):
+    assert outputs.EDGE_CONFIGS.keys() == EDGE_EXITS.keys()
+    for label, (command, text) in outputs.EDGE_CONFIGS.items():
+        outputs._run_cli(command, text, str(tmp_path / label))
+        assert (tmp_path / label / "exit_code").read_text() == f"{EDGE_EXITS[label]}\n", label
+        if EDGE_EXITS[label] == 1:
+            assert " fail\n" in (tmp_path / label / "out" / "summary").read_text(), label
+        else:
+            assert (tmp_path / label / "stderr").read_text().startswith("error: "), label
+            assert not (tmp_path / label / "out").exists(), label
+
+
+def test_a_warning_is_recorded_without_its_source_path(outputs, tmp_path):
+    text = "[experiment]\nname = patch\n[parameters]\npde = heat\nlifting = central_d2\n"
+    text += "n_points = 16\ncoefficient = 0\ngrids = 8, 16\n"
+    for run in ("first", "second"):  # a repeated warning is recorded in each run
+        outputs._run_cli("patch", text, str(tmp_path / run))
+        assert (tmp_path / run / "stderr").read_text() == (
+            "RuntimeWarning: excluding non-finite or rounding-dominated errors "
+            "at grid indices (0, 1)\n")

@@ -112,6 +112,17 @@ def test_parse_band_needs_increasing_edges():
         )
 
 
+@pytest.mark.parametrize("band", ["5:inf", "-inf:inf", "nan:2"])
+def test_a_band_with_an_end_that_is_not_finite_fails_before_the_run(tmp_path, capsys, band):
+    # an infinite end made every gamma pass (5:inf) or fail (-inf:inf)
+    cfg = write(tmp_path, FAST_KP + f"gamma_bands = {band}\n")
+    out = tmp_path / "o"
+    assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 10: bad value for 'gamma_bands': band '{band}' needs finite ends\n")
+    assert not out.exists()
+
+
 def test_missing_required_keys_are_all_reported():
     with pytest.raises(ConfigError) as err:
         parse_config("[experiment]\nname = patch\n[parameters]\nn_points = 8\n")
@@ -635,11 +646,12 @@ def test_a_velocity_that_does_not_move_is_a_failed_check(tmp_path, capsys):
     assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
     rows = summary_lines(out)
-    assert rows["msd_nonzero_delta_1e+100"] == "msd_nonzero_delta_1e+100 false - - fail"
-    assert [name for name in rows if name.endswith("_1p0")] == [
-        "energy_error_delta_1p0", "gamma_delta_1p0"]
-    assert "gamma_delta_1e+100" not in rows and "calibration_ballistic" in rows
-    assert sorted(path.name for path in out.glob("*.csv")) == ["msd_1p0.csv"]
+    assert rows["gamma_delta_1e+100"] == "gamma_delta_1e+100 nan - - fail"
+    assert rows["gamma_delta_1p0"].endswith(" - - info")
+    assert "calibration_ballistic" in rows
+    assert sorted(path.name for path in out.glob("*.csv")) == ["msd_1e+100.csv", "msd_1p0.csv"]
+    msd = (out / "msd_1e+100.csv").read_text().splitlines()
+    assert msd[0] == "lag,msd" and {line.split(",")[1] for line in msd[1:]} == {"0.0"}
 
 
 def test_a_delta_whose_square_overflows_fails_before_any_integration(tmp_path, monkeypatch,
@@ -672,14 +684,18 @@ def test_too_many_one_step_samples_name_n_samples(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
-    "binding, error, stage",
-    [("ensemble_velocities", RuntimeError("boom"), "execute"),
-     ("ensemble_velocities", ValueError("boom"), "execute"),
-     ("checked_delta", RuntimeError("boom"), "plan")],
-    ids=["execute-RuntimeError", "execute-ValueError", "plan-RuntimeError"],
+    "command, binding, error, stage",
+    [("kp", "ensemble_velocities", RuntimeError("boom"), "execute"),
+     ("kp", "ensemble_velocities", ValueError("boom"), "execute"),
+     ("kp", "checked_delta", RuntimeError("boom"), "plan"),
+     # a fit with nothing to fit returns nan, so a ValueError from one is a defect
+     ("kp", "msd_exponent", ValueError("boom"), "execute"),
+     ("patch", "convergence_order", ValueError("boom"), "execute")],
+    ids=["execute-RuntimeError", "execute-ValueError", "plan-RuntimeError",
+         "execute-msd_exponent-ValueError", "execute-convergence_order-ValueError"],
 )
-def test_an_unexpected_error_is_an_internal_error(tmp_path, monkeypatch, capsys, binding, error,
-                                                  stage):
+def test_an_unexpected_error_is_an_internal_error(tmp_path, monkeypatch, capsys, command, binding,
+                                                  error, stage):
     import patchlab.runner as runner
 
     def broken(*args, **kwargs):
@@ -688,9 +704,10 @@ def test_an_unexpected_error_is_an_internal_error(tmp_path, monkeypatch, capsys,
     # neither a config error (2) nor a failed check (1), and no traceback
     monkeypatch.setattr(runner, binding, broken)
     out = tmp_path / "o"
-    assert main(["kp", "--config", write(tmp_path, FAST_KP), "--out", str(out)]) == 3
+    text = {"kp": FAST_KP, "patch": FAST_PATCH}[command]
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        f"error: kp: internal error in {stage}: {type(error).__name__}('boom')\n")
+        f"error: {command}: internal error in {stage}: {type(error).__name__}('boom')\n")
     assert not out.exists()
 
 
@@ -732,8 +749,10 @@ def test_unstable_coarse_chain_fails_before_the_run(tmp_path, monkeypatch, capsy
     [
         ("n_steps = 1000\nensemble_size = 1000\n", "only 901 tail points; need at least 1000"),
         ("n_steps = 2000\nnoise_amplitude = 0\n", "expected variance must be positive"),
+        ("n_steps = 2000\nnoise_amplitude = 1e160\n",
+         "noise_amplitude 1e+160 is too large: the tail variance overflows"),
     ],
-    ids=["short", "quiet"],
+    ids=["short", "quiet", "overflow"],
 )
 def test_untestable_tail_fails_before_the_run(tmp_path, monkeypatch, capsys, parameters, message):
     import patchlab.runner as runner
@@ -789,11 +808,36 @@ def test_a_study_with_nothing_to_fit_is_a_failed_check(tmp_path, recwarn):
     out = tmp_path / "o"
     assert main(["patch", "--config", cfg, "--out", str(out)]) == 1
     rows = summary_lines(out)
-    assert rows["convergence_errors_above_rounding"] == (
-        "convergence_errors_above_rounding false - - fail")
-    assert "convergence_order" not in rows and not (out / "convergence.csv").exists()
+    assert rows["convergence_order"] == "convergence_order nan - - fail"
+    errors = (out / "convergence.csv").read_text().splitlines()
+    assert errors[0] == "n_points,dx,error" and len(errors) == 3
+    assert all(float(line.split(",")[2]) < 1e-12 for line in errors[1:])
     assert [str(w.message) for w in recwarn] == [
-        "excluding rounding-dominated errors at grid indices (0, 1)"]
+        "excluding non-finite or rounding-dominated errors at grid indices (0, 1)"]
+
+
+def test_a_diverging_study_is_a_failed_check(tmp_path, capsys):
+    # the unstable scheme overflows over 1000 time units: its errors are inf and
+    # nan, so there is no order, with or without an expect_order to check
+    cfg = write(tmp_path, "[experiment]\nname = patch\n[parameters]\npde = advection\n"
+                          "lifting = central_d2\ngrids = 16, 32\nfinal_time = 1000\n")
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(["patch", "--config", cfg, "--out", str(out)]) == 1
+    assert "excluding non-finite or rounding-dominated errors at grid indices (0, 1)" in [
+        str(w.message) for w in caught]
+    assert summary_lines(out)["convergence_order"] == "convergence_order nan - - fail"
+    assert (out / "convergence.csv").read_text().splitlines()[1:] == [
+        "16,0.39269908169872414,inf", "32,0.19634954084936207,nan"]
+
+
+def test_a_box_width_that_overflows_fails_before_any_probe(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write(tmp_path, ORDER_BASE + "halfwidth = 1e308\n")
+    assert main(["order-detect", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: order-detect: halfwidth 1e+308 is too large: the box width overflows\n")
+    assert not out.exists()
 
 
 def test_violently_unstable_scheme_is_a_verdict(tmp_path, capsys):

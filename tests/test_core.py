@@ -440,6 +440,8 @@ BAD_INPUTS = {
     "ProbeSpec-n_perturb": (lambda v: ProbeSpec(n_perturb=v), 1, "n_perturb must be >= 2"),
     "ProbeSpec-halfwidth": (lambda v: ProbeSpec(halfwidth=v), 0.0,
                             "halfwidth must be positive and finite"),
+    "ProbeSpec-halfwidth-box": (lambda v: ProbeSpec(halfwidth=v), 1e308,
+                                "halfwidth 1e+308 is too large: the box width overflows"),
     "derivative_blackbox-d_max": (lambda v: derivative_blackbox(PdeSpec.heat(), v, 1e-3, 0.1), -1,
                                   "d_max must be >= 0"),
     "derivative_blackbox-dt": (lambda v: derivative_blackbox(PdeSpec.heat(), 2, v, 0.1), 0.0,

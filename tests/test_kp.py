@@ -436,8 +436,14 @@ def test_msd_exponent_window_validation():
     ragged = np.concatenate([times[:50], times[50:] + 0.1])
     with pytest.raises(ValueError):
         msd_exponent(ragged, vels, 0.02, 0.2)
-    with pytest.raises(ValueError):
-        msd_exponent(times, vels, 0.02, 0.2)    # constant v: MSD identically zero
+
+
+def test_msd_exponent_of_a_velocity_that_does_not_move_is_nan():
+    # constant v: the MSD is zero at every lag and there is no exponent to fit
+    times = np.linspace(0.0, 1.0, 101)
+    fit = msd_exponent(times, np.ones((2, 101)), 0.02, 0.2)
+    assert math.isnan(fit.gamma)
+    assert fit.lags.size >= 2 and not np.any(fit.msd)
 
 
 def test_gamma_depends_on_delta():
