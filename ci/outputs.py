@@ -64,6 +64,7 @@ EDGE_CONFIGS = {
     "diverged-projective": _config("projective", "n_steps = 200\nnoise_amplitude = 1e15\n"),
     "unresolved-kp-step": _config(
         "kp", "deltas = 0.02\ndt_scale = 0.05\nn_trajectories = 1\ncalibrate = false\n", seed=9),
+    "overflowing-kp": _config("kp", "deltas = 1.0\nv0 = 1e200\nn_trajectories = 2\nn_modes = 8\n"),
     "vanished-msd": _config("kp", "deltas = 1.0, 1e100\nn_trajectories = 2\nn_modes = 8\n", seed=3),
     "nothing-to-fit": _config(
         "patch", "pde = heat\nlifting = central_d2\nn_points = 16\ncoefficient = 0\n"

@@ -23,7 +23,7 @@ from .config import (
 )
 from .core import MacroState, RngStreamSpec, ToothConfig, at_least, generator, positive, value_type
 from .kp import (
-    DtSelfConsistencyError, checked_delta, ensemble_velocities, field_modes, finite_start,
+    SELF_CONSISTENCY_TOL, checked_delta, ensemble_velocities, field_modes, finite_start,
     fit_lag_steps, msd_exponent, sample_steps,
 )
 from .order_detect import BlackBoxFunction, ProbeSpec, derivative_blackbox, detect_order
@@ -393,24 +393,26 @@ def _plan_kp(p: dict, seed: int):
         tables: list[Table] = []
         for i, delta in enumerate(deltas):
             slug = _slug(delta)
-            try:
-                run = ensemble_velocities(
-                    n_trajectories=p["n_trajectories"], n_modes=p["n_modes"],
-                    spectrum=p["spectrum"], delta=delta, total_time=total_time, dt=dts[i],
-                    rng=rng.at(step_id=i), initial=(p["x0"], p["v0"]), n_samples=n_samples,
-                    validate=p["validate_dt"],
-                )
-            except DtSelfConsistencyError as err:
-                # an unresolved step leaves no trajectory worth fitting at this delta
-                metrics += [
-                    MetricResult(f"dt_self_consistent_delta_{slug}", False, verdict="fail"),
-                    MetricResult(f"dt_check_trajectory_delta_{slug}", err.trajectory),
-                    MetricResult(f"energy_error_delta_{slug}", err.deviation / err.scale),
-                ]
-                continue
-            if run.energy_error is not None:
-                metrics.append(MetricResult(f"energy_error_delta_{slug}",
-                                            float(np.max(run.energy_error))))
+            run = ensemble_velocities(
+                n_trajectories=p["n_trajectories"], n_modes=p["n_modes"],
+                spectrum=p["spectrum"], delta=delta, total_time=total_time, dt=dts[i],
+                rng=rng.at(step_id=i), initial=(p["x0"], p["v0"]), n_samples=n_samples,
+                validate=p["validate_dt"],
+            )
+            error = run.energy_error
+            if error is not None:
+                failing = np.flatnonzero(~(error <= SELF_CONSISTENCY_TOL))
+                if failing.size:
+                    # an unresolved step leaves no trajectory worth fitting at this
+                    # delta; the lowest failing trajectory is named
+                    row = int(failing[0])
+                    metrics += [
+                        MetricResult(f"dt_self_consistent_delta_{slug}", False, verdict="fail"),
+                        MetricResult(f"dt_check_trajectory_delta_{slug}", row),
+                        _checked(f"energy_error_delta_{slug}", float(error[row])),
+                    ]
+                    continue
+                metrics.append(_checked(f"energy_error_delta_{slug}", float(np.max(error))))
             times, velocities = run
             fit = msd_exponent(times, velocities, p["fit_lag_lo"], p["fit_lag_hi"],
                                n_lags=p["n_lags"])

@@ -62,9 +62,9 @@ def test_help_keeps_its_stdout_and_every_bad_config_is_a_config_error(outputs, t
 
 # edge label -> exit code: a numerical outcome is a failing row, a value that
 # would overflow inside the run is a config error
-EDGE_EXITS = {"diverged-projective": 1, "unresolved-kp-step": 1, "vanished-msd": 1,
-              "nothing-to-fit": 1, "diverging-study": 1, "tail-variance-overflow": 2,
-              "box-width-overflow": 2, "infinite-band": 2}
+EDGE_EXITS = {"diverged-projective": 1, "unresolved-kp-step": 1, "overflowing-kp": 1,
+              "vanished-msd": 1, "nothing-to-fit": 1, "diverging-study": 1,
+              "tail-variance-overflow": 2, "box-width-overflow": 2, "infinite-band": 2}
 
 
 def test_every_edge_config_exits_with_its_code(outputs, tmp_path):

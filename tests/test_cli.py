@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,22 @@ def test_unresolved_kp_step_is_a_failed_check(tmp_path):
     assert not (out / "msd_0p02.csv").exists()
 
 
+def test_a_stack_names_its_lowest_failing_trajectory(tmp_path):
+    # at seed 141 trajectory 0 passes the energy check (0.0033) and trajectory
+    # 1 is the lowest to fail it
+    text = (
+        "[experiment]\nname = kp\nseed = 141\n[parameters]\n"
+        "deltas = 0.02\ndt_scale = 0.0125\nn_trajectories = 4\ncalibrate = false\n"
+    )
+    out = tmp_path / "out"
+    assert main(["kp", "--config", write(tmp_path, text), "--out", str(out)]) == 1
+    assert list(summary_lines(out).values()) == [
+        "dt_self_consistent_delta_0p02 false - - fail",
+        "dt_check_trajectory_delta_0p02 1 - - info",
+        "energy_error_delta_0p02 0.005662092159084693 - - info",
+    ]
+
+
 def test_python_dash_m_patchlab_runs_the_cli():
     src = str(pathlib.Path(patchlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -605,11 +622,14 @@ def test_non_finite_kp_start_is_a_config_error(tmp_path, monkeypatch, capsys):
 def test_overflowing_kp_run_is_a_failed_step_check(tmp_path):
     cfg = write(tmp_path, FAST_KP + "v0 = 1e200\n")
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning):
+    # the failing rows report the overflow; numpy does not warn of it as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["kp", "--config", cfg, "--out", str(out)]) == 1
     rows = summary_lines(out)
     assert rows["dt_self_consistent_delta_1p0"] == "dt_self_consistent_delta_1p0 false - - fail"
-    assert rows["energy_error_delta_1p0"] == "energy_error_delta_1p0 nan - - info"
+    # a nan energy error fails its own row, as every estimate that is not finite does
+    assert rows["energy_error_delta_1p0"] == "energy_error_delta_1p0 nan - - fail"
     assert "gamma_delta_1p0" not in rows
 
 
@@ -795,7 +815,9 @@ def test_a_step_that_overflows_fails_before_any_probe(tmp_path, monkeypatch, cap
     monkeypatch.setattr(runner, "symbol_growth_factor", no_work)
     cfg = write(tmp_path, PATCH_PARAMETERS + "n_points = 16\ndt_ratio = 1e160\n")
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # the error line reports the overflow; numpy does not warn of it as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["patch", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: patch: the gap-tooth step is not finite at dt_macro = 1.5421256876702122e+159\n")
@@ -822,10 +844,14 @@ def test_a_diverging_study_is_a_failed_check(tmp_path, capsys):
     cfg = write(tmp_path, "[experiment]\nname = patch\n[parameters]\npde = advection\n"
                           "lifting = central_d2\ngrids = 16, 32\nfinal_time = 1000\n")
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning) as caught:
+    # the exclusion warning is the run's one report of the overflow: numpy's
+    # own overflow warnings would be errors here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("always", "excluding non-finite", RuntimeWarning)
         assert main(["patch", "--config", cfg, "--out", str(out)]) == 1
-    assert "excluding non-finite or rounding-dominated errors at grid indices (0, 1)" in [
-        str(w.message) for w in caught]
+    assert [str(w.message) for w in caught] == [
+        "excluding non-finite or rounding-dominated errors at grid indices (0, 1)"]
     assert summary_lines(out)["convergence_order"] == "convergence_order nan - - fail"
     assert (out / "convergence.csv").read_text().splitlines()[1:] == [
         "16,0.39269908169872414,inf", "32,0.19634954084936207,nan"]

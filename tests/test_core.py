@@ -41,6 +41,7 @@ from patchlab import (
     run_experiment,
     seeded_noise_state,
     stable_dt_bound,
+    stationary_variance_test,
     step_symbol,
     symbol_growth_factor,
     symbol_stepper,
@@ -514,6 +515,21 @@ BAD_INPUTS = {
     "lift-j": (lambda v: lift(_NOISE, v, CENTRAL_D2, 0.01), -1, "j must be >= 0"),
     "step_symbol-n_points": (lambda v: step_symbol(PdeSpec.heat(), _PATCH, v, 0.1), 2,
                              "n_points must be >= 3"),
+    # checks that no other run or test reaches: three config values a user can
+    # set, and three library inputs
+    "PatchConfig-alpha": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), 1e-3, 0.1, v), 1.0,
+                          "alpha must lie in [0, 1)"),
+    "kp_runner-spectrum": (lambda v: _kp_run(spectrum=v), math.inf,
+                           "kp: spectrum exponent must be finite"),
+    "kp_runner-fit_lags": (lambda v: _kp_run(fit_lag_lo=v, fit_lag_hi=v), 5e-4,
+                           "kp: need 0 < lag_lo < lag_hi"),
+    "msd_exponent-times": (lambda v: msd_exponent(_TIMES[:v], np.zeros((2, v)), 0.02, 0.2), 2,
+                           "times must be a 1-d array of at least 3 samples"),
+    "msd_exponent-velocities": (lambda v: msd_exponent(_TIMES, np.zeros((2, v)), 0.02, 0.2), 400,
+                                "velocity rows must match the time grid"),
+    "stationary_variance_test-values": (
+        lambda v: stationary_variance_test(v, 1.0, 0.1), np.zeros((2, 2000)),
+        "trajectory must be 1-d"),
 }
 _STEPS_AND_WIDTHS = {
     key: (call, message) for key, (call, _, message) in BAD_INPUTS.items()
