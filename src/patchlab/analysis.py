@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import MacroState, RngStreamSpec, at_least, normal_stream, positive, step_cap, value_type
+from .core import MacroState, RngStreamSpec, at_least, generator, positive, step_cap, value_type
 
 __all__ = [
     "StabilityReport",
@@ -81,7 +81,7 @@ def seeded_noise_state(n_points: int, dx: float, rng: RngStreamSpec) -> MacroSta
     dissipative scheme shows up as strict decay rather than being masked
     by the neutral mode.
     """
-    values = normal_stream(rng, at_least(n_points, 3, "n_points"))
+    values = generator(rng).standard_normal(at_least(n_points, 3, "n_points"))
     values = values - values.mean()
     return MacroState(values=values, dx=float(dx), time=0.0)
 

@@ -33,7 +33,6 @@ __all__ = [
     "replace",
     "average_weights",
     "generator",
-    "normal_stream",
     "ensemble_normals",
 ]
 
@@ -376,11 +375,6 @@ def generator(spec: RngStreamSpec) -> np.random.Generator:
         entropy=spec.master_seed, spawn_key=(spec.stream_id, spec.step_id)
     )
     return np.random.Generator(np.random.Philox(seq))
-
-
-def normal_stream(spec: RngStreamSpec, n: int) -> np.ndarray:
-    """``n`` standard normals from the stream at ``spec``."""
-    return generator(spec).standard_normal(at_least(n, 0, "n"))
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), 32-bit words.

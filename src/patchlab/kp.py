@@ -189,10 +189,14 @@ def sample_steps(sample_dt: float, dt: float, n_samples: int, name: str, value: 
 
 
 def checked_delta(delta) -> float:
-    """``delta`` as a float; ``ValueError`` unless it is > 0 and it and its square are finite."""
+    """``delta`` as a float; ``ValueError`` unless it is > 0 and it, its square and
+    the reciprocal of its square, which the leapfrog scales by, are finite."""
     delta = positive(delta, "delta")
-    if not math.isfinite(delta * delta):
+    square = delta * delta
+    if not math.isfinite(square):
         raise ValueError(f"delta {delta:g} is too large: delta**2 overflows")
+    if not (square > 0 and math.isfinite(1.0 / square)):
+        raise ValueError(f"delta {delta:g} is too small: 1/delta**2 overflows")
     return delta
 
 

@@ -26,9 +26,6 @@ from .core import PdeSpec, ToothConfig, at_least, frozen_array, positive, step_c
 __all__ = [
     "SdeModel",
     "MicroGrid",
-    "MicroStabilityError",
-    "BufferTooSmallError",
-    "ToothNotCoveredError",
     "em_step",
     "propagator_matrix",
     "evolve_fd_buffered",
@@ -36,18 +33,6 @@ __all__ = [
     "influence_radius",
     "tooth_average",
 ]
-
-
-class MicroStabilityError(ValueError):
-    """Micro time step violates the explicit stability bound."""
-
-
-class BufferTooSmallError(ValueError):
-    """Patch buffer cannot shield the tooth over the requested horizon."""
-
-
-class ToothNotCoveredError(ValueError):
-    """Micro samples do not span the tooth to be averaged."""
 
 
 @value_type
@@ -206,9 +191,9 @@ def evolve_fd_buffered(
     spacing ``grid.dx`` and symmetric about each tooth's center.
 
     Each patch spans ``[center - H/2, center + H/2]``; boundary nodes are
-    held at their initial values (frozen Dirichlet).  Raises
-    ``MicroStabilityError`` if ``grid.dt`` violates the explicit bound and
-    ``BufferTooSmallError`` if boundary influence could reach the tooth.
+    held at their initial values (frozen Dirichlet).  Raises ``ValueError``
+    if ``grid.dt`` violates the explicit bound or if boundary influence
+    could reach the tooth.
     """
     if not dt >= 0:  # also rejects nan
         raise ValueError("dt must be >= 0")
@@ -216,13 +201,13 @@ def evolve_fd_buffered(
         raise ValueError("finite patch width H required for the buffered solver")
     bound = stable_dt_bound(pde, grid.dx)
     if grid.dt > bound * (1.0 + 1e-12):
-        raise MicroStabilityError(
+        raise ValueError(
             f"micro dt {grid.dt:g} exceeds the explicit stability bound {bound:g} "
             f"for dx {grid.dx:g}"
         )
     radius = influence_radius(pde, dt)
     if radius > tooth.buffer_width:
-        raise BufferTooSmallError(
+        raise ValueError(
             f"influence radius {radius:g} exceeds buffer {tooth.buffer_width:g}; "
             f"need H >= {tooth.h + 2 * radius:g}"
         )
@@ -295,7 +280,7 @@ def tooth_average(samples: np.ndarray, dx: float, h: float):
     lo, hi = -h / 2.0, h / 2.0
     eps = 1e-12 * max(h, dx)
     if s[0] > lo + eps or s[-1] < hi - eps:
-        raise ToothNotCoveredError(
+        raise ValueError(
             f"micro samples span [{s[0]:g}, {s[-1]:g}] but the tooth needs [{lo:g}, {hi:g}]"
         )
     avg = samples @ _tooth_weights(n, dx, h)

@@ -38,11 +38,7 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 class BudgetExhaustedError(RuntimeError):
-    """Evaluation budget ran out mid-probe."""
-
-    def __init__(self, message: str, calls_used: int):
-        super().__init__(message)
-        self.calls_used = calls_used
+    """Evaluation budget ran out mid-probe; the box's ``calls_used`` holds the count."""
 
 
 class BlackBoxFunction:
@@ -76,9 +72,7 @@ class BlackBoxFunction:
         if point.shape != self._shape:
             raise ValueError(f"expected a point of shape ({self.arity},), got {point.shape}")
         if self.evaluation_budget is not None and self.calls_used >= self.evaluation_budget:
-            raise BudgetExhaustedError(
-                f"evaluation budget of {self.evaluation_budget} exhausted", self.calls_used
-            )
+            raise BudgetExhaustedError(f"evaluation budget of {self.evaluation_budget} exhausted")
         self.calls_used += 1
         return float(self._evaluator(point))
 

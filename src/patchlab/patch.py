@@ -25,7 +25,6 @@ from .micro import MicroGrid, evolve_fd_buffered, propagator_matrix, tooth_avera
 __all__ = [
     "LiftingScheme",
     "PatchConfig",
-    "GapToothError",
     "CENTRAL_D2",
     "UPWIND_D2",
     "CENTRAL_D4",
@@ -38,10 +37,6 @@ __all__ = [
 
 # lifting variant -> (polynomial degree, stencil points)
 LIFTING_VARIANTS = {"central_d2": (2, 3), "upwind_d2": (2, 3), "central_d4": (4, 5)}
-
-
-class GapToothError(ValueError):
-    """A tooth-local failure, annotated with the tooth index."""
 
 
 @value_type
@@ -179,29 +174,23 @@ def _restricted_means_fd(U: MacroState, pde: PdeSpec, cfg: PatchConfig):
     """Tooth averages at ``dt_micro`` and at ``alpha * dt_micro`` on the FD route.
 
     One lift serves both evolutions, and each evolution advances every tooth
-    as one row of a single array.  Failures are reported for tooth 0, since
-    the micro grid and its checks are the same for every tooth, except a
-    non-finite lifted row, which names the first tooth that has one.
+    as one row of a single array.  A non-finite lifted row raises
+    ``ValueError`` naming the first tooth that has one; every other check
+    (lift, stability, buffer, coverage) holds for all teeth alike, so its
+    ``ValueError`` names no tooth.
     """
     h = cfg.tooth.h
-    tooth = 0
-    try:
-        coeffs = lift_coefficients(U, cfg.lifting, h)
-        bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
-        if bad.size:
-            tooth = int(bad[0])
-            raise ValueError("lifted coefficients must be finite")
-        # chord base from the sampled field at alpha*dt_micro (0 steps when
-        # alpha = 0), so the quadrature error of tooth_average cancels in the
-        # difference instead of being amplified by dt_macro/dt_micro
-        return tuple(
-            tooth_average(
-                evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro), cfg.micro.dx, h
-            )
-            for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
-        )
-    except ValueError as err:
-        raise GapToothError(f"tooth {tooth}: {err}") from err
+    coeffs = lift_coefficients(U, cfg.lifting, h)
+    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"tooth {bad[0]}: lifted coefficients must be finite")
+    # chord base from the sampled field at alpha*dt_micro (0 steps when
+    # alpha = 0), so the quadrature error of tooth_average cancels in the
+    # difference instead of being amplified by dt_macro/dt_micro
+    return tuple(
+        tooth_average(evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro), cfg.micro.dx, h)
+        for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
+    )
 
 
 def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:

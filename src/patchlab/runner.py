@@ -371,7 +371,10 @@ def _plan_kp(p: dict, seed: int):
     targets = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in bands] or [()] * len(p["deltas"])
     # every delta, dt_scale, each delta's step count, the fit's lag steps, the
     # field and the start fail here, before the first integration
-    deltas = [checked_delta(delta) for delta in p["deltas"]]
+    deltas = tuple(checked_delta(delta) for delta in p["deltas"])
+    if len(set(deltas)) != len(deltas):
+        # each delta writes its own msd_<delta> table
+        raise ValueError(f"deltas must be distinct, got {deltas}")
     dt_scale = positive(p["dt_scale"], "dt_scale")
     total_time = positive(p["total_time"], "total_time")
     sample_dt = total_time / n_samples

@@ -127,3 +127,35 @@ def test_no_execute_step_turns_a_broad_exception_into_a_verdict():
         for handler in ast.walk(func) if isinstance(handler, ast.ExceptHandler)
     ]
     assert offenders == []
+
+
+def _caught_names(handler_type):
+    # the names an ``except`` clause catches: ``E``, ``module.E`` or a tuple of them
+    if isinstance(handler_type, ast.Tuple):
+        return {name for elt in handler_type.elts for name in _caught_names(elt)}
+    if isinstance(handler_type, ast.Attribute):
+        return {handler_type.attr}
+    if isinstance(handler_type, ast.Name):
+        return {handler_type.id}
+    return set()
+
+
+def test_every_exception_class_is_caught_by_name_somewhere():
+    # a class that no caller tells apart from its base is API without a use:
+    # the base (ValueError, say) with the same message says as much
+    caught = {
+        name
+        for path in sorted((ROOT / "src" / "patchlab").glob("*.py"))
+        for handler in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for name in _caught_names(handler.type)
+    }
+    defined = {
+        f"{module.__name__}.{name}"
+        for module in _modules()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert defined, "no exception class found"
+    assert sorted(d for d in defined if d.rpartition(".")[2] not in caught) == []

@@ -584,10 +584,15 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
          "dt_scale 1e-300 needs more than 10000000 leapfrog steps of 1e-300"),
         ("deltas = 1.0, 1e-4\n",
          "dt_scale 0.001 needs more than 10000000 leapfrog steps of 1e-11"),
-        ("deltas = 1.0, 1e-200\n", "dt_scale 0.001 needs more than 10000000 leapfrog steps of 0"),
+        # the leapfrog scales by 1/delta**2, so the delta is at fault, not dt_scale
+        ("deltas = 1.0, 1e-200\n", "delta 1e-200 is too small: 1/delta**2 overflows"),
+        ("deltas = 1.0, 1e-160\n", "delta 1e-160 is too small: 1/delta**2 overflows"),
+        # equal deltas would write one msd table twice
+        ("deltas = 1.0, 1.0\n", "deltas must be distinct, got (1.0, 1.0)"),
     ],
     ids=["negative-delta", "infinite-delta", "lag-window", "one-lag", "infinite-total-time",
-         "zero-total-time", "nan-dt_scale", "tiny-dt_scale", "small-delta", "underflowing-dt"],
+         "zero-total-time", "nan-dt_scale", "tiny-dt_scale", "small-delta", "underflowing-dt",
+         "overflowing-inverse-square", "repeated-delta"],
 )
 def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys, recwarn,
                                                      extra, message):

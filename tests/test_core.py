@@ -33,7 +33,6 @@ from patchlab import (
     kp_integrate,
     lift,
     msd_exponent,
-    normal_stream,
     parse_config,
     propagator_matrix,
     replace,
@@ -259,28 +258,28 @@ def test_rng_stream_spec_validation():
 
 
 def test_identical_stream_triples_are_bit_identical():
-    a = normal_stream(RngStreamSpec(99, 4, 7), 256)
-    b = normal_stream(RngStreamSpec(99, 4, 7), 256)
+    a = generator(RngStreamSpec(99, 4, 7)).standard_normal(256)
+    b = generator(RngStreamSpec(99, 4, 7)).standard_normal(256)
     assert a.tobytes() == b.tobytes()
 
 
 def test_distinct_stream_triples_differ():
     base = RngStreamSpec(99, 4, 7)
-    ref = normal_stream(base, 64)
+    ref = generator(base).standard_normal(64)
     for other in (base.at(stream_id=5), base.at(step_id=8), RngStreamSpec(100, 4, 7)):
-        assert not np.array_equal(ref, normal_stream(other, 64))
+        assert not np.array_equal(ref, generator(other).standard_normal(64))
 
 
 def test_stream_consumption_order_is_irrelevant():
     # reading stream B first must not change what stream A returns
-    a1 = normal_stream(RngStreamSpec(1, 0, 0), 32)
-    _ = normal_stream(RngStreamSpec(1, 1, 0), 32)
-    a2 = normal_stream(RngStreamSpec(1, 0, 0), 32)
+    a1 = generator(RngStreamSpec(1, 0, 0)).standard_normal(32)
+    _ = generator(RngStreamSpec(1, 1, 0)).standard_normal(32)
+    a2 = generator(RngStreamSpec(1, 0, 0)).standard_normal(32)
     assert a1.tobytes() == a2.tobytes()
 
 
-def test_normal_stream_moments():
-    draws = normal_stream(RngStreamSpec(2024), 200_000)
+def test_generator_normal_moments():
+    draws = generator(RngStreamSpec(2024)).standard_normal(200_000)
     assert abs(draws.mean()) < 0.01
     assert abs(draws.std() - 1.0) < 0.01
 
@@ -288,7 +287,7 @@ def test_normal_stream_moments():
 def test_ensemble_normals_layout_is_member_major():
     spec = RngStreamSpec(42, 0, 3)
     block = ensemble_normals(spec, 3, 5)
-    flat = normal_stream(spec, 15)
+    flat = generator(spec).standard_normal(15)
     # row j is the contiguous slice of the single underlying stream
     np.testing.assert_array_equal(block.ravel(), flat)
     np.testing.assert_array_equal(block[1], flat[5:10])
@@ -410,7 +409,6 @@ BAD_INPUTS = {
     "average_weights-degree": (lambda v: average_weights(v, 0.1), -1, "degree must be >= 0"),
     "average_weights-h": (lambda v: average_weights(2, v), 0.0,
                           "tooth width h must be positive and finite"),
-    "normal_stream-n": (lambda v: normal_stream(RngStreamSpec(0), v), -1, "n must be >= 0"),
     "MicroGrid-dx": (lambda v: MicroGrid(v, 1e-5), 0.0, "micro dx must be positive and finite"),
     "MicroGrid-dt": (lambda v: MicroGrid(0.01, v), -1e-5, "micro dt must be positive and finite"),
     "propagator_matrix-degree": (lambda v: propagator_matrix(PdeSpec.heat(), v, 0.1), -1,

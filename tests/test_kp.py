@@ -268,6 +268,18 @@ def test_kp_integrate_refuses_a_delta_whose_square_overflows(monkeypatch, delta)
     assert str(err.value) == f"delta {delta:g} is too large: delta**2 overflows"
 
 
+@pytest.mark.parametrize("delta", [1e-160, 1e-200])
+def test_kp_integrate_refuses_a_delta_whose_inverse_square_overflows(monkeypatch, delta):
+    # delta**2 is subnormal at 1e-160 and rounds to 0 at 1e-200
+    def no_run(*args, **kwargs):
+        raise AssertionError("kp integrated at a delta whose 1/delta**2 overflows")
+
+    monkeypatch.setattr(patchlab.kp, "_leapfrog", no_run)
+    with pytest.raises(ValueError) as err:
+        kp_integrate(small_field(0), delta, total_time=0.008, dt=1e-5)
+    assert str(err.value) == f"delta {delta:g} is too small: 1/delta**2 overflows"
+
+
 def test_kp_integrate_refuses_more_steps_than_the_cap_before_integrating(monkeypatch):
     field = small_field(0)
     with monkeypatch.context() as patch:

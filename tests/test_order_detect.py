@@ -47,7 +47,7 @@ def test_blackbox_budget_exhaustion():
     box(np.zeros(2))
     with pytest.raises(BudgetExhaustedError) as err:
         box(np.zeros(2))
-    assert err.value.calls_used == 2
+    assert str(err.value) == "evaluation budget of 2 exhausted"
     assert box.calls_used == 2
 
 

@@ -14,7 +14,6 @@ from patchlab import (
     CENTRAL_D2,
     CENTRAL_D4,
     UPWIND_D2,
-    GapToothError,
     LiftingScheme,
     MacroState,
     MicroGrid,
@@ -277,9 +276,10 @@ def test_fd_route_wraps_tooth_failures():
         micro=MicroGrid(dx=0.01 * dx, dt=1e-9),
     )
     u0 = seeded_noise_state(n, dx, RngStreamSpec(2))
-    with pytest.raises(GapToothError) as err:
+    # the buffer check holds for every tooth alike, so its message names none
+    with pytest.raises(ValueError, match="^influence radius .* exceeds buffer .*; need H >= ") as err:
         gap_tooth_step(u0, pde, cfg)
-    assert "tooth 0" in str(err.value)
+    assert "tooth " not in str(err.value)
 
     # a NaN at node 5 spoils the central lifts of teeth 4, 5 and 6
     roomy = PatchConfig(
@@ -292,9 +292,9 @@ def test_fd_route_wraps_tooth_failures():
     )
     values = u0.values.copy()
     values[5] = np.nan
-    with pytest.raises(GapToothError) as err:
+    with pytest.raises(ValueError) as err:
         gap_tooth_step(MacroState(values=values, dx=dx), pde, roomy)
-    assert str(err.value).startswith("tooth 4: ")
+    assert str(err.value) == "tooth 4: lifted coefficients must be finite"
 
 
 def test_alpha_window_matches_manual_chord():
