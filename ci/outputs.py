@@ -59,7 +59,9 @@ BAD_CONFIGS = {
 }
 
 # label -> (command, config): each numerical outcome a run expects, a failing
-# row (exit 1), and each value that would overflow inside the run (exit 2)
+# row (exit 1), and each value that would overflow inside the run or pass the
+# step cap (exit 2); a capped value is past what numpy can allocate, so a tree
+# without the cap fails at once instead of running for hours
 EDGE_CONFIGS = {
     "diverged-projective": _config("projective", "n_steps = 200\nnoise_amplitude = 1e15\n"),
     "unresolved-kp-step": _config(
@@ -75,6 +77,9 @@ EDGE_CONFIGS = {
     "box-width-overflow": _config("order-detect", "target = heat\nhalfwidth = 1e308\n"),
     "infinite-band": _config(
         "kp", "deltas = 1.0\ngamma_bands = 5:inf\nn_trajectories = 2\nn_modes = 8\n"),
+    "huge-n-steps": _config("projective", "n_steps = 1000000000000\n"),
+    "huge-ensemble": _config(
+        "projective", "ensemble_size = 100000000000\nmicro_steps = 1\ndt_micro = 1e-12\n"),
 }
 
 

@@ -5,10 +5,11 @@ failed, a numerical outcome the run expects included (a diverged trajectory,
 an unresolved kp step, any estimate that is not finite, such as a nan order or
 exponent); 2 a configuration or usage error, found before any work (a value
 that would overflow inside the run, a gamma band end that is not finite, a
-drift-free projective run of fewer than 2 steps), or results that cannot be
-written; 3 an internal error: an exception no check expects, reported on one
-line naming the experiment, the stage (plan or execute) and the exception,
-with no output written.
+drift-free projective run of fewer than 2 steps, a run past the step cap,
+projective ``n_steps`` and ``ensemble_size * micro_steps`` included), or
+results that cannot be written; 3 an internal error: an exception no check
+expects, reported on one line naming the experiment, the stage (plan or
+execute) and the exception, with no output written.
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ __all__ = [
 class SdeModel:
     """Scalar SDE ``dx = drift(x) dt + noise_amplitude dW``.
 
-    ``drift`` must accept and return numpy arrays elementwise (plain
-    arithmetic lambdas qualify), so ensembles can be advanced in one call.
+    ``drift`` must accept numpy arrays elementwise (plain arithmetic lambdas
+    qualify), so ensembles can be advanced in one call, and return an array
+    or a scalar that broadcasts against ``x``: ``pure_noise`` returns ``0.0``.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
@@ -54,7 +55,7 @@ class SdeModel:
 
     @classmethod
     def pure_noise(cls, noise_amplitude: float = 1.0) -> "SdeModel":
-        return cls(drift=lambda x: np.zeros(np.shape(x)), noise_amplitude=noise_amplitude)
+        return cls(drift=lambda x: 0.0, noise_amplitude=noise_amplitude)
 
     @classmethod
     def ornstein_uhlenbeck(cls, rate: float = 1.0, noise_amplitude: float = 1.0) -> "SdeModel":
@@ -75,19 +76,15 @@ class MicroGrid:
 def em_step(x, model: SdeModel, dt: float, xi):
     """One Euler-Maruyama step: ``x + dt b(x) + amp sqrt(dt) xi``.
 
-    Works elementwise on arrays; ``xi`` holds the standard-normal draws.
+    Works elementwise on arrays, evaluated left to right in that order;
+    ``xi`` holds the standard-normal draws.
     """
     if not dt >= 0:  # also rejects nan
         raise ValueError("dt must be >= 0")
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    step = dt * np.asarray(model.drift(x), dtype=float)
-    noise = model.noise_amplitude * math.sqrt(dt) * xi
-    if isinstance(step, np.ndarray) and step.shape == x.shape == noise.shape:
-        # same operations as below, summed into the fresh ``dt*b`` array
-        np.add(x, step, out=step)
-        return np.add(step, noise, out=step)
-    return x + step + noise
+    return (x + dt * np.asarray(model.drift(x), dtype=float)
+            + model.noise_amplitude * math.sqrt(dt) * xi)
 
 
 def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:

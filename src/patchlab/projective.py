@@ -19,7 +19,9 @@ import math
 
 import numpy as np
 
-from .core import RngStreamSpec, at_least, ensemble_normals, frozen_array, positive, value_type
+from .core import (
+    RngStreamSpec, at_least, ensemble_normals, frozen_array, positive, step_cap, value_type,
+)
 from .micro import SdeModel, em_step
 
 __all__ = [
@@ -38,7 +40,7 @@ DIVERGENCE_LIMIT = 1e12
 
 @value_type
 class CoarseStepConfig:
-    """Parameters of one coarse projective step."""
+    """Parameters of one coarse projective step; ``ensemble_size * micro_steps`` is capped."""
 
     ensemble_size: int
     micro_steps: int
@@ -49,6 +51,7 @@ class CoarseStepConfig:
     def __post_init__(self) -> dict:
         n = at_least(self.ensemble_size, 1, "ensemble_size")
         k = at_least(self.micro_steps, 1, "micro_steps")
+        step_cap(n * k, "ensemble_size*micro_steps", n * k, "member steps per coarse step")
         dt_micro = positive(self.dt_micro, "dt_micro")
         dt_macro = positive(self.dt_macro, "dt_macro")
         if k * dt_micro > dt_macro * (1.0 + 1e-12):
@@ -126,34 +129,26 @@ def predicted_ou_tail_variance(cfg: CoarseStepConfig, rate: float = 1.0, noise_a
     return s**2 / (1.0 - phi**2)
 
 
-def _advance_ensemble(
+def coarse_projective_step(
     x: float, model: SdeModel, cfg: CoarseStepConfig, rng: RngStreamSpec
-) -> tuple[float, float]:
-    """Run the lifted ensemble for micro_steps; return means at alpha_steps and at the end.
+) -> float:
+    """One lift / evolve / average / extrapolate cycle of ``micro_steps`` ``em_step`` calls.
 
     A mean is ``np.add.reduce(members) / n``, the bits of ``members.mean()``.
     """
     n = cfg.ensemble_size
     dt = cfg.dt_micro
     i_alpha = cfg.alpha_steps
-    draws = ensemble_normals(rng, n, cfg.micro_steps).T
     x = float(x)
     members = np.full(n, x)
     mean_alpha = x
-    for i, xi in enumerate(draws, 1):
+    for i, xi in enumerate(ensemble_normals(rng, n, cfg.micro_steps).T, 1):
         members = em_step(members, model, dt, xi)
         if i == i_alpha:
             mean_alpha = float(np.add.reduce(members) / n)
-    return mean_alpha, float(np.add.reduce(members) / n)
-
-
-def coarse_projective_step(
-    x: float, model: SdeModel, cfg: CoarseStepConfig, rng: RngStreamSpec
-) -> float:
-    """One lift / evolve / average / extrapolate cycle."""
-    mean_alpha, mean_end = _advance_ensemble(x, model, cfg, rng)
+    mean_end = float(np.add.reduce(members) / n)
     span = (1.0 - cfg.alpha) * cfg.micro_horizon
-    return float(x) + cfg.dt_macro * (mean_end - mean_alpha) / span
+    return x + cfg.dt_macro * (mean_end - mean_alpha) / span
 
 
 def run_coarse_trajectory(
@@ -167,9 +162,10 @@ def run_coarse_trajectory(
 
     Divergence (non-finite value or magnitude above ``DIVERGENCE_LIMIT``)
     stops the run and is reported through ``diverged_at`` instead of
-    raising.
+    raising.  More steps than the step cap raise ``ValueError`` at once.
     """
     n_steps = at_least(n_steps, 0, "n_steps")
+    step_cap(n_steps, "n_steps", n_steps, "coarse steps")
     values = np.empty(n_steps + 1)
     values[0] = float(x0)
     x = float(x0)

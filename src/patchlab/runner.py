@@ -21,7 +21,9 @@ from .analysis import (
 from .config import (
     DRIFTS, PATCH_PDES, STABILITY_CODES, TARGET_PDES, ConfigError, ExperimentConfig, render_config,
 )
-from .core import MacroState, RngStreamSpec, ToothConfig, at_least, generator, positive, value_type
+from .core import (
+    MacroState, RngStreamSpec, ToothConfig, at_least, generator, positive, step_cap, value_type,
+)
 from .kp import (
     SELF_CONSISTENCY_TOL, checked_delta, ensemble_velocities, field_modes, finite_start,
     fit_lag_steps, msd_exponent, sample_steps,
@@ -205,6 +207,7 @@ def _plan_projective(p: dict, seed: int):
             test = stationary_variance_test(values, expected, p["tolerance_fraction"])
             return [_checked("tail_variance", test.measured, test.expected,
                              test.tolerance_fraction * test.expected)]
+    step_cap(n_steps, "n_steps", n_steps, "coarse steps")
 
     def execute():
         traj = run_coarse_trajectory(p["x0"], model, cfg, n_steps, RngStreamSpec(master_seed=seed))

@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -159,3 +161,24 @@ def test_every_exception_class_is_caught_by_name_somewhere():
     }
     assert defined, "no exception class found"
     assert sorted(d for d in defined if d.rpartition(".")[2] not in caught) == []
+
+
+# unbound already: the runner calls step_symbol and symbol_growth_factor now, and
+# the benchmark change of ROADMAP item 1 wraps those instead
+UNBOUND_WRAP_POINTS = {"patchlab.runner.gap_tooth_step", "patchlab.runner.growth_factor_probe"}
+
+
+def test_every_benchmark_wrap_point_binds(monkeypatch):
+    # the tracer skips a name it cannot find, and its layer then reads 0 with no error
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unbound = []
+    for module_name, class_name, attr, _, _ in spans.WRAP_POINTS:
+        owner = importlib.import_module(module_name)
+        if class_name is not None:
+            owner = getattr(owner, class_name, None)
+        if not callable(getattr(owner, attr, None)):
+            unbound.append(".".join(filter(None, (module_name, class_name, attr))))
+    assert [name for name in unbound if name not in UNBOUND_WRAP_POINTS] == []

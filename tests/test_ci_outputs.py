@@ -61,10 +61,11 @@ def test_help_keeps_its_stdout_and_every_bad_config_is_a_config_error(outputs, t
 
 
 # edge label -> exit code: a numerical outcome is a failing row, a value that
-# would overflow inside the run is a config error
+# would overflow inside the run or pass the step cap is a config error
 EDGE_EXITS = {"diverged-projective": 1, "unresolved-kp-step": 1, "overflowing-kp": 1,
               "vanished-msd": 1, "nothing-to-fit": 1, "diverging-study": 1,
-              "tail-variance-overflow": 2, "box-width-overflow": 2, "infinite-band": 2}
+              "tail-variance-overflow": 2, "box-width-overflow": 2, "infinite-band": 2,
+              "huge-n-steps": 2, "huge-ensemble": 2}
 
 
 def test_every_edge_config_exits_with_its_code(outputs, tmp_path):

@@ -793,6 +793,34 @@ def test_untestable_tail_fails_before_the_run(tmp_path, monkeypatch, capsys, par
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "parameters, message",
+    [
+        ("n_steps = 1000000000000\n", "n_steps 1000000000000 needs more than 10000000 coarse steps"),
+        ("n_steps = 1000000000000\ndrift = ou\n",
+         "n_steps 1000000000000 needs more than 10000000 coarse steps"),
+        ("ensemble_size = 100000000000\nmicro_steps = 1\ndt_micro = 1e-12\n",
+         "ensemble_size*micro_steps 100000000000 needs more than 10000000 member steps per "
+         "coarse step"),
+    ],
+    ids=["n_steps", "n_steps-ou", "ensemble_size"],
+)
+def test_a_projective_run_past_the_step_cap_fails_before_the_run(tmp_path, monkeypatch, capsys,
+                                                                 parameters, message):
+    import patchlab.runner as runner
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the trajectory ran before its size was checked")
+
+    # each used to fail as an internal MemoryError, or to run for hours
+    monkeypatch.setattr(runner, "run_coarse_trajectory", no_run)
+    cfg = write(tmp_path, MINIMAL_PROJECTIVE.replace("n_steps = 200\n", parameters))
+    out = tmp_path / "o"
+    assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: projective: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_steps", [0, 1])
 def test_drift_free_run_too_short_for_its_moments_fails_before_the_run(tmp_path, monkeypatch,
                                                                        capsys, n_steps):

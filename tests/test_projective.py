@@ -170,3 +170,32 @@ def test_every_micro_step_goes_through_em_step(monkeypatch, alpha):
     assert len(em_sizes) == n_steps * cfg.micro_steps
     assert sum(em_sizes) == traj.ledger.micro_steps_total == n_steps * 7 * 6
     assert streams == list(range(3, 3 + n_steps))
+
+
+def test_a_run_past_the_step_cap_is_refused_before_it_allocates():
+    # at 10**12 steps the value array alone used to raise MemoryError
+    with pytest.raises(ValueError) as err:
+        run_coarse_trajectory(0.0, SdeModel.pure_noise(), CFG, 10**12, RngStreamSpec(0))
+    assert str(err.value) == "n_steps 1000000000000 needs more than 10000000 coarse steps"
+
+
+@pytest.mark.parametrize("ensemble_size, micro_steps", [(10**11, 1), (1, 10**11)])
+def test_a_coarse_step_past_the_step_cap_is_refused(ensemble_size, micro_steps):
+    # one coarse step draws, and steps, ensemble_size * micro_steps members
+    with pytest.raises(ValueError) as err:
+        CoarseStepConfig(ensemble_size, micro_steps, dt_micro=1e-12, dt_macro=1.0)
+    assert str(err.value) == ("ensemble_size*micro_steps 100000000000 needs more than "
+                              "10000000 member steps per coarse step")
+
+
+def test_the_step_cap_admits_a_run_of_exactly_its_size(monkeypatch):
+    import patchlab.core
+
+    monkeypatch.setattr(patchlab.core, "_MAX_STEPS", 10)
+    cfg = CoarseStepConfig(ensemble_size=5, micro_steps=2, dt_micro=1e-3, dt_macro=0.1)
+    traj = run_coarse_trajectory(0.0, SdeModel.pure_noise(), cfg, 10, RngStreamSpec(0))
+    assert traj.ledger.macro_steps == 10
+    with pytest.raises(ValueError, match="^n_steps 11 needs more than 10 coarse steps$"):
+        run_coarse_trajectory(0.0, SdeModel.pure_noise(), cfg, 11, RngStreamSpec(0))
+    with pytest.raises(ValueError, match="^ensemble_size\\*micro_steps 11 needs more than 10 "):
+        CoarseStepConfig(ensemble_size=11, micro_steps=1, dt_micro=1e-3, dt_macro=0.1)

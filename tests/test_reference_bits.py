@@ -1,13 +1,15 @@
-"""Bit pins: both gap-tooth routes and the order probe against reference copies.
+"""Bit pins: both gap-tooth routes, the order probe and the coarse projective
+trajectory against reference copies.
 
 The references below are the straightforward implementations the package
 started from: operators rebuilt on every call, periodic neighbours taken
 with ``np.roll``, the FD route sampling and stepping each patch and
 weighting the samples by its quadrature rule, the probe indexing its sweep
 array and evaluating ``response @ coeffs``, the growth-factor probe taking
-its norm with ``np.mean``.  The package caches its
-operators and moves data differently, and these tests pin that it still
-computes the same bits.
+its norm with ``np.mean``, the coarse step drawing its whole block from
+``generator`` and writing the Euler-Maruyama update out.  The package
+caches its operators and moves data differently, and these tests pin that
+it still computes the same bits.
 """
 
 import math
@@ -19,6 +21,7 @@ from patchlab import (
     CENTRAL_D2,
     CENTRAL_D4,
     BlackBoxFunction,
+    CoarseStepConfig,
     LiftingScheme,
     MacroState,
     MicroGrid,
@@ -26,6 +29,7 @@ from patchlab import (
     PdeSpec,
     ProbeSpec,
     RngStreamSpec,
+    SdeModel,
     ToothConfig,
     UPWIND_D2,
     coordinate_variance,
@@ -37,6 +41,7 @@ from patchlab import (
     influence_radius,
     lift_coefficients,
     parse_config,
+    run_coarse_trajectory,
     seeded_noise_state,
     stable_dt_bound,
 )
@@ -259,6 +264,23 @@ def ref_response(pde, d_max, dt, h):
     return (w @ M - w) / dt
 
 
+def ref_coarse_trajectory(x0, drift, amp, cfg, n_steps, rng):
+    n, k, dt, alpha = cfg.ensemble_size, cfg.micro_steps, cfg.dt_micro, cfg.alpha
+    x = float(x0)
+    values = [x]
+    for step in range(n_steps):
+        xi = generator(rng.at(step_id=rng.step_id + step)).standard_normal((n, k))
+        members = np.full(n, x)
+        means = [x]  # the lift's mean is x itself
+        for i in range(k):
+            members = members + dt * drift(members) + amp * math.sqrt(dt) * xi[:, i]
+            means.append(members.mean())
+        mean_alpha = means[round(alpha * k)]
+        x = x + cfg.dt_macro * (means[k] - mean_alpha) / ((1.0 - alpha) * (k * dt))
+        values.append(x)
+    return np.array(values)
+
+
 def same_bits(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
@@ -462,3 +484,25 @@ def test_growth_factor_probe_matches_reference(parameters):
     assert same_bits(got.growth_factor, factor)
     assert got.steps_used == steps_used
     assert got.terminated_early == terminated
+
+
+# ------------------------------------------------------ coarse projective
+
+# model -> (SdeModel, its drift written out, its noise amplitude)
+SDE_CASES = {
+    "pure_noise": (SdeModel.pure_noise(0.7), np.zeros_like, 0.7),
+    "ornstein_uhlenbeck": (SdeModel.ornstein_uhlenbeck(1.3, 0.7), lambda x: -1.3 * x, 0.7),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("ensemble_size", [1, 10, 1000])
+@pytest.mark.parametrize("model", SDE_CASES)
+def test_coarse_trajectory_matches_reference(model, ensemble_size, alpha):
+    sde, drift, amp = SDE_CASES[model]
+    cfg = CoarseStepConfig(ensemble_size=ensemble_size, micro_steps=10, dt_micro=1e-3,
+                           dt_macro=0.1, alpha=alpha)
+    rng = RngStreamSpec(master_seed=17, stream_id=2, step_id=5)
+    got = run_coarse_trajectory(0.4, sde, cfg, 50, rng)
+    assert got.diverged_at is None
+    assert same_bits(got.values, ref_coarse_trajectory(0.4, drift, amp, cfg, 50, rng))
