@@ -59,9 +59,10 @@ BAD_CONFIGS = {
 }
 
 # label -> (command, config): each numerical outcome a run expects, a failing
-# row (exit 1), and each value that would overflow inside the run or pass the
-# step cap (exit 2); a capped value is past what numpy can allocate, so a tree
-# without the cap fails at once instead of running for hours
+# row (exit 1), a verdict just past its threshold (exit 0), and each value that
+# would overflow inside the run or pass the step cap (exit 2); a capped value is
+# past what numpy can allocate, so a tree without the cap fails at once instead
+# of running for hours
 EDGE_CONFIGS = {
     "diverged-projective": _config("projective", "n_steps = 200\nnoise_amplitude = 1e15\n"),
     "unresolved-kp-step": _config(
@@ -73,6 +74,10 @@ EDGE_CONFIGS = {
         "grids = 8, 16\n"),
     "diverging-study": _config(
         "patch", "pde = advection\nlifting = central_d2\ngrids = 16, 32\nfinal_time = 1000\n"),
+    # max|G| = 1.0013744, just past the unstable threshold 1 + 1e-3
+    "near-threshold-stability": _config(
+        "patch", "pde = advection\nlifting = central_d2\ndt_ratio = 0.0525\n"
+        "expect_stability = unstable\n", seed=0),
     "tail-variance-overflow": _config("projective", "drift = ou\nnoise_amplitude = 1e160\n"),
     "box-width-overflow": _config("order-detect", "target = heat\nhalfwidth = 1e308\n"),
     "infinite-band": _config(

@@ -16,7 +16,7 @@ __all__ = [
     "IncrementMoments",
     "VarianceCheck",
     "growth_factor_probe",
-    "symbol_growth_factor",
+    "classify_growth",
     "seeded_noise_state",
     "convergence_order",
     "symbol_stepper",
@@ -86,7 +86,9 @@ def seeded_noise_state(n_points: int, dx: float, rng: RngStreamSpec) -> MacroSta
     return MacroState(values=values, dx=float(dx), time=0.0)
 
 
-def _classify(factor: float) -> str:
+def classify_growth(factor: float) -> str:
+    """``"unstable"`` above ``UNSTABLE_THRESHOLD``, ``"stable"`` below
+    ``STABLE_THRESHOLD``, else ``"marginal"``."""
     if factor > UNSTABLE_THRESHOLD:
         return "unstable"
     if factor < STABLE_THRESHOLD:
@@ -110,7 +112,9 @@ def growth_factor_probe(
     n_steps = at_least(n_steps, 4, "probe_steps")
     step_cap(n_steps, "probe_steps", n_steps, "macro steps")
     u = initial
-    norm = _initial_norm(initial)
+    norm = float(np.sqrt(np.mean(initial.values**2)))
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValueError("initial state must be finite and nonzero")
     log_ratios: list[float] = []
     terminated = False
     for _ in range(n_steps):
@@ -128,54 +132,9 @@ def growth_factor_probe(
     factor = math.exp(sum(tail) / len(tail))
     return StabilityReport(
         growth_factor=factor,
-        classification=_classify(factor),
+        classification=classify_growth(factor),
         steps_used=len(log_ratios),
         terminated_early=terminated,
-    )
-
-
-def _initial_norm(initial: MacroState) -> float:
-    norm = float(np.sqrt(np.mean(initial.values**2)))
-    if not (math.isfinite(norm) and norm > 0):
-        raise ValueError("initial state must be finite and nonzero")
-    return norm
-
-
-def symbol_growth_factor(
-    symbol: np.ndarray, initial: MacroState, n_steps: int
-) -> StabilityReport:
-    """``growth_factor_probe`` of a circulant stepper, from its symbol alone.
-
-    ``symbol`` is the stepper's amplification factor ``G`` (as from
-    ``patch.step_symbol``).  By Parseval the RMS norm after ``k`` steps is
-    ``sqrt(sum |G|**(2k) |fft(u0)|**2) / n``, and its logarithm ``L(k)``,
-    taken by log-sum-exp, neither overflows nor underflows.  The per-step
-    log-ratios of the probe telescope, so the factor is
-    ``exp((L(n_steps) - L(start)) / (n_steps - start))`` over the probe's
-    window.  Unlike the iterated probe, this one never stops at a large
-    norm; only a zero or non-finite state after a step leaves no growth to
-    read.  Time is O(n log n) and memory O(n).
-    """
-    n_steps = at_least(n_steps, 4, "probe_steps")
-    _initial_norm(initial)
-    n = initial.n_points
-    with np.errstate(divide="ignore"):
-        rate = 2.0 * np.log(np.abs(symbol))  # log |G|^2 per step
-        weight = 2.0 * (np.log(np.abs(np.fft.fft(initial.values))) - math.log(n))
-
-    def log_norm(k: int) -> float:
-        e = weight + k * rate
-        top = float(e.max())
-        if not math.isfinite(top):
-            raise ValueError("the state after a step is zero or not finite; no growth to read")
-        return 0.5 * (top + math.log(np.add.reduce(np.exp(e - top))))
-
-    start = int(n_steps * _DISCARD_FRACTION)
-    factor = math.exp((log_norm(n_steps) - log_norm(start)) / (n_steps - start))
-    return StabilityReport(
-        growth_factor=factor,
-        classification=_classify(factor),
-        steps_used=n_steps,
     )
 
 

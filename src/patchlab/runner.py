@@ -15,8 +15,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    convergence_order, increment_moments, reachable_time, seeded_noise_state,
-    stationary_variance_test, study_grids, symbol_growth_factor, symbol_stepper, tail_points,
+    classify_growth, convergence_order, increment_moments, reachable_time, seeded_noise_state,
+    stationary_variance_test, study_grids, symbol_stepper, tail_points,
 )
 from .config import (
     DRIFTS, PATCH_PDES, STABILITY_CODES, TARGET_PDES, ConfigError, ExperimentConfig, render_config,
@@ -274,10 +274,11 @@ def _plan_patch(p: dict, seed: int):
     final_time = p["final_time"] or PATCH_PDES[p["pde"]][2]
     for _, cfg_n, _ in setups.values():
         reachable_time(final_time, cfg_n.dt_macro)
+    # no longer read: kept while the benchmark's configs still set it
     at_least(p["probe_steps"], 4, "probe_steps")
-    # the step is a linear circulant map: its symbol G(k) gives the growth of
-    # the iterated noise state and every grid's state at final_time exactly;
-    # a step that does not fit in a float fails here
+    # the step is a linear circulant map, so a normal matrix: its symbol G(k)
+    # gives the growth of every iterate, ||A^n|| = max|G|^n, and every grid's
+    # state at final_time exactly; a step that does not fit in a float fails here
     symbol = step_symbol(pde, cfg, p["n_points"], dx)
     # grid -> the study's (stepper, initial state) on it
     problems = {n: (symbol_stepper(step_symbol(pde_n, cfg_n, n, dx_n), cfg_n.dt_macro, final_time),
@@ -294,13 +295,13 @@ def _plan_patch(p: dict, seed: int):
             for row, value in zip(lift_coefficients(u0, cfg.lifting, cfg.tooth.h), u0.values)
         )
         metrics.append(_checked("lift_restrict_round_trip", round_trip, 0.0, 1e-12))
-        report = symbol_growth_factor(symbol, u0, p["probe_steps"])
-        metrics.append(MetricResult("growth_factor", report.growth_factor))
         # |G(0)| = 1 up to rounding, so the constant mode is left out
-        metrics.append(MetricResult("amplification_max", float(np.max(np.abs(symbol[1:])))))
+        amplification_max = float(np.max(np.abs(symbol[1:])))
+        metrics.append(MetricResult("amplification_max", amplification_max))
+        classification = classify_growth(amplification_max)
         expect = p["expect_stability"]
-        name = f"stability_is_{expect}" if expect else f"stability_code_{report.classification}"
-        code = STABILITY_CODES[report.classification]
+        name = f"stability_is_{expect}" if expect else f"stability_code_{classification}"
+        code = STABILITY_CODES[classification]
         metrics.append(_checked(name, code, STABILITY_CODES.get(expect), 0))
         if not problems:
             return metrics, []

@@ -163,8 +163,8 @@ def test_every_exception_class_is_caught_by_name_somewhere():
     assert sorted(d for d in defined if d.rpartition(".")[2] not in caught) == []
 
 
-# unbound already: the runner calls step_symbol and symbol_growth_factor now, and
-# the benchmark change of ROADMAP item 1 wraps those instead
+# unbound already: the runner iterates no step and reads its verdict from the max|G|
+# of step_symbol now, and the benchmark change of ROADMAP item 1 wraps that instead
 UNBOUND_WRAP_POINTS = {"patchlab.runner.gap_tooth_step", "patchlab.runner.growth_factor_probe"}
 
 

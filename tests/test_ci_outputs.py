@@ -60,10 +60,12 @@ def test_help_keeps_its_stdout_and_every_bad_config_is_a_config_error(outputs, t
         assert (tmp_path / label / "stderr").read_text().startswith("error: line "), label
 
 
-# edge label -> exit code: a numerical outcome is a failing row, a value that
-# would overflow inside the run or pass the step cap is a config error
+# edge label -> exit code: a verdict just past its threshold passes, a numerical
+# outcome is a failing row, a value that would overflow inside the run or pass
+# the step cap is a config error
 EDGE_EXITS = {"diverged-projective": 1, "unresolved-kp-step": 1, "overflowing-kp": 1,
               "vanished-msd": 1, "nothing-to-fit": 1, "diverging-study": 1,
+              "near-threshold-stability": 0,
               "tail-variance-overflow": 2, "box-width-overflow": 2, "infinite-band": 2,
               "huge-n-steps": 2, "huge-ensemble": 2}
 
@@ -73,7 +75,9 @@ def test_every_edge_config_exits_with_its_code(outputs, tmp_path):
     for label, (command, text) in outputs.EDGE_CONFIGS.items():
         outputs._run_cli(command, text, str(tmp_path / label))
         assert (tmp_path / label / "exit_code").read_text() == f"{EDGE_EXITS[label]}\n", label
-        if EDGE_EXITS[label] == 1:
+        if EDGE_EXITS[label] == 0:
+            assert " fail\n" not in (tmp_path / label / "out" / "summary").read_text(), label
+        elif EDGE_EXITS[label] == 1:
             assert " fail\n" in (tmp_path / label / "out" / "summary").read_text(), label
         else:
             assert (tmp_path / label / "stderr").read_text().startswith("error: "), label

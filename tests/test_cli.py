@@ -511,7 +511,7 @@ def test_bad_patch_config_fails_before_any_work(tmp_path, monkeypatch, extra):
     import patchlab.runner as runner
 
     calls = []
-    for name in ("lift_coefficients", "step_symbol", "symbol_growth_factor"):
+    for name in ("lift_coefficients", "step_symbol", "seeded_noise_state"):
         def no_work(*args, name=name, **kwargs):
             calls.append(name)
             raise AssertionError(f"{name} ran before the config was checked")
@@ -842,10 +842,10 @@ def test_a_step_that_overflows_fails_before_any_probe(tmp_path, monkeypatch, cap
     import patchlab.runner as runner
 
     def no_work(*args, **kwargs):
-        raise AssertionError("the probe ran before the step was checked")
+        raise AssertionError("the run started before the step was checked")
 
     # the propagator stays finite, but one step of about 1.5e159 overflows
-    monkeypatch.setattr(runner, "symbol_growth_factor", no_work)
+    monkeypatch.setattr(runner, "seeded_noise_state", no_work)
     cfg = write(tmp_path, PATCH_PARAMETERS + "n_points = 16\ndt_ratio = 1e160\n")
     out = tmp_path / "o"
     # the error line reports the overflow; numpy does not warn of it as well
@@ -900,8 +900,8 @@ def test_a_box_width_that_overflows_fails_before_any_probe(tmp_path, capsys):
 
 
 def test_violently_unstable_scheme_is_a_verdict(tmp_path, capsys):
-    # one step grows the norm by about 1e197: far past the iterated probe's
-    # overflow stop, but the symbol probe reads its growth all the same
+    # one step grows the norm by about 1e197, far past the iterated probe's
+    # overflow stop; the verdict reads max|G| all the same
     cfg = write(tmp_path, "[experiment]\nname = patch\n[parameters]\npde = advection\n"
                           "lifting = central_d2\ndt_ratio = 1e100\nexpect_stability = unstable\n")
     out = tmp_path / "o"
@@ -909,7 +909,21 @@ def test_violently_unstable_scheme_is_a_verdict(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     rows = summary_lines(out)
     assert rows["stability_is_unstable"] == "stability_is_unstable 2 2 0 pass"
-    assert float(rows["growth_factor"].split()[1]) > 1e100
+    assert float(rows["amplification_max"].split()[1]) > 1e100
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_near_threshold_verdict_does_not_depend_on_the_seed(tmp_path, seed):
+    # max|G| = 1.0013744 is just above the unstable threshold 1 + 1e-3, where a
+    # growth estimate from a seeded noise state fell on either side of it
+    cfg = write(tmp_path, f"[experiment]\nname = patch\nseed = {seed}\n[parameters]\n"
+                          "pde = advection\nlifting = central_d2\ndt_ratio = 0.0525\n"
+                          "expect_stability = unstable\n")
+    out = tmp_path / "o"
+    assert main(["patch", "--config", cfg, "--out", str(out)]) == 0
+    rows = summary_lines(out)
+    assert rows["stability_is_unstable"] == "stability_is_unstable 2 2 0 pass"
+    assert float(rows["amplification_max"].split()[1]) == pytest.approx(1.0013744, abs=5e-8)
 
 
 def test_upwind_lifting_follows_the_transport_direction(tmp_path, capsys):
@@ -924,8 +938,7 @@ def test_upwind_lifting_follows_the_transport_direction(tmp_path, capsys):
         assert main(["patch", "--config", cfg, "--out", str(out)]) == 0
         rows[coefficient] = summary_lines(out)
         assert rows[coefficient]["stability_is_stable"] == "stability_is_stable 0 0 0 pass"
-    for name in ("growth_factor", "amplification_max"):
-        assert rows["-1.0"][name] == rows["1.0"][name]
+    assert rows["-1.0"]["amplification_max"] == rows["1.0"]["amplification_max"]
     # the direction is no longer a config key
     cfg = write(tmp_path, PATCH_PARAMETERS + "wind_sign = -1\n")
     assert main(["patch", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -937,33 +950,28 @@ DIAGNOSTICS_PATCH_ROWS = {
     "heat": (
         "pde = heat\nlifting = central_d2\ngrids = 32, 64, 128\nfinal_time = 0.5\n"
         "expect_stability = stable\nexpect_order = 2.0\n",
-        ["growth_factor 0.9958055940210809 - - info",
-         "amplification_max 0.9961477813379572 - - info",
+        ["amplification_max 0.9961477813379572 - - info",
          "stability_is_stable 0 0 0 pass"],
     ),
     "advection-central": (
         "pde = advection\nlifting = central_d2\nexpect_stability = unstable\nprobe_steps = 300\n",
-        ["growth_factor 1.1152763285072202 - - info",
-         "amplification_max 1.117810387543501 - - info",
+        ["amplification_max 1.117810387543501 - - info",
          "stability_is_unstable 2 2 0 pass"],
     ),
     "advection-upwind": (
         "pde = advection\nlifting = upwind_d2\nexpect_stability = stable\n"
         "grids = 32, 64, 128\nexpect_order = 1.0\n",
-        ["growth_factor 0.9972107450189284 - - info",
-         "amplification_max 0.9987942538370255 - - info",
+        ["amplification_max 0.9987942538370255 - - info",
          "stability_is_stable 0 0 0 pass"],
     ),
     "biharmonic-d2": (
         "pde = biharmonic\nlifting = central_d2\nn_points = 32\nexpect_stability = marginal\n",
-        ["growth_factor 0.9999999999999999 - - info",
-         "amplification_max 1.0000000000000004 - - info",
+        ["amplification_max 1.0000000000000004 - - info",
          "stability_is_marginal 1 1 0 pass"],
     ),
     "biharmonic-d4": (
         "pde = biharmonic\nlifting = central_d4\nn_points = 32\ngrids = 16, 24, 32\n",
-        ["growth_factor 0.9991667675024658 - - info",
-         "amplification_max 0.9999446191827032 - - info",
+        ["amplification_max 0.9999446191827032 - - info",
          "stability_code_stable 0 - - info"],
     ),
 }
@@ -979,6 +987,7 @@ def test_diagnostics_patch_rows_keep_their_bits(tmp_path, parameters, rows):
     summary = summary_lines(out)
     for row in rows:
         assert summary[row.split()[0]] == row
+    assert "growth_factor" not in summary
 
 
 # every key that no other test sets, at a non-default value: (config,

@@ -42,7 +42,6 @@ from patchlab import (
     stable_dt_bound,
     stationary_variance_test,
     step_symbol,
-    symbol_growth_factor,
     symbol_stepper,
     synthesize_force_field,
     tooth_average,
@@ -497,8 +496,6 @@ BAD_INPUTS = {
                                     "n_points must be >= 3"),
     "growth_factor_probe-n_steps": (lambda v: growth_factor_probe(lambda u: u, _NOISE, v), 3,
                                     "probe_steps must be >= 4"),
-    "symbol_growth_factor-n_steps": (lambda v: symbol_growth_factor(np.ones(8), _NOISE, v), 3,
-                                     "probe_steps must be >= 4"),
     "convergence_order-grid_sizes": (lambda v: convergence_order(_never_built, (8, v), 1.0, None),
                                      2, "grids must be >= 3"),
     "msd_exponent-n_lags": (lambda v: msd_exponent(_TIMES, np.zeros((2, 401)), 0.02, 0.2, v), 1,
