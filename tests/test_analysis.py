@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from patchlab import (
+    CENTRAL_D2,
     MacroState,
+    PatchConfig,
+    PdeSpec,
     STABLE_THRESHOLD,
     UNSTABLE_THRESHOLD,
     RngStreamSpec,
+    ToothConfig,
     classify_growth,
     convergence_order,
     growth_factor_probe,
     increment_moments,
     seeded_noise_state,
     stationary_variance_test,
+    step_symbol,
     symbol_stepper,
 )
 
@@ -112,6 +117,27 @@ def test_symbol_growth_factor_follows_the_dominant_mode():
     report = growth_factor_probe(step, u0, 400)
     assert report.growth_factor == pytest.approx(1.05, rel=1e-10)
     assert report.classification == classify_growth(np.abs(symbol).max()) == "unstable"
+
+
+def test_symbol_growth_factor_validation():
+    # the growth read from the symbol, max|G|, needs a finite step: a step
+    # that overflows is refused when its symbol is formed
+    n = 8
+    dx = 2.0 * math.pi / n
+    dt_macro = 1e160 * dx**2
+    cfg = PatchConfig(lifting=CENTRAL_D2, tooth=ToothConfig(h=0.2 * dx),
+                      dt_micro=1e-3 * dt_macro, dt_macro=dt_macro)
+    with pytest.raises(ValueError, match="the gap-tooth step is not finite at dt_macro"):
+        step_symbol(PdeSpec.heat(), cfg, n, dx)
+    # no norm is iterated, so a factor far above the probe's 1e100 stop is read
+    assert classify_growth(1e150) == "unstable"
+    assert classify_growth(0.5) == "stable"
+    # the iterated probe needs four steps and a finite, nonzero state
+    u0 = seeded_noise_state(8, 1.0, RngStreamSpec(0))
+    with pytest.raises(ValueError, match="probe_steps must be >= 4"):
+        growth_factor_probe(scale_stepper(0.5), u0, 3)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        growth_factor_probe(scale_stepper(0.5), MacroState(np.zeros(8), 1.0), 10)
 
 
 def heat_problem(n):
