@@ -97,6 +97,3 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {len(paths)} files to {out_dir} ({record.wall_time_s:.2f}s)")
     return 1 if record.failed else 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

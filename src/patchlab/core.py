@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import threading
 from typing import Iterator
@@ -44,35 +45,16 @@ def _astuple(obj) -> tuple:
     return tuple([getattr(obj, name) for name in obj._value_fields])
 
 
-def _bind(cls, args, kwargs) -> list:
-    """The field values of ``cls(*args, **kwargs)``, in field order, defaults filled in."""
-    names = cls._value_fields
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls.__name__}() takes at most {len(names)} positional arguments "
-            f"({len(args)} given)"
-        )
-    for name in names[: len(args)]:
-        if name in kwargs:
-            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
-    values = dict(cls._value_defaults)
-    values.update(zip(names, args))
-    values.update(kwargs)
-    try:
-        fields = [values[name] for name in names]
-    except KeyError as err:
-        raise TypeError(f"{cls.__name__}() missing required argument {err}") from None
-    if len(values) > len(names):
-        unexpected = sorted(values.keys() - names)
-        raise TypeError(f"{cls.__name__}() got unexpected keyword arguments {unexpected}")
-    return fields
-
-
 def _value_init(self, *args, **kwargs) -> None:
     cls = type(self)
     names = cls._value_fields
     if kwargs or len(args) != len(names):
-        args = _bind(cls, args, kwargs)
+        try:
+            bound = cls.__signature__.bind(*args, **kwargs)
+        except TypeError as err:
+            raise TypeError(f"{cls.__name__}(): {err}") from None
+        bound.apply_defaults()
+        args = bound.arguments.values()
     # set one by one, as a dataclass does, so the instance keeps the compact
     # attribute storage that makes reading a field fast
     for name, value in zip(names, args):
@@ -120,8 +102,9 @@ def value_type(cls: type) -> type:
     """Class decorator: an immutable value over the class's annotated fields.
 
     The fields are the class's own annotations, in order, and a class
-    attribute of the same name is the field's default.  Instances are built
-    by position or keyword, then ``__post_init__`` runs if the class has one:
+    attribute of the same name is the field's default.  Arguments bind as in
+    a Python call to the class's ``__signature__``, and a binding
+    ``TypeError`` names the class.  Then ``__post_init__`` runs if it exists:
     it checks the fields and returns a mapping of those it normalised, stored
     in place of the values given, or ``None`` to keep them.  Instances refuse
     assignment and deletion, compare and hash by the tuple of their fields,
@@ -130,7 +113,11 @@ def value_type(cls: type) -> type:
     """
     names = tuple(cls.__annotations__)
     cls._value_fields = names
-    cls._value_defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    cls.__signature__ = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=vars(cls).get(name, inspect.Parameter.empty))
+        for name in names
+    ])
     for name, method in _VALUE_METHODS.items():
         setattr(cls, name, method)
     return cls

@@ -264,7 +264,7 @@ def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
 
 def _plan_patch(p: dict, seed: int):
     if not (p["grids"] or math.isnan(p["expect_order"])):
-        raise ConfigError("expect_order needs grids to fit a convergence order on")
+        raise ValueError("expect_order needs grids to fit a convergence order on")
     # the grid list, every grid and the study's final time fail here, before
     # the first step
     pde, cfg, dx = _patch_setup(p, p["n_points"])
@@ -370,7 +370,7 @@ def _plan_kp(p: dict, seed: int):
     n_samples = at_least(p["n_samples"], 1, "n_samples")
     bands = p["gamma_bands"]
     if bands and len(bands) != len(p["deltas"]):
-        raise ConfigError(f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}")
+        raise ValueError(f"gamma_bands has {len(bands)} entries but deltas has {len(p['deltas'])}")
     # each delta's exponent is checked against the middle of its band, if it has one
     targets = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in bands] or [()] * len(p["deltas"])
     # every delta, dt_scale, each delta's step count, the fit's lag steps, the

@@ -11,6 +11,7 @@ import copy
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -171,14 +172,16 @@ def test_construction_by_position_and_keyword(cls):
     bare = cls(**{key: value for key, value in sample.items() if key not in defaults})
     for name, default in defaults.items():
         assert _same(getattr(bare, name), default), name
-    with pytest.raises(TypeError):
+    # a binding error names the class
+    named = re.escape(f"{cls.__name__}(): ")
+    with pytest.raises(TypeError, match=named + "too many positional"):
         cls(*sample.values(), None)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named + ".*'not_a_field'"):
         cls(**sample, not_a_field=None)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=named + "multiple values"):
         cls(*list(sample.values())[:1], **sample)
     if len(defaults) < len(sample):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=named + "missing a required argument"):
             cls()
 
 
@@ -288,6 +291,11 @@ def test_post_init_returns_the_fields_it_normalises():
         _Span(3)
     with pytest.raises(ValueError, match="empty label"):
         _Label("")
+
+
+def test_metric_result_refuses_an_unknown_verdict():
+    with pytest.raises(ValueError, match="bad verdict 'maybe'"):
+        MetricResult("x", 1.0, verdict="maybe")
 
 
 # every array field of the value types, kept as a read-only float64 copy
