@@ -170,6 +170,18 @@ def _centered_offsets(n: int, dx: float) -> np.ndarray:
     return dx * (np.arange(n) - (n - 1) / 2.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _sampling_basis(n_coeffs: int, n_half: int, dx: float) -> np.ndarray:
+    # rows offsets^k / k! on the 2 n_half + 1 micro nodes, so that
+    # coeffs @ basis evaluates every polynomial; it depends only on the grid
+    offsets = _centered_offsets(2 * n_half + 1, dx)
+    basis = np.empty((n_coeffs, offsets.size))
+    basis[0] = 1.0
+    for k in range(1, n_coeffs):
+        basis[k] = basis[k - 1] * offsets / k
+    return frozen_array(basis)
+
+
 def evolve_fd_buffered(
     coeffs: np.ndarray,
     pde: PdeSpec,
@@ -189,8 +201,8 @@ def evolve_fd_buffered(
 
     Each patch spans ``[center - H/2, center + H/2]``; boundary nodes are
     held at their initial values (frozen Dirichlet).  Raises ``ValueError``
-    if ``grid.dt`` violates the explicit bound or if boundary influence
-    could reach the tooth.
+    if ``grid.dt`` violates the explicit bound, if boundary influence could
+    reach the tooth, or if a row has no coefficient.
     """
     if not dt >= 0:  # also rejects nan
         raise ValueError("dt must be >= 0")
@@ -210,14 +222,10 @@ def evolve_fd_buffered(
         )
 
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 0 or coeffs.shape[-1] == 0:
+        raise ValueError("coefficient rows need at least one coefficient")
     n_half = max(2, int(math.ceil(tooth.H / (2.0 * grid.dx) - 1e-12)))
-    offsets = _centered_offsets(2 * n_half + 1, grid.dx)
-    # rows offsets^k / k!, so that coeffs @ basis evaluates every polynomial
-    basis = np.empty((coeffs.shape[-1], offsets.size))
-    basis[0] = 1.0
-    for k in range(1, coeffs.shape[-1]):
-        basis[k] = basis[k - 1] * offsets / k
-    u = coeffs @ basis
+    u = coeffs @ _sampling_basis(coeffs.shape[-1], n_half, grid.dx)
 
     if dt > 0:
         ratio = dt / grid.dt - 1e-12
@@ -268,11 +276,18 @@ def tooth_average(samples: np.ndarray, dx: float, h: float):
     a stack of teeth gives one average per row, a single tooth a float.
     """
     h = positive(h, "tooth width h")
+    dx = positive(dx, "micro dx")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 0:
         raise ValueError("tooth_average needs samples along a last axis")
-    dx = float(dx)
-    n = samples.shape[-1]
+    avg = samples @ _tooth_weights(samples.shape[-1], dx, h)
+    return float(avg) if avg.ndim == 0 else avg
+
+
+@functools.lru_cache(maxsize=64)
+def _tooth_weights(n: int, dx: float, h: float) -> np.ndarray:
+    # the weights depend only on the grid and the tooth, not on the samples;
+    # a grid that does not cover the tooth raises, so it is never cached
     s = _centered_offsets(n, dx)
     lo, hi = -h / 2.0, h / 2.0
     eps = 1e-12 * max(h, dx)
@@ -280,15 +295,6 @@ def tooth_average(samples: np.ndarray, dx: float, h: float):
         raise ValueError(
             f"micro samples span [{s[0]:g}, {s[-1]:g}] but the tooth needs [{lo:g}, {hi:g}]"
         )
-    avg = samples @ _tooth_weights(n, dx, h)
-    return float(avg) if avg.ndim == 0 else avg
-
-
-@functools.lru_cache(maxsize=64)
-def _tooth_weights(n: int, dx: float, h: float) -> np.ndarray:
-    # the weights depend only on the grid and the tooth, not on the samples
-    s = _centered_offsets(n, dx)
-    lo, hi = -h / 2.0, h / 2.0
     inside = (s > lo) & (s < hi)
     nodes = np.concatenate(([lo], s[inside], [hi]))
 

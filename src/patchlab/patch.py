@@ -181,8 +181,8 @@ def _restricted_means_fd(U: MacroState, pde: PdeSpec, cfg: PatchConfig):
     """
     h = cfg.tooth.h
     coeffs = lift_coefficients(U, cfg.lifting, h)
-    bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
-    if bad.size:
+    if not np.isfinite(coeffs).all():
+        bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
         raise ValueError(f"tooth {bad[0]}: lifted coefficients must be finite")
     # chord base from the sampled field at alpha*dt_micro (0 steps when
     # alpha = 0), so the quadrature error of tooth_average cancels in the

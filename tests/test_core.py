@@ -416,6 +416,8 @@ BAD_INPUTS = {
                            "dx must be positive and finite"),
     "tooth_average-h": (lambda v: tooth_average(np.zeros(5), 0.1, v), 0.0,
                         "tooth width h must be positive and finite"),
+    "tooth_average-dx": (lambda v: tooth_average(np.zeros(5), v, 0.1), math.nan,
+                         "micro dx must be positive and finite"),
     "PatchConfig-dt_micro": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), v, 0.1), 0.0,
                              "dt_micro must be positive and finite"),
     "PatchConfig-dt_macro": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), 1e-3, v), 0.0,
@@ -481,6 +483,9 @@ BAD_INPUTS = {
     "evolve_fd_buffered-dt": (
         lambda v: evolve_fd_buffered([1.0, 0.0, 1.0], PdeSpec.heat(), v, _FD_TOOTH, _FD_GRID),
         math.nan, "dt must be >= 0"),
+    "evolve_fd_buffered-coeffs": (
+        lambda v: evolve_fd_buffered(v, PdeSpec.heat(), 1e-4, _FD_TOOTH, _FD_GRID), 1.0,
+        "coefficient rows need at least one coefficient"),
     "PdeSpec-order": (lambda v: PdeSpec({v: 1.0}), 2.5, "derivative orders must be integers"),
     # a seed must be a whole number in [0, 2**64)
     "RngStreamSpec-master_seed": (lambda v: RngStreamSpec(v), 2.7,

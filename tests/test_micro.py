@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from patchlab import micro
 from patchlab import (
+    CENTRAL_D2,
+    MacroState,
     MicroGrid,
+    PatchConfig,
     PdeSpec,
     RngStreamSpec,
     SdeModel,
@@ -14,6 +18,7 @@ from patchlab import (
     average_weights,
     em_step,
     evolve_fd_buffered,
+    gap_tooth_step,
     generator,
     influence_radius,
     propagator_matrix,
@@ -343,3 +348,43 @@ def test_tooth_average_requires_coverage():
         tooth_average(samples, 0.01, -0.1)
     with pytest.raises(ValueError):
         tooth_average(1.0, 0.01, 0.005)  # no sample axis
+
+
+def test_tooth_average_refuses_an_uncovered_tooth_on_every_call():
+    samples = np.zeros(5)  # span [-0.02, 0.02]
+    assert tooth_average(samples, 0.01, 0.04) == 0.0  # covered, weights cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^micro samples span \[-0.02, 0.02\] but the "
+                                             r"tooth needs \[-0.05, 0.05\]$"):
+            tooth_average(samples, 0.01, 0.1)
+
+
+def test_fd_gap_tooth_steps_build_the_grid_arrays_once(monkeypatch):
+    n = 16
+    dx = 2.0 * math.pi / n
+    h = 0.2 * dx
+    dt_micro = 4e-4 * dx**2
+    micro_dx = h / 16.0
+    cfg = PatchConfig(
+        lifting=CENTRAL_D2,
+        tooth=ToothConfig(h=h, H=h + 2.5 * influence_radius(PdeSpec.heat(), dt_micro)),
+        dt_micro=dt_micro,
+        dt_macro=0.4 * dx**2,
+        evolution="fd",
+        micro=MicroGrid(dx=micro_dx, dt=0.2 * micro_dx**2),
+    )
+    calls = []
+
+    def counted(n_micro, spacing):
+        calls.append(n_micro)
+        return centered_offsets(n_micro, spacing)
+
+    centered_offsets = micro._centered_offsets
+    monkeypatch.setattr(micro, "_centered_offsets", counted)
+    micro._sampling_basis.cache_clear()
+    micro._tooth_weights.cache_clear()
+    U = MacroState(np.sin(dx * np.arange(n)), dx)
+    for _ in range(16):
+        U = gap_tooth_step(U, PdeSpec.heat(), cfg)
+    # one sampling basis and one set of tooth weights, whatever the step count
+    assert len(calls) <= 2
