@@ -60,9 +60,9 @@ BAD_CONFIGS = {
 
 # label -> (command, config): each numerical outcome a run expects, a failing
 # row (exit 1), a verdict just past its threshold (exit 0), and each value that
-# would overflow inside the run or pass the step cap (exit 2); a capped value is
-# past what numpy can allocate, so a tree without the cap fails at once instead
-# of running for hours
+# would overflow inside the run, pass the step cap or make a check vacuous
+# (exit 2); a capped value is past what numpy can allocate, so a tree without
+# the cap fails at once instead of running for hours
 EDGE_CONFIGS = {
     "diverged-projective": _config("projective", "n_steps = 200\nnoise_amplitude = 1e15\n"),
     "unresolved-kp-step": _config(
@@ -85,6 +85,10 @@ EDGE_CONFIGS = {
     "huge-n-steps": _config("projective", "n_steps = 1000000000000\n"),
     "huge-ensemble": _config(
         "projective", "ensemble_size = 100000000000\nmicro_steps = 1\ndt_micro = 1e-12\n"),
+    # an infinite tolerance would pass any tail variance
+    "vacuous-tolerance": _config(
+        "projective", "drift = ou\nou_rate = 3\nn_steps = 2000\ntolerance_fraction = inf\n",
+        seed=0),
 }
 
 

@@ -14,14 +14,12 @@ __version__ = "0.1.0"
 from . import analysis, cli, config, core, kp, micro, order_detect, patch, projective, runner
 from .analysis import *
 from .cli import *
-from .config import *
 from .core import *
 from .kp import *
 from .micro import *
 from .order_detect import *
 from .patch import *
 from .projective import *
-from .runner import *
 
 __all__ = ["__version__"] + [
     name

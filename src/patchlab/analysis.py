@@ -22,8 +22,6 @@ __all__ = [
     "symbol_stepper",
     "increment_moments",
     "stationary_variance_test",
-    "UNSTABLE_THRESHOLD",
-    "STABLE_THRESHOLD",
 ]
 
 UNSTABLE_THRESHOLD = 1.0 + 1e-3

@@ -13,13 +13,7 @@ from .core import PdeSpec, unsigned_seed, value_type
 from .micro import SdeModel
 from .patch import LIFTING_VARIANTS
 
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "parse_config",
-    "render_config",
-    "EXPERIMENTS",
-]
+__all__ = []
 
 _REQUIRED = object()
 

@@ -95,7 +95,8 @@ class ScaledTrajectory:
     """Uniformly sampled (t, x, v) of one rescaled run.
 
     ``energy_error`` is each row's relative energy error from the step
-    check, or ``None`` when the check did not run.
+    check, or ``None`` when the check did not run.  Unpacking gives the
+    ``(times, velocities)`` pair that ``msd_exponent`` fits.
     """
 
     delta: float
@@ -110,14 +111,8 @@ class ScaledTrajectory:
         return {name: frozen_array(getattr(self, name))
                 for name in names if getattr(self, name) is not None}
 
-
-class EnsembleVelocities(tuple):
-    """``(times, velocities)`` pair that also carries ``energy_error`` by name."""
-
-    def __new__(cls, times, velocities, energy_error):
-        pair = super().__new__(cls, (times, velocities))
-        pair.energy_error = energy_error
-        return pair
+    def __iter__(self):
+        return iter((self.times, self.velocities))
 
 
 @value_type
@@ -271,15 +266,15 @@ def ensemble_velocities(
     initial: tuple[float, float] = (0.0, 1.0),
     n_samples: int = 400,
     validate: bool = True,
-) -> EnsembleVelocities:
+) -> ScaledTrajectory:
     """Velocity samples of independent runs (fresh field per trajectory).
 
     Trajectory ``i`` draws its field phases from ``rng.at(stream_id=i)``;
     the fields run as one stack in lockstep, so a trajectory's velocities
-    do not depend on how many others run beside it.  Returns
-    ``(times, velocities)`` with velocities of shape
-    ``(n_trajectories, n_samples + 1)``, and the step check's per-trajectory
-    ``energy_error``, which ``kp_integrate`` returns and never raises for.
+    do not depend on how many others run beside it.  Returns the stack's
+    ``kp_integrate`` run, which unpacks as ``(times, velocities)`` with
+    velocities of shape ``(n_trajectories, n_samples + 1)`` and carries the
+    step check's per-trajectory ``energy_error``.
     """
     n_trajectories = at_least(n_trajectories, 1, "n_trajectories")
     fields = [
@@ -291,10 +286,9 @@ def ensemble_velocities(
         wavenumbers=fields[0].wavenumbers,
         phases=np.stack([field.phases for field in fields]),
     )
-    traj = kp_integrate(
+    return kp_integrate(
         stack, delta, total_time, dt, initial=initial, n_samples=n_samples, validate=validate
     )
-    return EnsembleVelocities(traj.times, traj.velocities, traj.energy_error)
 
 
 def fit_lag_steps(times: np.ndarray, lag_lo: float, lag_hi: float, n_lags: int) -> np.ndarray:

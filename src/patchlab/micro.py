@@ -278,8 +278,8 @@ def tooth_average(samples: np.ndarray, dx: float, h: float):
     h = positive(h, "tooth width h")
     dx = positive(dx, "micro dx")
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 0:
-        raise ValueError("tooth_average needs samples along a last axis")
+    if samples.ndim == 0 or samples.shape[-1] == 0:
+        raise ValueError("tooth_average needs at least one sample along a last axis")
     avg = samples @ _tooth_weights(samples.shape[-1], dx, h)
     return float(avg) if avg.ndim == 0 else avg
 

@@ -29,7 +29,6 @@ __all__ = [
     "coordinate_variance",
     "detect_order",
     "derivative_blackbox",
-    "RELATIVE_THRESHOLD",
 ]
 
 RELATIVE_THRESHOLD = 1e-6

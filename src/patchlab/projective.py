@@ -32,7 +32,6 @@ __all__ = [
     "effective_noise_std",
     "predicted_ou_tail_variance",
     "run_coarse_trajectory",
-    "DIVERGENCE_LIMIT",
 ]
 
 DIVERGENCE_LIMIT = 1e12

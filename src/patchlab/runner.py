@@ -34,15 +34,7 @@ from .projective import (
     CoarseStepConfig, effective_noise_std, predicted_ou_tail_variance, run_coarse_trajectory,
 )
 
-__all__ = [
-    "MetricResult",
-    "Table",
-    "RunRecord",
-    "OverwriteError",
-    "run_experiment",
-    "write_results",
-    "render_summary",
-]
+__all__ = []
 
 
 @value_type
@@ -188,6 +180,11 @@ def _plan_projective(p: dict, seed: int):
                            p["alpha"])
     model = DRIFTS[p["drift"]](p["ou_rate"], p["noise_amplitude"])
     sigma = effective_noise_std(cfg, p["noise_amplitude"])
+    if not math.isfinite(p["x0"]):
+        # a start that is not finite diverges at the first step
+        raise ValueError("x0 must be finite")
+    # an infinite tolerance passes every variance, a negative or nan one none
+    tolerance_fraction = positive(p["tolerance_fraction"], "tolerance_fraction")
     if p["drift"] == "zero":
         # the increment moments need three values
         n_steps = at_least(p["n_steps"], 2, "n_steps")
@@ -204,7 +201,7 @@ def _plan_projective(p: dict, seed: int):
         tail_points(n_steps + 1, expected)
 
         def check(values):
-            test = stationary_variance_test(values, expected, p["tolerance_fraction"])
+            test = stationary_variance_test(values, expected, tolerance_fraction)
             return [_checked("tail_variance", test.measured, test.expected,
                              test.tolerance_fraction * test.expected)]
     step_cap(n_steps, "n_steps", n_steps, "coarse steps")
@@ -263,8 +260,13 @@ def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
 
 
 def _plan_patch(p: dict, seed: int):
+    # nan sets no target; an infinite one, or an infinite tolerance, would
+    # make the order check fail or pass whatever the fit
+    if math.isinf(p["expect_order"]):
+        raise ValueError("expect_order must be finite, or nan for no target")
     if not (p["grids"] or math.isnan(p["expect_order"])):
         raise ValueError("expect_order needs grids to fit a convergence order on")
+    order_tolerance = positive(p["order_tolerance"], "order_tolerance")
     # the grid list, every grid and the study's final time fail here, before
     # the first step
     pde, cfg, dx = _patch_setup(p, p["n_points"])
@@ -309,7 +311,7 @@ def _plan_patch(p: dict, seed: int):
                                   _exact_solution(p["pde"], p["coefficient"]))
         expected = None if math.isnan(p["expect_order"]) else p["expect_order"]
         metrics.append(_checked("convergence_order", study.fitted_order, expected,
-                                p["order_tolerance"]))
+                                order_tolerance))
         rows = tuple(zip(study.grid_sizes, study.spacings, study.errors))
         return metrics, [Table(name="convergence", columns=("n_points", "dx", "error"), rows=rows)]
 

@@ -8,8 +8,6 @@ from patchlab import (
     MacroState,
     PatchConfig,
     PdeSpec,
-    STABLE_THRESHOLD,
-    UNSTABLE_THRESHOLD,
     RngStreamSpec,
     ToothConfig,
     classify_growth,
@@ -21,6 +19,7 @@ from patchlab import (
     step_symbol,
     symbol_stepper,
 )
+from patchlab.analysis import STABLE_THRESHOLD, UNSTABLE_THRESHOLD
 
 
 def scale_stepper(factor):

@@ -38,6 +38,27 @@ def test_every_export_resolves():
             assert getattr(patchlab, name) is getattr(module, name), name
 
 
+# the command line's plumbing and the thresholds that only their own module
+# reads: reachable from their modules, not exported from the package
+UNEXPORTED = {
+    "config": ("ConfigError", "ExperimentConfig", "parse_config", "render_config", "EXPERIMENTS"),
+    "runner": ("MetricResult", "Table", "RunRecord", "OverwriteError", "run_experiment",
+               "write_results", "render_summary"),
+    "analysis": ("UNSTABLE_THRESHOLD", "STABLE_THRESHOLD"),
+    "order_detect": ("RELATIVE_THRESHOLD",),
+    "projective": ("DIVERGENCE_LIMIT",),
+}
+
+
+def test_the_cli_plumbing_is_not_exported():
+    for module_name, names in UNEXPORTED.items():
+        module = importlib.import_module(f"patchlab.{module_name}")
+        for name in names:
+            assert name not in patchlab.__all__, name
+            assert hasattr(module, name), f"patchlab.{module_name}.{name}"
+    assert patchlab.config.__all__ == patchlab.runner.__all__ == []
+
+
 def _imported_from_patchlab(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     return {

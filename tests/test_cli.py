@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import patchlab
-from patchlab import BlackBoxFunction, ConfigError, PdeSpec, main, parse_config, render_config
+from patchlab import BlackBoxFunction, PdeSpec, main
+from patchlab.config import ConfigError, parse_config, render_config
 
 MINIMAL_PROJECTIVE = """
 [experiment]
@@ -835,6 +836,48 @@ def test_drift_free_run_too_short_for_its_moments_fails_before_the_run(tmp_path,
     out = tmp_path / "o"
     assert main(["projective", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: projective: n_steps must be >= 2\n"
+    assert not out.exists()
+
+
+OU_TAIL = "drift = ou\nou_rate = 3\nn_steps = 2000\n"
+PATCH_ORDER = "pde = advection\nlifting = central_d2\ngrids = 16, 32\n"
+
+
+@pytest.mark.parametrize(
+    "command, parameters, message",
+    [
+        # an infinite tolerance would pass every variance, a negative or nan one none
+        ("projective", OU_TAIL + "tolerance_fraction = inf\n",
+         "tolerance_fraction must be positive and finite"),
+        ("projective", OU_TAIL + "tolerance_fraction = -0.1\n",
+         "tolerance_fraction must be positive and finite"),
+        ("projective", OU_TAIL + "tolerance_fraction = nan\n",
+         "tolerance_fraction must be positive and finite"),
+        # within an infinite tolerance the fitted order 1.03 would pass a target of 5
+        ("patch", PATCH_ORDER + "expect_order = 5\norder_tolerance = inf\n",
+         "order_tolerance must be positive and finite"),
+        ("patch", PATCH_ORDER + "expect_order = inf\n",
+         "expect_order must be finite, or nan for no target"),
+        # a start that is not finite would diverge at the first step
+        ("projective", "x0 = nan\n", "x0 must be finite"),
+        ("projective", "x0 = inf\n", "x0 must be finite"),
+    ],
+    ids=["infinite-tolerance_fraction", "negative-tolerance_fraction", "nan-tolerance_fraction",
+         "infinite-order_tolerance", "infinite-expect_order", "nan-x0", "infinite-x0"],
+)
+def test_a_vacuous_tolerance_or_target_fails_before_the_run(tmp_path, monkeypatch, capsys,
+                                                            command, parameters, message):
+    import patchlab.runner as runner
+
+    for name in ("run_coarse_trajectory", "step_symbol", "seeded_noise_state"):
+        def no_run(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran before the config was checked")
+
+        monkeypatch.setattr(runner, name, no_run)
+    text = f"[experiment]\nname = {command}\nseed = 0\n[parameters]\n{parameters}"
+    out = tmp_path / "o"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {command}: {message}\n"
     assert not out.exists()
 
 

@@ -33,11 +33,9 @@ from patchlab import (
     kp_integrate,
     lift,
     msd_exponent,
-    parse_config,
     propagator_matrix,
     replace,
     run_coarse_trajectory,
-    run_experiment,
     seeded_noise_state,
     stable_dt_bound,
     stationary_variance_test,
@@ -46,6 +44,8 @@ from patchlab import (
     synthesize_force_field,
     tooth_average,
 )
+from patchlab.config import parse_config
+from patchlab.runner import run_experiment
 
 
 def manual_eval(coeffs, center, x):
@@ -418,6 +418,8 @@ BAD_INPUTS = {
                         "tooth width h must be positive and finite"),
     "tooth_average-dx": (lambda v: tooth_average(np.zeros(5), v, 0.1), math.nan,
                          "micro dx must be positive and finite"),
+    "tooth_average-samples": (lambda v: tooth_average(v, 0.01, 0.02), np.zeros((3, 0)),
+                              "tooth_average needs at least one sample along a last axis"),
     "PatchConfig-dt_micro": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), v, 0.1), 0.0,
                              "dt_micro must be positive and finite"),
     "PatchConfig-dt_macro": (lambda v: PatchConfig(CENTRAL_D2, ToothConfig(0.1), 1e-3, v), 0.0,

@@ -12,6 +12,7 @@ from patchlab import (
     SELF_CONSISTENCY_TOL,
     RandomForceField,
     RngStreamSpec,
+    ScaledTrajectory,
     energy,
     ensemble_velocities,
     generator,
@@ -380,6 +381,20 @@ def test_ensemble_velocities_uses_per_trajectory_streams():
         total_time=0.008, dt=1e-4, rng=rng, n_samples=50,
     )
     assert vels.tobytes() == again.tobytes()
+
+
+def test_ensemble_velocities_returns_the_stack_run():
+    # one result type per KP run: the ensemble is the stacked kp_integrate run
+    run = dict(delta=0.3, total_time=0.008, dt=1e-4, n_samples=50)
+    ensemble = ensemble_velocities(n_trajectories=3, n_modes=32, spectrum=0.0,
+                                   rng=RngStreamSpec(77), **run)
+    stack = kp_integrate(stacked(fields_from(77, 3, 32)), **run)
+    assert isinstance(ensemble, ScaledTrajectory)
+    for name in ("times", "positions", "velocities", "energy_error"):
+        np.testing.assert_array_equal(getattr(ensemble, name), getattr(stack, name))
+    assert (ensemble.delta, ensemble.dt_used) == (stack.delta, stack.dt_used)
+    times, velocities = ensemble
+    assert times is ensemble.times and velocities is ensemble.velocities
 
 
 def test_msd_exponent_ballistic_is_exact():

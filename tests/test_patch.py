@@ -28,7 +28,6 @@ from patchlab import (
     influence_radius,
     lift,
     lift_coefficients,
-    parse_config,
     propagator_matrix,
     restrict,
     seeded_noise_state,
@@ -36,7 +35,7 @@ from patchlab import (
     step_symbol,
     symbol_stepper,
 )
-from patchlab.config import PATCH_PDES
+from patchlab.config import PATCH_PDES, parse_config
 from patchlab.runner import _exact_solution, _patch_setup
 
 

@@ -41,11 +41,11 @@ from patchlab import (
     growth_factor_probe,
     influence_radius,
     lift_coefficients,
-    parse_config,
     run_coarse_trajectory,
     seeded_noise_state,
     stable_dt_bound,
 )
+from patchlab.config import parse_config
 from patchlab.runner import _patch_setup
 
 # ------------------------------------------------------------- references

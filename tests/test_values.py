@@ -1,10 +1,11 @@
 """The contract of the package's immutable value types.
 
-Every class a module exports with annotated fields is a value type: it is
-built by position or keyword with defaults, refuses assignment and deletion,
+Every public class a module defines with annotated fields is a value type: it
+is built by position or keyword with defaults, refuses assignment and deletion,
 compares and hashes by its fields, names them in its ``repr``, and can be
-copied with ``replace``.  The classes are found from the modules' ``__all__``,
-so a new one fails here until it has a sample below.
+copied with ``replace``.  The classes are found in the modules, exported or not
+(``config`` and ``runner`` export nothing), so a new one fails here until it
+has a sample below.
 """
 
 import copy
@@ -19,17 +20,16 @@ import pytest
 import patchlab
 from patchlab import (
     CostLedger,
-    ExperimentConfig,
     LiftingScheme,
-    MetricResult,
     MicroGrid,
     PdeSpec,
-    Table,
     ToothConfig,
     propagator_matrix,
     replace,
 )
+from patchlab.config import ExperimentConfig
 from patchlab.core import value_type
+from patchlab.runner import MetricResult, Table
 
 
 def _drift(x):
@@ -127,9 +127,9 @@ def _value_classes():
     classes = {}
     for info in pkgutil.iter_modules(patchlab.__path__):
         module = importlib.import_module(f"patchlab.{info.name}")
-        for name in getattr(module, "__all__", ()):
-            obj = getattr(module, name)
-            if isinstance(obj, type) and inspect.get_annotations(obj):
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and not name.startswith("_") and inspect.get_annotations(obj)):
                 classes[name] = obj
     return [classes[name] for name in sorted(classes)]
 
