@@ -8,7 +8,7 @@ testbed whose apparent displacement exponent changes with scale.
 The package exports exactly the names each module lists in its ``__all__``.
 """
 
-# defined before the submodules load: runner reads it
+# defined before the submodules load: cli reads it
 __version__ = "0.1.0"
 
 from . import analysis, cli, config, core, kp, micro, order_detect, patch, projective, runner

@@ -1,4 +1,4 @@
-"""``patchlab`` command line entry point.
+"""``patchlab`` command line entry point: read a config, run it, write its results.
 
 Exit codes: 0 all checks passed (or nothing to check); 1 at least one check
 failed, a numerical outcome the run expects included (a diverged trajectory,
@@ -15,13 +15,120 @@ execute) and the exception, with no output written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import time
 
-from .config import EXPERIMENTS, ConfigError, parse_config
-from .core import replace, unsigned_seed
-from .runner import OverwriteError, render_summary, run_experiment, write_results
+import numpy as np
+
+from . import __version__
+from .config import ConfigError, ExperimentConfig, parse_config, render_config
+from .core import replace, unsigned_seed, value_type
+from .runner import EXPERIMENTS, MetricResult, Table
 
 __all__ = ["main"]
+
+
+@value_type
+class RunRecord:
+    config: ExperimentConfig
+    metrics: tuple[MetricResult, ...]
+    tables: tuple[Table, ...] = ()
+    wall_time_s: float = 0.0
+
+    @property
+    def failed(self) -> bool:
+        return any(m.verdict == "fail" for m in self.metrics)
+
+
+class OverwriteError(RuntimeError):
+    """Output file already exists and --force was not given."""
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def render_summary(record: RunRecord) -> str:
+    lines = [
+        f"# patchlab {__version__}",
+        f"# experiment = {record.config.experiment}",
+        f"# seed = {record.config.seed}",
+        "# name value expected tolerance verdict",
+    ]
+    lines += [f"{m.name} {_fmt(m.value)} {_fmt(m.expected)} {_fmt(m.tolerance)} {m.verdict}"
+              for m in record.metrics]
+    return "\n".join(lines) + "\n"
+
+
+def write_results(record: RunRecord, out_dir: str, force: bool = False) -> list[str]:
+    """Write summary, config echo, and CSV tables; refuse to clobber.  The files
+    hold no wall time, so a rerun of one config and seed writes the same bytes.
+
+    Each file is written under a temporary name in ``out_dir`` and moved
+    into place with ``os.replace`` once every file is written.  On any error
+    the temporary files, and the files this call already moved into place,
+    are removed, so an interrupted write leaves nothing that blocks a rerun.
+    """
+    paths = {name: os.path.join(out_dir, name) for name in ("summary", "config")}
+    for table in record.tables:
+        paths[table.name] = os.path.join(out_dir, f"{table.name}.csv")
+    existing = [] if force else sorted(p for p in paths.values() if os.path.exists(p))
+    if existing:
+        raise OverwriteError(f"refusing to overwrite {', '.join(existing)} (use --force)")
+    os.makedirs(out_dir, exist_ok=True)
+    staged: list[tuple[str, str]] = []
+    placed: list[str] = []
+
+    def open_staged(path):
+        tmp = os.path.join(out_dir, f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        staged.append((tmp, path))
+        return open(tmp, "w")
+
+    try:
+        with open_staged(paths["summary"]) as fh:
+            fh.write(render_summary(record))
+        with open_staged(paths["config"]) as fh:
+            fh.write(render_config(record.config))
+        for table in record.tables:
+            with open_staged(paths[table.name]) as fh:
+                fh.write(",".join(table.columns) + "\n")
+                for row in table.rows:
+                    fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+            placed.append(path)
+    except BaseException:
+        for path in [tmp for tmp, _ in staged] + placed:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+    return sorted(paths.values())
+
+
+def run_experiment(config: ExperimentConfig) -> RunRecord:
+    """Plan the run, then execute it.
+
+    The plan checks the whole config and builds every value the run needs
+    before any work; a ``ValueError`` there becomes a ``ConfigError`` naming
+    the experiment.  Executing does the work and writes its outcomes as rows,
+    an estimate that is not finite as a failing one; any exception it raises
+    propagates unchanged.
+    """
+    start = time.perf_counter()
+    try:
+        execute = EXPERIMENTS[config.experiment][2](config.parameters, config.seed)
+    except ValueError as err:
+        raise ConfigError(f"{config.experiment}: {err}") from err
+    metrics, tables = execute()
+    return RunRecord(config, tuple(metrics), tuple(tables), time.perf_counter() - start)
 
 
 def _seed_type(raw: str) -> int:
@@ -31,7 +138,8 @@ def _seed_type(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-_EPILOG = "experiments:\n" + "\n".join(f"  {name:<14}{line}" for name, line in EXPERIMENTS.items())
+_EPILOG = "experiments:\n" + "\n".join(
+    f"  {name:<14}{help_line}" for name, (help_line, _, _) in EXPERIMENTS.items())
 
 
 def _build_parser() -> argparse.ArgumentParser:

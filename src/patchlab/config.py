@@ -1,7 +1,8 @@
 """Line-based experiment configuration: ``[section]`` headers, ``key = value``.
 
-Unknown sections, unknown keys, duplicate keys, and type errors are all
-collected and reported together with their line numbers.
+Each experiment's keys are the parameters of its row in
+``runner.EXPERIMENTS``.  Unknown sections, unknown keys, duplicate keys, and
+type errors are all collected and reported together with their line numbers.
 """
 
 from __future__ import annotations
@@ -9,112 +10,14 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .core import PdeSpec, unsigned_seed, value_type
-from .micro import SdeModel
-from .patch import LIFTING_VARIANTS
+from .core import unsigned_seed, value_type
+from .runner import EXPERIMENTS
 
 __all__ = []
-
-_REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message lists every violation found."""
-
-
-@value_type
-class _Param:
-    name: str
-    kind: str            # a key of _KINDS
-    default: Any = _REQUIRED
-    choices: tuple[str, ...] | None = None
-
-
-# the tables behind the schema's choices, in its order
-# drift -> SdeModel factory of (ou_rate, noise_amplitude)
-DRIFTS = {
-    "zero": lambda rate, noise_amplitude: SdeModel.pure_noise(noise_amplitude),
-    "ou": SdeModel.ornstein_uhlenbeck,
-}
-# pde -> (PdeSpec factory, default dt_ratio, default final_time)
-PATCH_PDES = {
-    "heat": (PdeSpec.heat, 0.4, 0.5),
-    "advection": (PdeSpec.advection, 0.5, 0.5),
-    "biharmonic": (PdeSpec.biharmonic, 0.0375, 0.005),
-}
-STABILITY_CODES = {"stable": 0, "marginal": 1, "unstable": 2}
-# order-detect target other than "adversarial" -> (default d_max, PDE factory)
-TARGET_PDES = {
-    "heat": (2, PdeSpec.heat),
-    "advection": (2, PdeSpec.advection),
-    "biharmonic_d4": (4, PdeSpec.biharmonic),
-    "biharmonic_d2": (2, PdeSpec.biharmonic),
-}
-
-# experiment -> (help line, parameters)
-_SCHEMAS: dict[str, tuple[str, tuple[_Param, ...]]] = {
-    "projective": ("coarse projective integration of a scalar SDE", (
-        _Param("ensemble_size", "int", 10),
-        _Param("micro_steps", "int", 10),
-        _Param("dt_micro", "float", 1e-3),
-        _Param("dt_macro", "float", 0.1),
-        _Param("alpha", "float", 0.0),
-        _Param("n_steps", "int", 10000),
-        _Param("drift", "str", "zero", choices=tuple(DRIFTS)),
-        _Param("ou_rate", "float", 1.0),
-        _Param("noise_amplitude", "float", 1.0),
-        _Param("x0", "float", 0.0),
-        _Param("tolerance_fraction", "float", 0.1),
-    )),
-    "patch": ("gap-tooth stability probe and grid convergence study", (
-        _Param("pde", "str", choices=tuple(PATCH_PDES)),
-        _Param("coefficient", "float", 1.0),
-        _Param("lifting", "str", choices=tuple(LIFTING_VARIANTS)),
-        _Param("n_points", "int", 64),
-        _Param("h_fraction", "float", 0.2),
-        _Param("dt_ratio", "float", 0.0),
-        _Param("dt_micro_factor", "float", 1e-3),
-        _Param("alpha", "float", 0.0),
-        _Param("probe_steps", "int", 400),
-        _Param("grids", "int_list", ()),
-        _Param("final_time", "float", 0.0),
-        _Param("expect_stability", "str", "", choices=("", *STABILITY_CODES)),
-        _Param("expect_order", "float", math.nan),
-        _Param("order_tolerance", "float", 0.3),
-    )),
-    "order-detect": ("black-box spatial order detection", (
-        _Param("target", "str", choices=(*TARGET_PDES, "adversarial")),
-        _Param("dt_micro", "float", 1e-3),
-        _Param("h", "float", 0.1),
-        _Param("d_max", "int", 0),
-        _Param("n_base", "int", 8),
-        _Param("n_perturb", "int", 1024),
-        _Param("halfwidth", "float", 1.0),
-        _Param("stop_after", "int", 0),
-        _Param("budget", "int", 0),
-        _Param("expected_order", "int", -1),
-    )),
-    "kp": ("particle-in-random-field displacement exponents", (
-        _Param("deltas", "float_list"),
-        _Param("gamma_bands", "band_list", ()),
-        _Param("n_trajectories", "int", 24),
-        _Param("n_modes", "int", 256),
-        _Param("spectrum", "float", 0.0),
-        _Param("x0", "float", 0.0),
-        _Param("v0", "float", 1.0),
-        _Param("total_time", "float", 0.008),
-        _Param("dt_scale", "float", 1e-3),
-        _Param("n_samples", "int", 400),
-        _Param("fit_lag_lo", "float", 1e-4),
-        _Param("fit_lag_hi", "float", 1e-3),
-        _Param("n_lags", "int", 10),
-        _Param("calibrate", "bool", True),
-        _Param("validate_dt", "bool", True),
-    )),
-}
-
-# experiment -> its help line
-EXPERIMENTS = {name: help_line for name, (help_line, _) in _SCHEMAS.items()}
 
 
 @value_type
@@ -211,11 +114,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if name is None:
         errors.append("missing required key 'name' in [experiment]")
         raise ConfigError("; ".join(errors))
-    if name not in _SCHEMAS:
+    if name not in EXPERIMENTS:
         errors.append(f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}")
         raise ConfigError("; ".join(errors))
 
-    params = _SCHEMAS[name][1]
+    params = EXPERIMENTS[name][1]
     schema = {p.name: p for p in params}
     parameters: dict[str, Any] = {}
     for key, (lineno, raw) in entries["parameters"].items():
@@ -233,13 +136,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: {key!r} must be one of {', '.join(map(repr, param.choices))}"
             )
             continue
-        if value == () and param.default is _REQUIRED:
+        if value == () and param.default is None:
             errors.append(f"line {lineno}: {key!r} needs at least one value")
         parameters[key] = value
 
     for param in params:
         if param.name not in entries["parameters"]:
-            if param.default is _REQUIRED:
+            if param.default is None:
                 errors.append(f"missing required key {param.name!r} in [parameters]")
             else:
                 parameters[param.name] = param.default
@@ -259,6 +162,6 @@ def render_config(config: ExperimentConfig) -> str:
         "",
         "[parameters]",
     ]
-    for param in _SCHEMAS[config.experiment][1]:
+    for param in EXPERIMENTS[config.experiment][1]:
         lines.append(f"{param.name} = {_KINDS[param.kind][1](config.parameters[param.name])}")
     return "\n".join(lines) + "\n"

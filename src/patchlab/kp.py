@@ -128,10 +128,15 @@ class MsdFit:
 
 
 def field_modes(n_modes: int, spectrum: float) -> tuple[int, float]:
-    """``(n_modes, spectrum)``; ``ValueError`` unless n_modes >= 1 and spectrum is finite."""
+    """``(n_modes, spectrum)``; ``ValueError`` unless n_modes >= 1, spectrum is finite
+    and so is the largest amplitude, 1 or ``n_modes**-spectrum``."""
     n_modes, spectrum = at_least(n_modes, 1, "n_modes"), float(spectrum)
     if not math.isfinite(spectrum):
         raise ValueError("spectrum exponent must be finite")
+    try:
+        float(n_modes) ** -spectrum
+    except OverflowError:
+        raise ValueError(f"spectrum {spectrum:g} overflows the amplitudes m**-spectrum") from None
     return n_modes, spectrum
 
 

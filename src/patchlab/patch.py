@@ -35,8 +35,8 @@ __all__ = [
     "step_symbol",
 ]
 
-# lifting variant -> (polynomial degree, stencil points)
-LIFTING_VARIANTS = {"central_d2": (2, 3), "upwind_d2": (2, 3), "central_d4": (4, 5)}
+# lifting variant -> stencil points
+LIFTING_VARIANTS = {"central_d2": 3, "upwind_d2": 3, "central_d4": 5}
 
 
 @value_type
@@ -60,12 +60,8 @@ class LiftingScheme:
             raise ValueError("wind_sign must be -1 or +1")
 
     @property
-    def degree(self) -> int:
-        return LIFTING_VARIANTS[self.variant][0]
-
-    @property
     def stencil_points(self) -> int:
-        return LIFTING_VARIANTS[self.variant][1]
+        return LIFTING_VARIANTS[self.variant]
 
 
 CENTRAL_D2 = LiftingScheme("central_d2")

@@ -1,40 +1,43 @@
-"""Experiment drivers behind the command line interface.
-
-Every run produces the same record for the same config and seed; output files
-are byte-identical across repeats (wall time is reported to stdout only).
-"""
+"""The command line's experiments, one row of ``EXPERIMENTS`` each: a help line,
+parameters and a plan.  The same parameters and seed give the same rows."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import time
+from typing import Any
 
 import numpy as np
 
-from . import __version__
 from .analysis import (
     classify_growth, convergence_order, increment_moments, reachable_time, seeded_noise_state,
     stationary_variance_test, study_grids, symbol_stepper, tail_points,
 )
-from .config import (
-    DRIFTS, PATCH_PDES, STABILITY_CODES, TARGET_PDES, ConfigError, ExperimentConfig, render_config,
-)
 from .core import (
-    MacroState, RngStreamSpec, ToothConfig, at_least, generator, positive, step_cap, value_type,
+    MacroState, PdeSpec, RngStreamSpec, ToothConfig, at_least, generator, positive, step_cap,
+    value_type,
 )
 from .kp import (
     SELF_CONSISTENCY_TOL, checked_delta, ensemble_velocities, field_modes, finite_start,
     fit_lag_steps, msd_exponent, sample_steps,
 )
+from .micro import SdeModel
 from .order_detect import BlackBoxFunction, ProbeSpec, derivative_blackbox, detect_order
-from .patch import LiftingScheme, PatchConfig, lift_coefficients, restrict, step_symbol
+from .patch import (
+    LIFTING_VARIANTS, LiftingScheme, PatchConfig, lift_coefficients, restrict, step_symbol,
+)
 from .projective import (
     CoarseStepConfig, effective_noise_std, predicted_ou_tail_variance, run_coarse_trajectory,
 )
 
 __all__ = []
+
+
+@value_type
+class _Param:
+    name: str
+    kind: str            # a key of config._KINDS
+    default: Any = None  # None: the key is required
+    choices: tuple[str, ...] | None = None
 
 
 @value_type
@@ -72,107 +75,13 @@ class Table:
     rows: tuple[tuple, ...]
 
 
-@value_type
-class RunRecord:
-    config: ExperimentConfig
-    metrics: tuple[MetricResult, ...]
-    tables: tuple[Table, ...] = ()
-    wall_time_s: float = 0.0
-
-    @property
-    def failed(self) -> bool:
-        return any(m.verdict == "fail" for m in self.metrics)
-
-
-class OverwriteError(RuntimeError):
-    """Output file already exists and --force was not given."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def render_summary(record: RunRecord) -> str:
-    lines = [
-        f"# patchlab {__version__}",
-        f"# experiment = {record.config.experiment}",
-        f"# seed = {record.config.seed}",
-        "# name value expected tolerance verdict",
-    ]
-    lines += [f"{m.name} {_fmt(m.value)} {_fmt(m.expected)} {_fmt(m.tolerance)} {m.verdict}"
-              for m in record.metrics]
-    return "\n".join(lines) + "\n"
-
-
-def write_results(record: RunRecord, out_dir: str, force: bool = False) -> list[str]:
-    """Write summary, config echo, and CSV tables; refuse to clobber.
-
-    Each file is written under a temporary name in ``out_dir`` and moved
-    into place with ``os.replace`` once every file is written.  On any error
-    the temporary files, and the files this call already moved into place,
-    are removed, so an interrupted write leaves nothing that blocks a rerun.
-    """
-    paths = {name: os.path.join(out_dir, name) for name in ("summary", "config")}
-    for table in record.tables:
-        paths[table.name] = os.path.join(out_dir, f"{table.name}.csv")
-    existing = [] if force else sorted(p for p in paths.values() if os.path.exists(p))
-    if existing:
-        raise OverwriteError(f"refusing to overwrite {', '.join(existing)} (use --force)")
-    os.makedirs(out_dir, exist_ok=True)
-    staged: list[tuple[str, str]] = []
-    placed: list[str] = []
-
-    def open_staged(path):
-        tmp = os.path.join(out_dir, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-        staged.append((tmp, path))
-        return open(tmp, "w")
-
-    try:
-        with open_staged(paths["summary"]) as fh:
-            fh.write(render_summary(record))
-        with open_staged(paths["config"]) as fh:
-            fh.write(render_config(record.config))
-        for table in record.tables:
-            with open_staged(paths[table.name]) as fh:
-                fh.write(",".join(table.columns) + "\n")
-                for row in table.rows:
-                    fh.write(",".join(_fmt(v) for v in row) + "\n")
-        for tmp, path in staged:
-            os.replace(tmp, path)
-            placed.append(path)
-    except BaseException:
-        for path in [tmp for tmp, _ in staged] + placed:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
-        raise
-    return sorted(paths.values())
-
-
-def run_experiment(config: ExperimentConfig) -> RunRecord:
-    """Plan the run, then execute it.
-
-    The plan checks the whole config and builds every value the run needs
-    before any work; a ``ValueError`` there becomes a ``ConfigError`` naming
-    the experiment.  Executing does the work and writes its outcomes as rows,
-    an estimate that is not finite as a failing one; any exception it raises
-    propagates unchanged.
-    """
-    start = time.perf_counter()
-    try:
-        execute = _PLANS[config.experiment](config.parameters, config.seed)
-    except ValueError as err:
-        raise ConfigError(f"{config.experiment}: {err}") from err
-    metrics, tables = execute()
-    return RunRecord(config, tuple(metrics), tuple(tables), time.perf_counter() - start)
-
-
 # ---------------------------------------------------------------- projective
+
+# drift -> SdeModel factory of (ou_rate, noise_amplitude)
+DRIFTS = {
+    "zero": lambda rate, noise_amplitude: SdeModel.pure_noise(noise_amplitude),
+    "ou": SdeModel.ornstein_uhlenbeck,
+}
 
 
 def _plan_projective(p: dict, seed: int):
@@ -194,6 +103,8 @@ def _plan_projective(p: dict, seed: int):
             return [_checked("increment_mean", mom.mean, 0.0, 3.0 * mom.se_mean),
                     _checked("increment_std", mom.std, sigma, 3.0 * mom.se_std)]
     else:
+        if not math.isfinite(p["ou_rate"]):  # nan passes the chain's stability test
+            raise ValueError("ou_rate must be finite")
         # a coarse chain that does not mean-revert, or a run too short or too
         # quiet for the tail test, fails here
         expected = predicted_ou_tail_variance(cfg, p["ou_rate"], p["noise_amplitude"])
@@ -230,6 +141,14 @@ def _plan_projective(p: dict, seed: int):
 
 
 # --------------------------------------------------------------------- patch
+
+# pde -> (PdeSpec factory, default dt_ratio, default final_time)
+PATCH_PDES = {
+    "heat": (PdeSpec.heat, 0.4, 0.5),
+    "advection": (PdeSpec.advection, 0.5, 0.5),
+    "biharmonic": (PdeSpec.biharmonic, 0.0375, 0.005),
+}
+STABILITY_CODES = {"stable": 0, "marginal": 1, "unstable": 2}
 
 
 def _exact_solution(name: str, coefficient: float):
@@ -320,6 +239,14 @@ def _plan_patch(p: dict, seed: int):
 
 # -------------------------------------------------------------- order-detect
 
+# target other than "adversarial" -> (default d_max, PDE factory)
+TARGET_PDES = {
+    "heat": (2, PdeSpec.heat),
+    "advection": (2, PdeSpec.advection),
+    "biharmonic_d4": (4, PdeSpec.biharmonic),
+    "biharmonic_d2": (2, PdeSpec.biharmonic),
+}
+
 
 def _order_detect_box(p: dict) -> BlackBoxFunction:
     """The black box that the config's ``target`` names."""
@@ -327,8 +254,9 @@ def _order_detect_box(p: dict) -> BlackBoxFunction:
     if p["target"] == "adversarial":
         return BlackBoxFunction(lambda pt: pt[0] + pt[99], arity=100, evaluation_budget=budget)
     d_default, factory = TARGET_PDES[p["target"]]
-    return derivative_blackbox(factory(1.0), d_max=p["d_max"] or d_default, dt=p["dt_micro"],
-                               h=p["h"], evaluation_budget=budget)
+    return derivative_blackbox(factory(1.0), d_max=p["d_max"] or d_default,
+                               dt=positive(p["dt_micro"], "dt_micro"), h=p["h"],
+                               evaluation_budget=budget)
 
 
 def _plan_order_detect(p: dict, seed: int):
@@ -444,7 +372,65 @@ def _slug(value: float) -> str:
     return repr(float(value)).replace(".", "p").replace("-", "m")
 
 
-# experiment -> its plan: check the config, build the run's values, and return
-# the zero-argument step that executes the run
-_PLANS = {"projective": _plan_projective, "patch": _plan_patch,
-          "order-detect": _plan_order_detect, "kp": _plan_kp}
+# experiment -> (help line, parameters, plan); a plan checks the parameters, builds
+# every value the run needs and returns the zero-argument step that executes the run
+EXPERIMENTS = {
+    "projective": ("coarse projective integration of a scalar SDE", (
+        _Param("ensemble_size", "int", 10),
+        _Param("micro_steps", "int", 10),
+        _Param("dt_micro", "float", 1e-3),
+        _Param("dt_macro", "float", 0.1),
+        _Param("alpha", "float", 0.0),
+        _Param("n_steps", "int", 10000),
+        _Param("drift", "str", "zero", choices=tuple(DRIFTS)),
+        _Param("ou_rate", "float", 1.0),
+        _Param("noise_amplitude", "float", 1.0),
+        _Param("x0", "float", 0.0),
+        _Param("tolerance_fraction", "float", 0.1),
+    ), _plan_projective),
+    "patch": ("gap-tooth stability probe and grid convergence study", (
+        _Param("pde", "str", choices=tuple(PATCH_PDES)),
+        _Param("coefficient", "float", 1.0),
+        _Param("lifting", "str", choices=tuple(LIFTING_VARIANTS)),
+        _Param("n_points", "int", 64),
+        _Param("h_fraction", "float", 0.2),
+        _Param("dt_ratio", "float", 0.0),
+        _Param("dt_micro_factor", "float", 1e-3),
+        _Param("alpha", "float", 0.0),
+        _Param("probe_steps", "int", 400),
+        _Param("grids", "int_list", ()),
+        _Param("final_time", "float", 0.0),
+        _Param("expect_stability", "str", "", choices=("", *STABILITY_CODES)),
+        _Param("expect_order", "float", math.nan),
+        _Param("order_tolerance", "float", 0.3),
+    ), _plan_patch),
+    "order-detect": ("black-box spatial order detection", (
+        _Param("target", "str", choices=(*TARGET_PDES, "adversarial")),
+        _Param("dt_micro", "float", 1e-3),
+        _Param("h", "float", 0.1),
+        _Param("d_max", "int", 0),
+        _Param("n_base", "int", 8),
+        _Param("n_perturb", "int", 1024),
+        _Param("halfwidth", "float", 1.0),
+        _Param("stop_after", "int", 0),
+        _Param("budget", "int", 0),
+        _Param("expected_order", "int", -1),
+    ), _plan_order_detect),
+    "kp": ("particle-in-random-field displacement exponents", (
+        _Param("deltas", "float_list"),
+        _Param("gamma_bands", "band_list", ()),
+        _Param("n_trajectories", "int", 24),
+        _Param("n_modes", "int", 256),
+        _Param("spectrum", "float", 0.0),
+        _Param("x0", "float", 0.0),
+        _Param("v0", "float", 1.0),
+        _Param("total_time", "float", 0.008),
+        _Param("dt_scale", "float", 1e-3),
+        _Param("n_samples", "int", 400),
+        _Param("fit_lag_lo", "float", 1e-4),
+        _Param("fit_lag_hi", "float", 1e-3),
+        _Param("n_lags", "int", 10),
+        _Param("calibrate", "bool", True),
+        _Param("validate_dt", "bool", True),
+    ), _plan_kp),
+}

@@ -199,21 +199,22 @@ def test_readme_config_example_parses():
 
 
 def test_readme_config_key_tables_match_the_schemas():
-    from patchlab.config import _KINDS, _REQUIRED, _SCHEMAS, PATCH_PDES, TARGET_PDES
+    from patchlab.config import _KINDS
+    from patchlab.runner import EXPERIMENTS, PATCH_PDES, TARGET_PDES
 
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("### Config keys\n", 1)[1].split("\n## ", 1)[0]
     tables = dict(re.findall(r"^`([a-z-]+)`:\n\n((?:\|.*\n)+)", section, re.M))
-    assert list(tables) == list(_SCHEMAS)
+    assert list(tables) == list(EXPERIMENTS)
     meanings = {}
     for experiment, table in tables.items():
         rows = [[cell.strip() for cell in line.strip("|").split("|")]
                 for line in table.splitlines()[2:]]
-        params = _SCHEMAS[experiment][1]
+        params = EXPERIMENTS[experiment][1]
         assert [row[0] for row in rows] == [f"`{p.name}`" for p in params]
         for param, (_, default, meaning) in zip(params, rows):
             meanings[experiment, param.name] = meaning
-            if param.default is _REQUIRED:
+            if param.default is None:
                 assert default == "*required*", param.name
                 continue
             raw = "" if default == "*empty*" else default.strip("`")
@@ -234,10 +235,10 @@ def test_readme_config_key_tables_match_the_schemas():
 
 
 def test_every_choice_the_schema_offers_resolves_through_its_table():
-    from patchlab.config import _SCHEMAS
-    from patchlab.runner import _order_detect_box, _patch_setup
+    from patchlab.runner import EXPERIMENTS, _order_detect_box, _patch_setup
 
-    choices = {p.name: p.choices for _, params in _SCHEMAS.values() for p in params if p.choices}
+    choices = {p.name: p.choices for _, params, _ in EXPERIMENTS.values() for p in params
+               if p.choices}
     for pde, lifting in itertools.product(choices["pde"], choices["lifting"]):
         p = parse_config(
             f"[experiment]\nname = patch\n[parameters]\npde = {pde}\nlifting = {lifting}\n"
@@ -861,22 +862,37 @@ PATCH_ORDER = "pde = advection\nlifting = central_d2\ngrids = 16, 32\n"
         # a start that is not finite would diverge at the first step
         ("projective", "x0 = nan\n", "x0 must be finite"),
         ("projective", "x0 = inf\n", "x0 must be finite"),
+        # each used to blame noise_amplitude for a tail variance it read as an overflow
+        *[("projective", f"drift = ou\nou_rate = {rate}\nn_steps = 2000\n",
+           "ou_rate must be finite") for rate in ("nan", "inf", "-inf")],
+        # a finite spectrum whose amplitude 8**1e308 used to overflow inside the run
+        ("kp", "deltas = 1.0\nn_trajectories = 2\nn_modes = 8\nspectrum = -1e308\n",
+         "spectrum -1e+308 overflows the amplitudes m**-spectrum"),
+        # each used to name dt, the argument of derivative_blackbox, not the key
+        *[("order-detect", f"target = heat\ndt_micro = {dt}\n",
+           "dt_micro must be positive and finite") for dt in ("nan", "0", "-1", "inf")],
     ],
     ids=["infinite-tolerance_fraction", "negative-tolerance_fraction", "nan-tolerance_fraction",
-         "infinite-order_tolerance", "infinite-expect_order", "nan-x0", "infinite-x0"],
+         "infinite-order_tolerance", "infinite-expect_order", "nan-x0", "infinite-x0",
+         "nan-ou_rate", "infinite-ou_rate", "negative-infinite-ou_rate", "overflowing-spectrum",
+         "nan-dt_micro", "zero-dt_micro", "negative-dt_micro", "infinite-dt_micro"],
 )
 def test_a_vacuous_tolerance_or_target_fails_before_the_run(tmp_path, monkeypatch, capsys,
                                                             command, parameters, message):
     import patchlab.runner as runner
 
-    for name in ("run_coarse_trajectory", "step_symbol", "seeded_noise_state"):
+    for name in ("run_coarse_trajectory", "step_symbol", "seeded_noise_state",
+                 "ensemble_velocities", "detect_order"):
         def no_run(*args, name=name, **kwargs):
             raise AssertionError(f"{name} ran before the config was checked")
 
         monkeypatch.setattr(runner, name, no_run)
     text = f"[experiment]\nname = {command}\nseed = 0\n[parameters]\n{parameters}"
     out = tmp_path / "o"
-    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    # the error line reports the refusal; numpy does not warn of an overflow as well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {command}: {message}\n"
     assert not out.exists()
 
@@ -1200,7 +1216,7 @@ def _fail_on_second(real):
 
 @pytest.mark.parametrize("stage", ["write", "replace"])
 def test_failed_write_leaves_nothing_that_blocks_a_rerun(tmp_path, monkeypatch, capsys, stage):
-    import patchlab.runner as runner
+    import patchlab.cli as cli
 
     cfg = write(tmp_path, MINIMAL_PROJECTIVE)
     out = tmp_path / "out"
@@ -1210,7 +1226,7 @@ def test_failed_write_leaves_nothing_that_blocks_a_rerun(tmp_path, monkeypatch, 
             def broken(config):
                 raise OSError("injected write failure")
 
-            m.setattr(runner, "render_config", broken)
+            m.setattr(cli, "render_config", broken)
         else:
             # the second rename fails after the summary was moved into place
             m.setattr(os, "replace", _fail_on_second(os.replace))

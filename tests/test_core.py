@@ -44,8 +44,8 @@ from patchlab import (
     synthesize_force_field,
     tooth_average,
 )
+from patchlab.cli import run_experiment
 from patchlab.config import parse_config
-from patchlab.runner import run_experiment
 
 
 def manual_eval(coeffs, center, x):
@@ -450,6 +450,10 @@ BAD_INPUTS = {
                                "dt must be positive and finite"),
     "synthesize_force_field-n_modes": (lambda v: synthesize_force_field(v, 0.0, RngStreamSpec(0)),
                                        0, "n_modes must be >= 1"),
+    # finite, but the amplitude 8**1e308 is not
+    "synthesize_force_field-spectrum": (
+        lambda v: synthesize_force_field(8, v, RngStreamSpec(0)), -1e308,
+        "spectrum -1e+308 overflows the amplitudes m**-spectrum"),
     "kp_integrate-delta": (lambda v: kp_integrate(_FIELD, v, 0.008, 1e-4), 0.0,
                            "delta must be positive and finite"),
     "kp_integrate-total_time": (lambda v: kp_integrate(_FIELD, 1.0, v, 1e-4), 0.0,
