@@ -89,6 +89,15 @@ EDGE_CONFIGS = {
     "vacuous-tolerance": _config(
         "projective", "drift = ou\nou_rate = 3\nn_steps = 2000\ntolerance_fraction = inf\n",
         seed=0),
+    # each size key whose largest array would pass the cap on array elements
+    "huge-n-points": _config(
+        "patch", "pde = heat\nlifting = central_d2\nn_points = 100000000000\n"),
+    "huge-n-lags": _config("kp", "deltas = 1.0\nn_lags = 100000000000\n"),
+    "huge-n-modes": _config("kp", "deltas = 1.0\nn_modes = 100000000000\n"),
+    "huge-n-base": _config("order-detect", "target = heat\nn_base = 100000000000\n"),
+    "huge-n-perturb": _config("order-detect", "target = heat\nn_perturb = 100000000000\n"),
+    # the propagator's (d_max + 1)**2 matrix
+    "huge-d-max": _config("order-detect", "target = heat\nd_max = 100000\n"),
 }
 
 

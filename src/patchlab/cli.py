@@ -6,8 +6,11 @@ an unresolved kp step, any estimate that is not finite, such as a nan order or
 exponent); 2 a configuration or usage error, found before any work (a value
 that would overflow inside the run, a gamma band end that is not finite, a
 drift-free projective run of fewer than 2 steps, a run past the step cap,
-projective ``n_steps`` and ``ensemble_size * micro_steps`` included), or
-results that cannot be written; 3 an internal error: an exception no check
+projective ``n_steps`` and ``ensemble_size * micro_steps`` included, a size
+key whose largest array has more elements than the same cap: patch
+``n_points`` and ``grids``, kp ``n_lags``, ``n_modes`` and ``n_trajectories``,
+order-detect ``n_base``, ``n_perturb`` and ``d_max``), or results that cannot
+be written; 3 an internal error: an exception no check
 expects, reported on one line naming the experiment, the stage (plan or
 execute) and the exception, with no output written.
 """

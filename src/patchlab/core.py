@@ -166,8 +166,9 @@ def unsigned_seed(value, name: str) -> int:
     return whole
 
 
-# the most steps one stepping loop may take; the repository's configs need at
-# most 519 macro, 3,200 leapfrog and 5,120 finite-difference steps
+# the most steps one stepping loop may take, and the most elements of the
+# largest array a size key sets; the repository's configs need at most 519
+# macro, 3,200 leapfrog and 5,120 finite-difference steps and 9,624 elements
 _MAX_STEPS = 10**7
 
 

@@ -128,9 +128,10 @@ class MsdFit:
 
 
 def field_modes(n_modes: int, spectrum: float) -> tuple[int, float]:
-    """``(n_modes, spectrum)``; ``ValueError`` unless n_modes >= 1, spectrum is finite
-    and so is the largest amplitude, 1 or ``n_modes**-spectrum``."""
+    """``(n_modes, spectrum)``; ``ValueError`` unless 1 <= n_modes <= the step cap,
+    spectrum is finite and so is the largest amplitude, 1 or ``n_modes**-spectrum``."""
     n_modes, spectrum = at_least(n_modes, 1, "n_modes"), float(spectrum)
+    step_cap(n_modes, "n_modes", n_modes, "array elements")
     if not math.isfinite(spectrum):
         raise ValueError("spectrum exponent must be finite")
     try:
@@ -311,6 +312,7 @@ def fit_lag_steps(times: np.ndarray, lag_lo: float, lag_hi: float, n_lags: int) 
     if not 0 < lag_lo < lag_hi:
         raise ValueError("need 0 < lag_lo < lag_hi")
     n_lags = at_least(n_lags, 2, "n_lags")
+    step_cap(n_lags, "n_lags", n_lags, "array elements")
     raw = np.logspace(math.log10(lag_lo), math.log10(lag_hi), n_lags)
     steps = np.maximum(1, np.round(raw / sample_dt).astype(int))
     # nondecreasing, so the first of each run of equal steps is np.unique's

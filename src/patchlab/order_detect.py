@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    PdeSpec, RngStreamSpec, at_least, average_weights, generator, positive, unsigned_seed,
-    value_type,
+    PdeSpec, RngStreamSpec, at_least, average_weights, generator, positive, step_cap,
+    unsigned_seed, value_type,
 )
 from .micro import propagator_matrix
 
@@ -217,9 +217,12 @@ def derivative_blackbox(
     spatial order directly.
     """
     d_max = at_least(d_max, 0, "d_max")
+    step_cap((d_max + 1) ** 2, "d_max", d_max, "array elements")
     dt = positive(dt, "dt")
-    M = propagator_matrix(pde, d_max, dt)
+    # the weights overflow from degree 150 on, so they are checked first: the
+    # propagator's series on a (d_max + 1)**2 matrix runs for minutes
     w = average_weights(d_max, h)
+    M = propagator_matrix(pde, d_max, dt)
     response = (w @ M - w) / dt  # linear in the coefficients
 
     def evaluate(coeffs: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 """Gap-tooth macro stepping for 1-d periodic fields.
 
-Each macro node owns a tooth of width ``h`` (< grid spacing).  A step
-lifts the node values to one row of raw-derivative coefficients per tooth
-(an ``(n, degree+1)`` array), evolves the rows with a micro solver over
-``dt_micro``, averages the result back over each tooth (restriction), and
-extrapolates the chord over the macro step:
+Each macro node owns a tooth of width ``h`` (< grid spacing).  A step is one
+cycle, whichever micro solver runs it: lift the node values once to one row
+of raw-derivative coefficients per tooth (an ``(n, degree+1)`` array), evolve
+the rows over ``dt_micro`` and over ``alpha * dt_micro`` (the exact propagator
+or the buffered finite-difference solver), average each result back over its
+tooth (restriction), and extrapolate the chord over the macro step:
 
     U' = U + dt_macro * (restrict_dt - restrict_alpha) / ((1-alpha) dt_micro)
 
@@ -161,45 +162,34 @@ def restrict(coeffs: np.ndarray, h: float):
     return float(avg) if avg.ndim == 0 else avg
 
 
-def _restricted_means_exact(coeffs: np.ndarray, pde: PdeSpec, dt: float, h: float) -> np.ndarray:
-    M = propagator_matrix(pde, coeffs.shape[1] - 1, dt)
-    return restrict(coeffs @ M.T, h)
+def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
+    """One macro step of the gap-tooth scheme on a periodic grid: the module's cycle.
 
-
-def _restricted_means_fd(U: MacroState, pde: PdeSpec, cfg: PatchConfig):
-    """Tooth averages at ``dt_micro`` and at ``alpha * dt_micro`` on the FD route.
-
-    One lift serves both evolutions, and each evolution advances every tooth
-    as one row of a single array.  A non-finite lifted row raises
-    ``ValueError`` naming the first tooth that has one; every other check
-    (lift, stability, buffer, coverage) holds for all teeth alike, so its
-    ``ValueError`` names no tooth.
+    On the FD route a non-finite lifted row raises ``ValueError`` naming the
+    first tooth that has one; every other check (lift, stability, buffer,
+    coverage) holds for all teeth alike, so its ``ValueError`` names no tooth.
+    The exact route steps a non-finite state to non-finite values.
     """
     h = cfg.tooth.h
     coeffs = lift_coefficients(U, cfg.lifting, h)
-    if not np.isfinite(coeffs).all():
-        bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
-        raise ValueError(f"tooth {bad[0]}: lifted coefficients must be finite")
-    # chord base from the sampled field at alpha*dt_micro (0 steps when
-    # alpha = 0), so the quadrature error of tooth_average cancels in the
-    # difference instead of being amplified by dt_macro/dt_micro
-    return tuple(
-        tooth_average(evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro), cfg.micro.dx, h)
-        for dt in (cfg.dt_micro, cfg.alpha * cfg.dt_micro)
-    )
-
-
-def gap_tooth_step(U: MacroState, pde: PdeSpec, cfg: PatchConfig) -> MacroState:
-    """One macro step of the gap-tooth scheme on a periodic grid."""
-    h = cfg.tooth.h
     if cfg.evolution == "exact":
-        coeffs = lift_coefficients(U, cfg.lifting, h)
-        means_dt = _restricted_means_exact(coeffs, pde, cfg.dt_micro, h)
-        # the chord starts from U itself at alpha = 0
-        base = (_restricted_means_exact(coeffs, pde, cfg.alpha * cfg.dt_micro, h)
-                if cfg.alpha > 0.0 else U.values)
+        def means(dt):
+            return restrict(coeffs @ propagator_matrix(pde, coeffs.shape[1] - 1, dt).T, h)
     else:
-        means_dt, base = _restricted_means_fd(U, pde, cfg)
+        if not np.isfinite(coeffs).all():
+            bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+            raise ValueError(f"tooth {bad[0]}: lifted coefficients must be finite")
+
+        def means(dt):
+            return tooth_average(evolve_fd_buffered(coeffs, pde, dt, cfg.tooth, cfg.micro),
+                                 cfg.micro.dx, h)
+    means_dt = means(cfg.dt_micro)
+    # the exact chord starts from U itself at alpha = 0; the FD one always from
+    # the sampled field at alpha*dt_micro (0 steps at alpha = 0), so the quadrature
+    # error of tooth_average cancels in the difference instead of being amplified
+    # by dt_macro/dt_micro
+    exact_base = cfg.evolution == "exact" and cfg.alpha == 0.0
+    base = U.values if exact_base else means(cfg.alpha * cfg.dt_micro)
     new_values = U.values + cfg.dt_macro * (means_dt - base) / ((1.0 - cfg.alpha) * cfg.dt_micro)
     return MacroState(new_values, U.dx, U.time + cfg.dt_macro)
 

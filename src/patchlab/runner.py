@@ -166,6 +166,8 @@ def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
     a1 = dict(pde.terms).get(1, 0.0)
     scheme = LiftingScheme(p["lifting"], wind_sign=-1 if a1 > 0 else 1)
     dx = 2.0 * math.pi / at_least(n_points, scheme.stencil_points, key)
+    # the largest array of a step is the (n_points, stencil_points) lift
+    step_cap(n_points * scheme.stencil_points, key, n_points, "array elements")
     ratio = positive(p["dt_ratio"] or dt_ratio, "dt_ratio")
     dt_macro = ratio * dx ** pde.max_order
     cfg = PatchConfig(
@@ -263,6 +265,11 @@ def _plan_order_detect(p: dict, seed: int):
     box = _order_detect_box(p)
     probe = ProbeSpec(n_base=p["n_base"], n_perturb=p["n_perturb"], halfwidth=p["halfwidth"],
                       seed=seed)
+    # a coordinate's probe holds n_perturb outputs and (n_base, n_perturb) sweep
+    # values beside (n_base, arity) base points
+    step_cap(probe.n_perturb, "n_perturb", probe.n_perturb, "array elements")
+    step_cap(probe.n_base * max(probe.n_perturb, box.arity), "n_base", probe.n_base,
+             "array elements")
     stop_after = at_least(p["stop_after"], 1, "stop_after") if p["stop_after"] else None
     expected = p["expected_order"] if p["expected_order"] >= 0 else None
 
@@ -317,8 +324,12 @@ def _plan_kp(p: dict, seed: int):
         sample_steps(sample_dt, dt, n_samples, "dt_scale", dt_scale)
     fit_lag_steps(np.linspace(0.0, total_time, n_samples + 1), p["fit_lag_lo"], p["fit_lag_hi"],
                   p["n_lags"])
-    at_least(p["n_trajectories"], 1, "n_trajectories")
-    field_modes(p["n_modes"], p["spectrum"])
+    n_trajectories = at_least(p["n_trajectories"], 1, "n_trajectories")
+    n_modes, _ = field_modes(p["n_modes"], p["spectrum"])
+    # the stack holds (n_trajectories, n_samples + 1) samples of each kind and
+    # (n_trajectories, n_modes) phases
+    step_cap(n_trajectories * max(n_samples + 1, n_modes), "n_trajectories", n_trajectories,
+             "array elements")
     finite_start((p["x0"], p["v0"]))
     if p["calibrate"]:
         # the calibration paths span [0, 1] on the same sample count

@@ -871,11 +871,27 @@ PATCH_ORDER = "pde = advection\nlifting = central_d2\ngrids = 16, 32\n"
         # each used to name dt, the argument of derivative_blackbox, not the key
         *[("order-detect", f"target = heat\ndt_micro = {dt}\n",
            "dt_micro must be positive and finite") for dt in ("nan", "0", "-1", "inf")],
+        # each size key past the cap on its largest array used to exit 3 as an
+        # internal MemoryError, blame another key, or fill memory
+        *[(command, f"{parameters}{key} = {value}\n",
+           f"{key} {value.split(',')[-1].strip()} needs more than 10000000 array elements")
+          for command, parameters, key, value in (
+              ("patch", "pde = heat\nlifting = central_d2\n", "n_points", "100000000000"),
+              ("patch", "pde = heat\nlifting = central_d2\n", "grids", "32, 100000000000"),
+              ("kp", "deltas = 1.0\n", "n_lags", "100000000000"),
+              ("kp", "deltas = 1.0\n", "n_modes", "100000000000"),
+              ("kp", "deltas = 1.0\n", "n_trajectories", "100000000000"),
+              ("order-detect", "target = heat\n", "n_base", "100000000000"),
+              ("order-detect", "target = heat\n", "n_perturb", "100000000000"),
+              # the propagator of a (d_max + 1)**2 matrix
+              ("order-detect", "target = heat\n", "d_max", "100000"))],
     ],
     ids=["infinite-tolerance_fraction", "negative-tolerance_fraction", "nan-tolerance_fraction",
          "infinite-order_tolerance", "infinite-expect_order", "nan-x0", "infinite-x0",
          "nan-ou_rate", "infinite-ou_rate", "negative-infinite-ou_rate", "overflowing-spectrum",
-         "nan-dt_micro", "zero-dt_micro", "negative-dt_micro", "infinite-dt_micro"],
+         "nan-dt_micro", "zero-dt_micro", "negative-dt_micro", "infinite-dt_micro",
+         "huge-n_points", "huge-grids", "huge-n_lags", "huge-n_modes", "huge-n_trajectories",
+         "huge-n_base", "huge-n_perturb", "huge-d_max"],
 )
 def test_a_vacuous_tolerance_or_target_fails_before_the_run(tmp_path, monkeypatch, capsys,
                                                             command, parameters, message):

@@ -140,6 +140,19 @@ def box_response(pde, d_max, dt, h):
     return out
 
 
+def test_overflowing_weights_are_refused_before_the_propagator_is_built(monkeypatch):
+    import patchlab.order_detect as order_detect
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("the propagator was built before the weights were checked")
+
+    # the weights overflow from degree 150 on, while the propagator's series on a
+    # (d_max + 1)**2 matrix runs for minutes at a d_max in the thousands
+    monkeypatch.setattr(order_detect, "propagator_matrix", no_series)
+    with pytest.raises(ValueError, match="average weights overflow at degree 150, h = 0.1"):
+        derivative_blackbox(PdeSpec.heat(), d_max=150, dt=1e-3, h=0.1)
+
+
 def test_heat_blackbox_response():
     resp = box_response(PdeSpec.heat(1.0), d_max=2, dt=1e-3, h=0.1)
     np.testing.assert_allclose(resp, [0.0, 0.0, 1.0], atol=1e-12)
