@@ -14,7 +14,10 @@ the experiment.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -209,6 +212,68 @@ def finite_start(initial: tuple[float, float]) -> tuple[float, float]:
     return x0, v0
 
 
+def _integrate_rows(field, delta, x0, v0, dt, n_samples, steps_per_sample, validate):
+    # the leapfrog run of one stack and, if asked, each row's energy error
+    xs, vs = _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample)
+    energy_error = None
+    if validate:
+        # one sample column at a time: the whole run at once would build an
+        # (n_fields, n_samples + 1, n_modes) phase array and its sine; an
+        # overflowing velocity gives an error that is not finite, no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0 = energy(field, delta, xs[..., 0], vs[..., 0])
+            drift = np.max([abs(energy(field, delta, xs[..., s], vs[..., s]) - e0)
+                            for s in range(1, n_samples + 1)], axis=0)
+            kinetic = 0.5 * np.mean(vs**2, axis=-1)
+            # a particle at rest throughout has neither drift nor kinetic
+            # scale; a NaN drift stays NaN and fails the check
+            energy_error = np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift != 0)
+    return xs, vs, energy_error
+
+
+def _usable_cpus() -> int:
+    # the CPUs this process may run on, where the platform says
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _integrate_blocks(field, n_blocks, run):
+    # each block of rows runs as a stack of its own, so every row keeps its
+    # bits; numpy's cos and sin release the interpreter lock, so the blocks
+    # overlap. Block 0 runs in the calling thread, each other in a thread of
+    # its own under a copy of the caller's context, which carries np.errstate
+    blocks = [
+        RandomForceField(amplitudes=field.amplitudes, wavenumbers=field.wavenumbers, phases=rows)
+        for rows in np.array_split(field.phases, n_blocks)
+    ]
+    results = [None] * n_blocks
+
+    def integrate(i):
+        try:
+            results[i] = _integrate_rows(blocks[i], *run)
+        except BaseException as error:  # re-raised in the calling thread
+            results[i] = error
+
+    helpers = []
+    try:
+        for i in range(1, n_blocks):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(integrate, i))
+            thread.start()
+            helpers.append(thread)
+        results[0] = _integrate_rows(blocks[0], *run)
+    finally:
+        for thread in helpers:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    xs, vs, errors = zip(*results)
+    energy_error = None if errors[0] is None else np.concatenate(errors)
+    return np.concatenate(xs), np.concatenate(vs), energy_error
+
+
 def kp_integrate(
     field: RandomForceField,
     delta: float,
@@ -224,13 +289,15 @@ def kp_integrate(
     exactly.  A stacked field runs one particle per row, all from
     ``initial``, and gives positions and velocities of shape
     ``(n_fields, n_samples + 1)``; each row has the same bits as a run of
-    that row's field alone.  With ``validate=True`` the run is checked on
-    its own samples: the flow conserves ``energy``, and the leapfrog keeps
-    its error bounded at O(dt^2), so a row's ``energy_error`` (its largest
-    energy error over its kinetic scale, half its mean squared velocity)
-    above ``SELF_CONSISTENCY_TOL``, or not finite, marks an unresolved step.
-    The run never raises for it; the caller compares ``energy_error`` with
-    the tolerance.
+    that row's field alone.  The rows run as one contiguous block per CPU
+    the process may use, each block in a thread of its own, so the bits do
+    not depend on the CPU count either.  With ``validate=True`` the run is
+    checked on its own samples: the flow conserves ``energy``, and the
+    leapfrog keeps its error bounded at O(dt^2), so a row's ``energy_error``
+    (its largest energy error over its kinetic scale, half its mean squared
+    velocity) above ``SELF_CONSISTENCY_TOL``, or not finite, marks an
+    unresolved step.  The run never raises for it; the caller compares
+    ``energy_error`` with the tolerance.
     """
     delta = checked_delta(delta)
     total_time = positive(total_time, "total_time")
@@ -240,20 +307,12 @@ def kp_integrate(
     sample_dt = total_time / n_samples
     steps_per_sample = sample_steps(sample_dt, dt, n_samples, "total_time", total_time)
     dt_used = sample_dt / steps_per_sample
-    xs, vs = _leapfrog(field, delta, x0, v0, dt_used, n_samples, steps_per_sample)
-    energy_error = None
-    if validate:
-        # one sample column at a time: the whole run at once would build an
-        # (n_fields, n_samples + 1, n_modes) phase array and its sine; an
-        # overflowing velocity gives an error that is not finite, no warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            e0 = energy(field, delta, xs[..., 0], vs[..., 0])
-            drift = np.max([abs(energy(field, delta, xs[..., s], vs[..., s]) - e0)
-                            for s in range(1, n_samples + 1)], axis=0)
-            kinetic = 0.5 * np.mean(vs**2, axis=-1)
-            # a particle at rest throughout has neither drift nor kinetic
-            # scale; a NaN drift stays NaN and fails the check
-            energy_error = np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift != 0)
+    run = (delta, x0, v0, dt_used, n_samples, steps_per_sample, validate)
+    n_blocks = min(field.phases.shape[0], _usable_cpus()) if field.phases.ndim == 2 else 1
+    if n_blocks > 1:
+        xs, vs, energy_error = _integrate_blocks(field, n_blocks, run)
+    else:
+        xs, vs, energy_error = _integrate_rows(field, *run)
     times = np.linspace(0.0, total_time, n_samples + 1)
     return ScaledTrajectory(
         delta=delta, times=times, positions=xs, velocities=vs, dt_used=dt_used,

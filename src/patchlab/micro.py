@@ -93,9 +93,11 @@ def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
     ``L = sum_r a_r d^r/dx^r`` shifts raw coefficients, so it is nilpotent
     on polynomials and the exponential series terminates exactly.  The
     matrix is cached and read-only; a ``dt`` that makes it non-finite, by
-    overflow or as NaN, raises ``ValueError``.
+    overflow or as NaN, raises ``ValueError``, and so does a degree whose
+    ``(degree + 1)**2`` matrix exceeds the step cap.
     """
     degree = at_least(degree, 0, "degree")
+    step_cap((degree + 1) ** 2, "degree", degree, "array elements")
     if dt < 0:
         raise ValueError("dt must be >= 0")
     return _propagator_matrix(pde, degree, float(dt))
@@ -103,29 +105,35 @@ def propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _propagator_matrix(pde: PdeSpec, degree: int, dt: float) -> np.ndarray:
-    # the matrix depends only on the operator, the degree and the step
+    # the matrix depends only on the operator, the degree and the step. L and
+    # each of its powers are upper-triangular Toeplitz, so row 0 of L**m, built
+    # from that of L**(m-1) by one shifted add per term, stands for all of it
     n = degree + 1
-    L = np.zeros((n, n))
-    for order, a in pde.terms:
-        for k in range(n - order):
-            L[k, k + order] += a
-    M = np.eye(n)
-    P = np.eye(n)
+    terms = [(order, a) for order, a in pde.terms if order < n]
+    e = np.zeros(n)
+    e[0] = 1.0
+    p = e.copy()
     factorial = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n + 1):
-            P = P @ L
-            if not P.any():
+            q = np.zeros(n)
+            for order, a in terms:
+                q[order:] += a * p[: n - order]
+            p = q
+            if not p.any():
                 break
             factorial *= m
             try:
                 scale = dt**m / factorial
             except OverflowError:
                 scale = math.inf
-            M = M + scale * P
-    if not np.isfinite(M).all():
+            e = e + scale * p
+    if not np.isfinite(e).all():
         # raised, so not cached: a smaller dt gets its own entry
         raise ValueError(f"the propagator exp(dt L) is not finite at dt = {dt!r}")
+    M = np.zeros((n, n))
+    for i in range(n):
+        M[i, i:] = e[: n - i]
     return frozen_array(M)
 
 

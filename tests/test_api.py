@@ -96,8 +96,10 @@ def _imported_modules(path):
                          ids=lambda p: p.name)
 def test_package_does_not_import_dataclasses(path):
     # each dataclass compiles its methods at import; core.value_type builds
-    # the value types without that start-up cost
-    assert "dataclasses" not in _imported_modules(path)
+    # the value types without that start-up cost. A pool from concurrent.futures
+    # imports logging, 8-10 ms of every run's start-up; kp runs its blocks on
+    # plain threads, and no module starts a process
+    assert not {"dataclasses", "concurrent", "multiprocessing"} & _imported_modules(path)
 
 
 def _package_imports(name):

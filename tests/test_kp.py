@@ -1,6 +1,7 @@
 """Particle in a random force field: integrator fidelity and MSD exponents."""
 
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -122,6 +123,72 @@ def test_stack_error_names_the_lowest_failing_row():
     pair = ensemble_velocities(n_trajectories=4, n_modes=256, spectrum=0.0,
                                rng=RngStreamSpec(141), **run)
     np.testing.assert_array_equal(pair.energy_error, error)
+
+
+@pytest.mark.parametrize("cpus", [2, 5, 24])
+def test_blocks_of_rows_keep_every_bit(monkeypatch, cpus):
+    # a stack runs as min(rows, cpus) blocks, one thread each; no row may
+    # depend on how the rows are split
+    run = dict(delta=0.3, total_time=0.008, dt=1e-4, n_samples=50)
+    stack = stacked(fields_from(24, 24, 8))
+    blocks = []
+
+    def counted(field, *args):
+        blocks.append(field.phases.shape[0])
+        return leapfrog(field, *args)
+
+    def runs(n_cpus):
+        blocks.clear()
+        monkeypatch.setattr(patchlab.kp, "_usable_cpus", lambda: n_cpus)
+        return (kp_integrate(stack, **run),
+                ensemble_velocities(n_trajectories=24, n_modes=8, spectrum=0.0,
+                                    rng=RngStreamSpec(24), **run))
+
+    leapfrog = patchlab.kp._leapfrog
+    monkeypatch.setattr(patchlab.kp, "_leapfrog", counted)
+    one_cpu = runs(1)
+    assert blocks == [24, 24]
+    split = runs(cpus)
+    assert sorted(blocks) == sorted(2 * [len(rows) for rows in np.array_split(range(24), cpus)])
+    for alone, together in zip(one_cpu, split):
+        for name in ("positions", "velocities", "energy_error"):
+            assert getattr(together, name).tobytes() == getattr(alone, name).tobytes()
+    assert kp_integrate(stack, validate=False, **run).energy_error is None
+
+
+@pytest.mark.parametrize("bad_row", [0, 3])
+def test_every_block_runs_under_the_callers_errstate(monkeypatch, bad_row):
+    # two blocks of two rows: row 0 runs in the calling thread, row 3 in a
+    # helper; at x = 1e308 the phase k x + phi overflows in the row whose
+    # phase is 1e308, and only there
+    monkeypatch.setattr(patchlab.kp, "_usable_cpus", lambda: 2)
+    phases = np.zeros((4, 2))
+    phases[bad_row] = 1e308
+    stack = RandomForceField(amplitudes=[1.0, 1.0], wavenumbers=[1.0, 0.5], phases=phases)
+    run = dict(delta=1.0, total_time=0.008, dt=1e-4, initial=(1e308, 1.0), n_samples=50)
+    threads = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        kp_integrate(stack, **run)
+    assert threading.active_count() == threads
+
+
+def test_the_lowest_failing_block_raises(monkeypatch):
+    # four blocks of one row; blocks 2 and 3 fail, each in a helper thread
+    monkeypatch.setattr(patchlab.kp, "_usable_cpus", lambda: 4)
+
+    def fail_from_row_2(field, *args):
+        if field.phases[0, 0] >= 2:
+            raise ValueError(f"block of row {field.phases[0, 0]:g}")
+        return leapfrog(field, *args)
+
+    leapfrog = patchlab.kp._leapfrog
+    monkeypatch.setattr(patchlab.kp, "_leapfrog", fail_from_row_2)
+    stack = RandomForceField(amplitudes=[1.0], wavenumbers=[1.0],
+                             phases=[[0.0], [1.0], [2.0], [3.0]])
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^block of row 2$"):
+        kp_integrate(stack, 1.0, total_time=0.008, dt=1e-4, n_samples=50)
+    assert threading.active_count() == threads
 
 
 def test_force_and_potential_shapes():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import patchlab.core
 from patchlab import micro
 from patchlab import (
     CENTRAL_D2,
@@ -130,6 +131,54 @@ def test_propagator_series_terminates_exactly():
                 assert M[k, j] == pytest.approx((a * dt) ** (j - k) / math.factorial(j - k), rel=1e-14)
             else:
                 assert M[k, j] == 0.0
+
+
+def dense_series(pde, degree, dt):
+    # exp(dt L) summed with the whole matrix power P = L**m at every term
+    n = degree + 1
+    L = np.zeros((n, n))
+    for order, a in pde.terms:
+        for k in range(n - order):
+            L[k, k + order] += a
+    M, P, factorial = np.eye(n), np.eye(n), 1.0
+    for m in range(1, n + 1):
+        P = P @ L
+        if not P.any():
+            break
+        factorial *= m
+        M = M + (dt**m / factorial) * P
+    return M
+
+
+@pytest.mark.parametrize(
+    "pde", [PdeSpec.heat(0.7), PdeSpec.advection(1.3), PdeSpec.advection(-0.4), PdeSpec.biharmonic()],
+    ids=["heat", "advection-right", "advection-left", "biharmonic"],
+)
+def test_propagator_matrix_keeps_the_bits_of_the_dense_series(pde):
+    # every power of L is Toeplitz, so the matrix is built from its row 0; with
+    # one term each entry of P @ L is one product, so no sum order can differ
+    for degree in range(30):
+        for dt in (1e-7, 1e-3, 0.05, 0.3, 2.0):
+            assert propagator_matrix(pde, degree, dt).tobytes() == dense_series(pde, degree, dt).tobytes()
+
+
+def test_propagator_matrix_of_several_terms_is_the_dense_series_to_rounding():
+    # BLAS sums the terms of P @ L in its own order: a rounding per series
+    # term at most, which 32 ulp covers up to degree 29
+    pde = PdeSpec({1: -1.0, 2: 0.1, 4: -0.5})
+    for degree in (3, 12, 29):
+        np.testing.assert_allclose(propagator_matrix(pde, degree, 0.3),
+                                   dense_series(pde, degree, 0.3), rtol=32 * np.finfo(float).eps)
+
+
+def test_propagator_matrix_refuses_a_degree_past_the_step_cap(monkeypatch):
+    with pytest.raises(ValueError) as err:
+        propagator_matrix(PdeSpec.heat(), 10**6, 0.1)
+    assert str(err.value) == "degree 1000000 needs more than 10000000 array elements"
+    monkeypatch.setattr(patchlab.core, "_MAX_STEPS", 100)
+    assert propagator_matrix(PdeSpec.heat(), 9, 0.1).shape == (10, 10)
+    with pytest.raises(ValueError, match="^degree 10 needs more than 100 array elements$"):
+        propagator_matrix(PdeSpec.heat(), 10, 0.1)
 
 
 def test_propagator_matrix_is_read_only():
