@@ -98,6 +98,8 @@ EDGE_CONFIGS = {
     "huge-n-perturb": _config("order-detect", "target = heat\nn_perturb = 100000000000\n"),
     # the propagator's (d_max + 1)**2 matrix
     "huge-d-max": _config("order-detect", "target = heat\nd_max = 100000\n"),
+    # the leapfrog steps that total_time, dt_scale and the delta set together
+    "huge-total-time": _config("kp", "deltas = 1.0\ntotal_time = 1e308\n"),
 }
 
 

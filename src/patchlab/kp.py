@@ -9,7 +9,8 @@ the velocity over a fixed window of lags answers "what order of effective
 equation does v follow here": exponent ~2 means ballistic (first-order
 transport), ~1 means diffusive (second-order).  For a field with a flat
 mode spectrum the answer genuinely depends on delta, which is the point of
-the experiment.
+the experiment.  Each run checks its own step: the routine that integrates
+a block of rows also takes each row's largest energy error over its samples.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ def energy(field: RandomForceField, delta: float, x, v):
     return 0.5 * v**2 + float(delta) * field.potential(x)
 
 
-def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample):
-    # one particle per field of the stack, all advanced in lockstep
+def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample, validate):
+    # one particle per field of the stack, all advanced in lockstep, and, with
+    # validate, each row's energy error, taken over the stored samples
     inv_d2 = 1.0 / delta**2
     inv_d = 1.0 / delta
     shape = field.phases.shape[:-1]
@@ -175,7 +177,20 @@ def _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample):
             f = field.force(x) * inv_d
             v = v_half + 0.5 * dt * f
         xs[..., s], vs[..., s] = x, v
-    return xs, vs
+    if not validate:
+        return xs, vs, None
+    # one sample column at a time, after the stepping loop: the whole run at
+    # once would build an (n_fields, n_samples + 1, n_modes) phase array and its
+    # sine, and each energy taken between the steps slows the small-array steps
+    # around it; an overflowing velocity gives an error that is not finite, no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0, drift = energy(field, delta, x0, v0), np.zeros(shape)
+        for s in range(1, n_samples + 1):
+            drift = np.maximum(drift, abs(energy(field, delta, xs[..., s], vs[..., s]) - e0))
+        kinetic = 0.5 * np.mean(vs**2, axis=-1)
+        # a particle at rest throughout has neither drift nor kinetic scale;
+        # a NaN drift stays NaN and fails the check
+        return xs, vs, np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift != 0)
 
 
 def sample_steps(sample_dt: float, dt: float, n_samples: int, name: str, value: float) -> int:
@@ -212,25 +227,6 @@ def finite_start(initial: tuple[float, float]) -> tuple[float, float]:
     return x0, v0
 
 
-def _integrate_rows(field, delta, x0, v0, dt, n_samples, steps_per_sample, validate):
-    # the leapfrog run of one stack and, if asked, each row's energy error
-    xs, vs = _leapfrog(field, delta, x0, v0, dt, n_samples, steps_per_sample)
-    energy_error = None
-    if validate:
-        # one sample column at a time: the whole run at once would build an
-        # (n_fields, n_samples + 1, n_modes) phase array and its sine; an
-        # overflowing velocity gives an error that is not finite, no warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            e0 = energy(field, delta, xs[..., 0], vs[..., 0])
-            drift = np.max([abs(energy(field, delta, xs[..., s], vs[..., s]) - e0)
-                            for s in range(1, n_samples + 1)], axis=0)
-            kinetic = 0.5 * np.mean(vs**2, axis=-1)
-            # a particle at rest throughout has neither drift nor kinetic
-            # scale; a NaN drift stays NaN and fails the check
-            energy_error = np.divide(drift, kinetic, out=np.zeros_like(drift), where=drift != 0)
-    return xs, vs, energy_error
-
-
 def _usable_cpus() -> int:
     # the CPUs this process may run on, where the platform says
     try:
@@ -252,7 +248,7 @@ def _integrate_blocks(field, n_blocks, run):
 
     def integrate(i):
         try:
-            results[i] = _integrate_rows(blocks[i], *run)
+            results[i] = _leapfrog(blocks[i], *run)
         except BaseException as error:  # re-raised in the calling thread
             results[i] = error
 
@@ -262,7 +258,7 @@ def _integrate_blocks(field, n_blocks, run):
             thread = threading.Thread(target=contextvars.copy_context().run, args=(integrate, i))
             thread.start()
             helpers.append(thread)
-        results[0] = _integrate_rows(blocks[0], *run)
+        results[0] = _leapfrog(blocks[0], *run)
     finally:
         for thread in helpers:
             thread.join()
@@ -312,7 +308,7 @@ def kp_integrate(
     if n_blocks > 1:
         xs, vs, energy_error = _integrate_blocks(field, n_blocks, run)
     else:
-        xs, vs, energy_error = _integrate_rows(field, *run)
+        xs, vs, energy_error = _leapfrog(field, *run)
     times = np.linspace(0.0, total_time, n_samples + 1)
     return ScaledTrajectory(
         delta=delta, times=times, positions=xs, velocities=vs, dt_used=dt_used,

@@ -320,8 +320,10 @@ def _plan_kp(p: dict, seed: int):
     total_time = positive(p["total_time"], "total_time")
     sample_dt = total_time / n_samples
     dts = [min(dt_scale * delta * delta, sample_dt) for delta in deltas]
-    for dt in dts:
-        sample_steps(sample_dt, dt, n_samples, "dt_scale", dt_scale)
+    for delta, dt in zip(deltas, dts):
+        # the step count is set by all three keys, so the refusal names each
+        sample_steps(sample_dt, dt, n_samples,
+                     f"total_time {total_time:g} at dt_scale {dt_scale:g} and delta", delta)
     fit_lag_steps(np.linspace(0.0, total_time, n_samples + 1), p["fit_lag_lo"], p["fit_lag_hi"],
                   p["n_lags"])
     n_trajectories = at_least(p["n_trajectories"], 1, "n_trajectories")

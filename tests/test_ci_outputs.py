@@ -69,7 +69,7 @@ EDGE_EXITS = {"diverged-projective": 1, "unresolved-kp-step": 1, "overflowing-kp
               "tail-variance-overflow": 2, "box-width-overflow": 2, "infinite-band": 2,
               "huge-n-steps": 2, "huge-ensemble": 2, "vacuous-tolerance": 2,
               "huge-n-points": 2, "huge-n-lags": 2, "huge-n-modes": 2, "huge-n-base": 2,
-              "huge-n-perturb": 2, "huge-d-max": 2}
+              "huge-n-perturb": 2, "huge-d-max": 2, "huge-total-time": 2}
 
 
 def test_every_edge_config_exits_with_its_code(outputs, tmp_path):

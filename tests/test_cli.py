@@ -15,6 +15,7 @@ import pytest
 import patchlab
 from patchlab import BlackBoxFunction, PdeSpec, main
 from patchlab.config import ConfigError, parse_config, render_config
+from patchlab.runner import EXPERIMENTS
 
 MINIMAL_PROJECTIVE = """
 [experiment]
@@ -581,11 +582,17 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
         ("deltas = 1.0\ntotal_time = inf\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ntotal_time = 0\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ndt_scale = nan\n", "dt_scale must be positive and finite"),
-        # too many leapfrog steps used to integrate without end
+        # too many leapfrog steps used to integrate without end; the count is
+        # set by total_time, dt_scale and the delta, and the refusal names all three
         ("deltas = 1.0\ndt_scale = 1e-300\n",
-         "dt_scale 1e-300 needs more than 10000000 leapfrog steps of 1e-300"),
+         "total_time 0.008 at dt_scale 1e-300 and delta 1 needs more than 10000000 "
+         "leapfrog steps of 1e-300"),
         ("deltas = 1.0, 1e-4\n",
-         "dt_scale 0.001 needs more than 10000000 leapfrog steps of 1e-11"),
+         "total_time 0.008 at dt_scale 0.001 and delta 0.0001 needs more than 10000000 "
+         "leapfrog steps of 1e-11"),
+        ("deltas = 1.0\ntotal_time = 1e308\n",
+         "total_time 1e+308 at dt_scale 0.001 and delta 1 needs more than 10000000 "
+         "leapfrog steps of 0.001"),
         # the leapfrog scales by 1/delta**2, so the delta is at fault, not dt_scale
         ("deltas = 1.0, 1e-200\n", "delta 1e-200 is too small: 1/delta**2 overflows"),
         ("deltas = 1.0, 1e-160\n", "delta 1e-160 is too small: 1/delta**2 overflows"),
@@ -593,8 +600,8 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
         ("deltas = 1.0, 1.0\n", "deltas must be distinct, got (1.0, 1.0)"),
     ],
     ids=["negative-delta", "infinite-delta", "lag-window", "one-lag", "infinite-total-time",
-         "zero-total-time", "nan-dt_scale", "tiny-dt_scale", "small-delta", "underflowing-dt",
-         "overflowing-inverse-square", "repeated-delta"],
+         "zero-total-time", "nan-dt_scale", "tiny-dt_scale", "small-delta", "huge-total-time",
+         "underflowing-dt", "overflowing-inverse-square", "repeated-delta"],
 )
 def test_kp_config_errors_fail_before_any_integration(tmp_path, monkeypatch, capsys, recwarn,
                                                      extra, message):
@@ -708,6 +715,62 @@ def test_too_many_one_step_samples_name_n_samples(tmp_path, monkeypatch, capsys)
     assert main(["kp", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         "error: kp: n_samples 10000001 needs more than 10000000 leapfrog steps of 8e-10\n")
+
+
+# one key at a time is set to values that no plan may accept in silence; values
+# past a cap are 1e11 or more, so that no plan that wrongly accepts one can run
+HOSTILE = ("0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "1e11", "100000000000")
+HOSTILE_LISTS = {
+    "float_list": ("", "nan", "1.0, nan", "1.0, 1e-4", "1.0, 1.0", "-1", "0", "1e308", "1e-308"),
+    "int_list": ("0", "-1", "8, 0", "8, 8", "100000000000"),
+    "band_list": ("1:0", "nan:1", "0:inf", "0:1, 1:2, 2:3"),
+}
+# the keys without a default, which a swept key replaces when it is one of them
+REQUIRED = {"patch": {"pde": "heat", "lifting": "central_d2"},
+            "order-detect": {"target": "heat"}, "kp": {"deltas": "1.0"}}
+
+
+def hostile_values(param):
+    if param.choices is not None:
+        return ("bogus",)
+    if param.kind == "bool":
+        return ("maybe",)
+    return HOSTILE_LISTS.get(param.kind, HOSTILE)
+
+
+def plan_or_refusal(text):
+    """'' when the config plans, else the message of the ValueError that refuses it."""
+    try:
+        config = parse_config(text)
+        EXPERIMENTS[config.experiment][2](config.parameters, config.seed)
+    except ValueError as err:
+        return str(err)
+    return ""
+
+
+def names_key(message, key):
+    # a list key's entries are named in the singular: deltas, delta 1e-200
+    return any(re.search(rf"\b{word}\b", message) for word in {key, key.removesuffix("s")})
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_one_hostile_key_plans_or_is_refused_naming_it(name):
+    # every outcome is a plan or a ValueError, with no warning, and a refusal
+    # that names a key of its experiment names the key that was set
+    params = EXPERIMENTS[name][1]
+    broken = []
+    for param in params:
+        for raw in hostile_values(param):
+            entries = {**REQUIRED.get(name, {}), param.name: raw}
+            text = f"[experiment]\nname = {name}\n[parameters]\n" + "".join(
+                f"{key} = {value}\n" for key, value in entries.items())
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                message = plan_or_refusal(text)
+            named = [p.name for p in params if names_key(message, p.name)]
+            if caught or (named and param.name not in named):
+                broken.append((param.name, raw, message, [str(w.message) for w in caught]))
+    assert broken == []
 
 
 @pytest.mark.parametrize(
