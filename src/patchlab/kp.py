@@ -235,41 +235,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _integrate_blocks(field, n_blocks, run):
-    # each block of rows runs as a stack of its own, so every row keeps its
-    # bits; numpy's cos and sin release the interpreter lock, so the blocks
-    # overlap. Block 0 runs in the calling thread, each other in a thread of
-    # its own under a copy of the caller's context, which carries np.errstate
-    blocks = [
-        RandomForceField(amplitudes=field.amplitudes, wavenumbers=field.wavenumbers, phases=rows)
-        for rows in np.array_split(field.phases, n_blocks)
-    ]
-    results = [None] * n_blocks
-
-    def integrate(i):
-        try:
-            results[i] = _leapfrog(blocks[i], *run)
-        except BaseException as error:  # re-raised in the calling thread
-            results[i] = error
-
-    helpers = []
-    try:
-        for i in range(1, n_blocks):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(integrate, i))
-            thread.start()
-            helpers.append(thread)
-        results[0] = _leapfrog(blocks[0], *run)
-    finally:
-        for thread in helpers:
-            thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    xs, vs, errors = zip(*results)
-    energy_error = None if errors[0] is None else np.concatenate(errors)
-    return np.concatenate(xs), np.concatenate(vs), energy_error
-
-
 def kp_integrate(
     field: RandomForceField,
     delta: float,
@@ -285,8 +250,10 @@ def kp_integrate(
     exactly.  A stacked field runs one particle per row, all from
     ``initial``, and gives positions and velocities of shape
     ``(n_fields, n_samples + 1)``; each row has the same bits as a run of
-    that row's field alone.  The rows run as one contiguous block per CPU
-    the process may use, each block in a thread of its own, so the bits do
+    that row's field alone.  A single field runs as a stack of one row and
+    gives that row's 1-d samples.  The rows run as one contiguous block per
+    CPU the process may use, at most one per row, the first block in the
+    calling thread and each other in a thread of its own, so the bits do
     not depend on the CPU count either.  With ``validate=True`` the run is
     checked on its own samples: the flow conserves ``energy``, and the
     leapfrog keeps its error bounded at O(dt^2), so a row's ``energy_error``
@@ -304,14 +271,41 @@ def kp_integrate(
     steps_per_sample = sample_steps(sample_dt, dt, n_samples, "total_time", total_time)
     dt_used = sample_dt / steps_per_sample
     run = (delta, x0, v0, dt_used, n_samples, steps_per_sample, validate)
-    n_blocks = min(field.phases.shape[0], _usable_cpus()) if field.phases.ndim == 2 else 1
-    if n_blocks > 1:
-        xs, vs, energy_error = _integrate_blocks(field, n_blocks, run)
-    else:
-        xs, vs, energy_error = _leapfrog(field, *run)
+    # each block of rows runs as a stack of its own, so every row keeps its
+    # bits; numpy's cos and sin release the interpreter lock, so the blocks
+    # overlap. Block 0 runs in the calling thread, each other in a thread of
+    # its own under a copy of the caller's context, which carries np.errstate
+    rows = np.atleast_2d(field.phases)
+    blocks = [
+        RandomForceField(amplitudes=field.amplitudes, wavenumbers=field.wavenumbers, phases=block)
+        for block in np.array_split(rows, min(len(rows), _usable_cpus()))
+    ]
+    results = [None] * len(blocks)
+
+    def integrate(i):
+        try:
+            results[i] = _leapfrog(blocks[i], *run)
+        except BaseException as error:  # re-raised once every block has ended
+            results[i] = error
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(integrate, i))
+               for i in range(1, len(blocks))]
+    for thread in helpers:
+        thread.start()
+    integrate(0)
+    for thread in helpers:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    xs, vs, errors = zip(*results)
+    # a single field is the one row of its stack, returned without the stack axis
+    shape = field.phases.shape[:-1]
+    energy_error = None if errors[0] is None else np.concatenate(errors).reshape(shape)
     times = np.linspace(0.0, total_time, n_samples + 1)
     return ScaledTrajectory(
-        delta=delta, times=times, positions=xs, velocities=vs, dt_used=dt_used,
+        delta=delta, times=times, positions=np.concatenate(xs).reshape(shape + (-1,)),
+        velocities=np.concatenate(vs).reshape(shape + (-1,)), dt_used=dt_used,
         energy_error=energy_error,
     )
 

@@ -17,8 +17,8 @@ from .core import (
     value_type,
 )
 from .kp import (
-    SELF_CONSISTENCY_TOL, checked_delta, ensemble_velocities, field_modes, finite_start,
-    fit_lag_steps, msd_exponent, sample_steps,
+    SELF_CONSISTENCY_TOL, checked_delta, ensemble_velocities, field_modes, fit_lag_steps,
+    msd_exponent, sample_steps,
 )
 from .micro import SdeModel
 from .order_detect import BlackBoxFunction, ProbeSpec, derivative_blackbox, detect_order
@@ -172,8 +172,8 @@ def _patch_setup(p: dict, n_points: int, key: str = "n_points"):
     dt_macro = ratio * dx ** pde.max_order
     cfg = PatchConfig(
         lifting=scheme,
-        tooth=ToothConfig(h=positive(p["h_fraction"], "h_fraction") * dx),
-        dt_micro=positive(p["dt_micro_factor"], "dt_micro_factor") * dt_macro,
+        tooth=ToothConfig(h=p["h_fraction"] * dx),
+        dt_micro=p["dt_micro_factor"] * dt_macro,
         dt_macro=dt_macro,
         alpha=p["alpha"],
     )
@@ -188,6 +188,14 @@ def _plan_patch(p: dict, seed: int):
     if not (p["grids"] or math.isnan(p["expect_order"])):
         raise ValueError("expect_order needs grids to fit a convergence order on")
     order_tolerance = positive(p["order_tolerance"], "order_tolerance")
+    if not math.isfinite(p["coefficient"]):
+        raise ValueError("coefficient must be finite")
+    # a tooth h_fraction*dx wide must not overlap the next, and dt_micro =
+    # dt_micro_factor*dt_macro must not exceed dt_macro; 1 + 1e-12 is the
+    # tolerance that lift_coefficients and PatchConfig allow
+    for key in ("h_fraction", "dt_micro_factor"):
+        if positive(p[key], key) > 1.0 + 1e-12:
+            raise ValueError(f"{key} must not exceed 1, got {p[key]:g}")
     # the grid list, every grid and the study's final time fail here, before
     # the first step
     pde, cfg, dx = _patch_setup(p, p["n_points"])
@@ -201,12 +209,18 @@ def _plan_patch(p: dict, seed: int):
     at_least(p["probe_steps"], 4, "probe_steps")
     # the step is a linear circulant map, so a normal matrix: its symbol G(k)
     # gives the growth of every iterate, ||A^n|| = max|G|^n, and every grid's
-    # state at final_time exactly; a step that does not fit in a float fails here
-    symbol = step_symbol(pde, cfg, p["n_points"], dx)
-    # grid -> the study's (stepper, initial state) on it
-    problems = {n: (symbol_stepper(step_symbol(pde_n, cfg_n, n, dx_n), cfg_n.dt_macro, final_time),
-                    MacroState(values=np.sin(dx_n * np.arange(n)), dx=dx_n))
-                for n, (pde_n, cfg_n, dx_n) in setups.items()}
+    # state at final_time exactly. A step that does not fit in a float fails
+    # here, naming the keys that set dt_macro and dt_micro
+    try:
+        symbol = step_symbol(pde, cfg, p["n_points"], dx)
+        # grid -> the study's (stepper, initial state) on it
+        problems = {
+            n: (symbol_stepper(step_symbol(pde_n, cfg_n, n, dx_n), cfg_n.dt_macro, final_time),
+                MacroState(values=np.sin(dx_n * np.arange(n)), dx=dx_n))
+            for n, (pde_n, cfg_n, dx_n) in setups.items()}
+    except ValueError as err:
+        raise ValueError(f"dt_macro = dt_ratio*dx^{pde.max_order} and dt_micro = "
+                         f"dt_micro_factor*dt_macro: {err}") from None
 
     def execute():
         metrics = [MetricResult("dt_macro", cfg.dt_macro), MetricResult("tooth_width", cfg.tooth.h)]
@@ -252,7 +266,7 @@ TARGET_PDES = {
 
 def _order_detect_box(p: dict) -> BlackBoxFunction:
     """The black box that the config's ``target`` names."""
-    budget = p["budget"] or None
+    budget = at_least(p["budget"], 0, "budget") or None
     if p["target"] == "adversarial":
         return BlackBoxFunction(lambda pt: pt[0] + pt[99], arity=100, evaluation_budget=budget)
     d_default, factory = TARGET_PDES[p["target"]]
@@ -324,18 +338,29 @@ def _plan_kp(p: dict, seed: int):
         # the step count is set by all three keys, so the refusal names each
         sample_steps(sample_dt, dt, n_samples,
                      f"total_time {total_time:g} at dt_scale {dt_scale:g} and delta", delta)
-    fit_lag_steps(np.linspace(0.0, total_time, n_samples + 1), p["fit_lag_lo"], p["fit_lag_hi"],
-                  p["n_lags"])
+    lag_lo, lag_hi = p["fit_lag_lo"], p["fit_lag_hi"]
+    # the fit's window is set by both its ends and total_time, so the refusal
+    # names all three; the bounds are fit_lag_steps' own
+    if not (0 < lag_lo < lag_hi and lag_lo >= total_time / 100.0 * (1.0 - 1e-9)
+            and lag_hi <= total_time / 4.0 * (1.0 + 1e-9)):
+        raise ValueError(f"fit_lag_lo {lag_lo:g} and fit_lag_hi {lag_hi:g} must satisfy "
+                         f"total_time/100 <= fit_lag_lo < fit_lag_hi <= total_time/4 "
+                         f"at total_time {total_time:g}")
+    fit_lag_steps(np.linspace(0.0, total_time, n_samples + 1), lag_lo, lag_hi, p["n_lags"])
     n_trajectories = at_least(p["n_trajectories"], 1, "n_trajectories")
     n_modes, _ = field_modes(p["n_modes"], p["spectrum"])
     # the stack holds (n_trajectories, n_samples + 1) samples of each kind and
     # (n_trajectories, n_modes) phases
     step_cap(n_trajectories * max(n_samples + 1, n_modes), "n_trajectories", n_trajectories,
              "array elements")
-    finite_start((p["x0"], p["v0"]))
+    for key in ("x0", "v0"):
+        if not math.isfinite(p[key]):
+            raise ValueError(f"{key} must be finite")
+    # the calibration paths span [0, 1] on the same sample count, and are fitted
+    # over this window
+    calibration_lags = (0.012, 0.24)
     if p["calibrate"]:
-        # the calibration paths span [0, 1] on the same sample count
-        fit_lag_steps(np.linspace(0.0, 1.0, n_samples + 1), 0.012, 0.24, p["n_lags"])
+        fit_lag_steps(np.linspace(0.0, 1.0, n_samples + 1), *calibration_lags, p["n_lags"])
     rng = RngStreamSpec(master_seed=seed)
 
     def execute():
@@ -364,8 +389,7 @@ def _plan_kp(p: dict, seed: int):
                     continue
                 metrics.append(_checked(f"energy_error_delta_{slug}", float(np.max(error))))
             times, velocities = run
-            fit = msd_exponent(times, velocities, p["fit_lag_lo"], p["fit_lag_hi"],
-                               n_lags=p["n_lags"])
+            fit = msd_exponent(times, velocities, lag_lo, lag_hi, n_lags=p["n_lags"])
             metrics.append(_checked(f"gamma_delta_{slug}", fit.gamma, *targets[i]))
             rows = tuple(zip(fit.lags.tolist(), fit.msd.tolist()))
             tables.append(Table(name=f"msd_{slug}", columns=("lag", "msd"), rows=rows))
@@ -374,7 +398,7 @@ def _plan_kp(p: dict, seed: int):
             for kind, target in (("brownian", 1.0), ("ballistic", 2.0)):
                 times, values = _synthetic_paths(kind, p["n_trajectories"], n_samples,
                                                  cal_rng.at(step_id=int(target)))
-                fit = msd_exponent(times, values, 0.012, 0.24, n_lags=p["n_lags"])
+                fit = msd_exponent(times, values, *calibration_lags, n_lags=p["n_lags"])
                 metrics.append(_checked(f"calibration_{kind}", fit.gamma, target, 0.1))
         return metrics, tables
 

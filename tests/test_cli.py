@@ -479,10 +479,14 @@ PATCH_PARAMETERS = "[experiment]\nname = patch\n[parameters]\npde = heat\nliftin
         ("dt_ratio = -1\n", "error: patch: dt_ratio must be positive and finite\n"),
         ("dt_micro_factor = 0\n", "error: patch: dt_micro_factor must be positive and finite\n"),
         ("h_fraction = -1\n", "error: patch: h_fraction must be positive and finite\n"),
+        ("h_fraction = 2\n", "error: patch: h_fraction must not exceed 1, got 2\n"),
+        ("dt_micro_factor = 2\n", "error: patch: dt_micro_factor must not exceed 1, got 2\n"),
+        ("coefficient = nan\n", "error: patch: coefficient must be finite\n"),
     ],
     ids=["probe_steps", "repeated-grids", "order-without-grids", "infinite-final-time",
          "nan-final-time", "unreachable-final-time", "small-grid", "small-n_points",
-         "dt_ratio", "dt_micro_factor", "h_fraction"],
+         "dt_ratio", "dt_micro_factor", "h_fraction", "overlapping-teeth", "long-micro-step",
+         "nan-coefficient"],
 )
 def test_patch_config_errors_exit_two(tmp_path, capsys, extra, message):
     cfg = write(tmp_path, PATCH_PARAMETERS + extra)
@@ -577,7 +581,10 @@ def test_kp_without_samples_fails_before_any_integration(tmp_path, monkeypatch, 
     [
         ("deltas = 1.0, 0.05, -0.05\n", "delta must be positive and finite"),
         ("deltas = 1.0, inf\n", "delta must be positive and finite"),
-        ("deltas = 1.0\nfit_lag_hi = 0.5\n", "lag range must lie within [T/100, T/4]"),
+        # the fit's window is set by both its ends and total_time, so it names all three
+        ("deltas = 1.0\nfit_lag_hi = 0.5\n",
+         "fit_lag_lo 0.0001 and fit_lag_hi 0.5 must satisfy "
+         "total_time/100 <= fit_lag_lo < fit_lag_hi <= total_time/4 at total_time 0.008"),
         ("deltas = 1.0\nn_lags = 1\n", "n_lags must be >= 2"),
         ("deltas = 1.0\ntotal_time = inf\n", "total_time must be positive and finite"),
         ("deltas = 1.0\ntotal_time = 0\n", "total_time must be positive and finite"),
@@ -629,7 +636,7 @@ def test_non_finite_kp_start_is_a_config_error(tmp_path, monkeypatch, capsys):
     cfg = write(tmp_path, FAST_KP + "x0 = nan\n")
     out = tmp_path / "o"
     assert main(["kp", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: kp: initial position and velocity must be finite\n"
+    assert capsys.readouterr().err == "error: kp: x0 must be finite\n"
     assert not out.exists()
 
 
@@ -755,8 +762,8 @@ def names_key(message, key):
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_one_hostile_key_plans_or_is_refused_naming_it(name):
-    # every outcome is a plan or a ValueError, with no warning, and a refusal
-    # that names a key of its experiment names the key that was set
+    # every outcome is a plan or a ValueError, with no warning, and every
+    # refusal names the key that was set
     params = EXPERIMENTS[name][1]
     broken = []
     for param in params:
@@ -767,8 +774,7 @@ def test_one_hostile_key_plans_or_is_refused_naming_it(name):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 message = plan_or_refusal(text)
-            named = [p.name for p in params if names_key(message, p.name)]
-            if caught or (named and param.name not in named):
+            if caught or (message and not names_key(message, param.name)):
                 broken.append((param.name, raw, message, [str(w.message) for w in caught]))
     assert broken == []
 
@@ -991,7 +997,8 @@ def test_a_step_that_overflows_fails_before_any_probe(tmp_path, monkeypatch, cap
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["patch", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: patch: the gap-tooth step is not finite at dt_macro = 1.5421256876702122e+159\n")
+        "error: patch: dt_macro = dt_ratio*dx^2 and dt_micro = dt_micro_factor*dt_macro: "
+        "the gap-tooth step is not finite at dt_macro = 1.5421256876702122e+159\n")
     assert not out.exists()
 
 

@@ -528,7 +528,9 @@ BAD_INPUTS = {
     "kp_runner-spectrum": (lambda v: _kp_run(spectrum=v), math.inf,
                            "kp: spectrum exponent must be finite"),
     "kp_runner-fit_lags": (lambda v: _kp_run(fit_lag_lo=v, fit_lag_hi=v), 5e-4,
-                           "kp: need 0 < lag_lo < lag_hi"),
+                           "kp: fit_lag_lo 0.0005 and fit_lag_hi 0.0005 must satisfy "
+                           "total_time/100 <= fit_lag_lo < fit_lag_hi <= total_time/4 "
+                           "at total_time 0.008"),
     "msd_exponent-times": (lambda v: msd_exponent(_TIMES[:v], np.zeros((2, v)), 0.02, 0.2), 2,
                            "times must be a 1-d array of at least 3 samples"),
     "msd_exponent-velocities": (lambda v: msd_exponent(_TIMES, np.zeros((2, v)), 0.02, 0.2), 400,

@@ -125,35 +125,53 @@ def test_stack_error_names_the_lowest_failing_row():
     np.testing.assert_array_equal(pair.energy_error, error)
 
 
-@pytest.mark.parametrize("cpus", [2, 5, 24])
+@pytest.mark.parametrize("cpus", [1, 2, 5, 24])
 def test_blocks_of_rows_keep_every_bit(monkeypatch, cpus):
-    # a stack runs as min(rows, cpus) blocks, one thread each; no row may
-    # depend on how the rows are split
+    # every field runs as min(rows, cpus) blocks, the first in the calling
+    # thread and each other in a thread of its own; no row may depend on how
+    # the rows are split, and a single field is a block of one row
     run = dict(delta=0.3, total_time=0.008, dt=1e-4, n_samples=50)
-    stack = stacked(fields_from(24, 24, 8))
-    blocks = []
+    fields = fields_from(24, 24, 8)
+    stack = stacked(fields)
+    blocks, starts = [], []
 
     def counted(field, *args):
-        blocks.append(field.phases.shape[0])
+        blocks.append(field.phases.shape)
         return leapfrog(field, *args)
+
+    def started(thread):
+        starts.append(thread)
+        start(thread)
 
     def runs(n_cpus):
         blocks.clear()
+        starts.clear()
         monkeypatch.setattr(patchlab.kp, "_usable_cpus", lambda: n_cpus)
         return (kp_integrate(stack, **run),
                 ensemble_velocities(n_trajectories=24, n_modes=8, spectrum=0.0,
                                     rng=RngStreamSpec(24), **run))
 
-    leapfrog = patchlab.kp._leapfrog
+    leapfrog, start = patchlab.kp._leapfrog, threading.Thread.start
     monkeypatch.setattr(patchlab.kp, "_leapfrog", counted)
+    monkeypatch.setattr(threading.Thread, "start", started)
     one_cpu = runs(1)
-    assert blocks == [24, 24]
+    assert blocks == [(24, 8), (24, 8)] and starts == []
     split = runs(cpus)
-    assert sorted(blocks) == sorted(2 * [len(rows) for rows in np.array_split(range(24), cpus)])
+    sizes = [len(rows) for rows in np.array_split(range(24), cpus)]
+    assert sorted(blocks) == sorted(2 * [(size, 8) for size in sizes])
+    assert len(starts) == 2 * (len(sizes) - 1)
     for alone, together in zip(one_cpu, split):
         for name in ("positions", "velocities", "energy_error"):
             assert getattr(together, name).tobytes() == getattr(alone, name).tobytes()
     assert kp_integrate(stack, validate=False, **run).energy_error is None
+    blocks.clear()
+    starts.clear()
+    single = kp_integrate(fields[5], **run)
+    assert blocks == [(1, 8)] and starts == []
+    for name in ("positions", "velocities", "energy_error"):
+        row = getattr(one_cpu[0], name)[5]
+        assert getattr(single, name).shape == row.shape
+        assert getattr(single, name).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("bad_row", [0, 3])
